@@ -31,15 +31,13 @@ from .autodiff import ShapeError
 from .config import ConfigError, PRESET_NAMES, RunConfig, load_config, preset
 from .container import ContainerError, entry_table
 from .harness import (
+    ARMS,
     evaluate_arm,
     ood_experiment,
     quality_control,
     run_comparison,
     to_train_items,
-    train_deep_ensemble,
-    train_edue,
-    train_le_baseline,
-    train_single_rater_baseline,
+    train_arm,
 )
 from .raters import DISTORTION_KINDS, generate_dataset
 from .storage import (
@@ -54,7 +52,7 @@ from .storage import (
 
 __all__ = ["main", "build_parser"]
 
-ARM_CHOICES = ("edue", "le", "de", "single-rater")
+ARM_CHOICES = tuple(name.replace("_", "-") for name in ARMS)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -117,60 +115,52 @@ def cmd_train(args: argparse.Namespace) -> int:
     k = _structure_index(args, structures)
     items = to_train_items(samples, structure=k)
     settings = config.arm_settings()
-    model_config = config.model_config()
     arm = args.arm.replace("-", "_")
-    if arm == "edue":
-        model, trace = train_edue(model_config, items, settings, seed)
-        models, traces = [model], [trace]
-    elif arm == "le":
-        model, trace = train_le_baseline(model_config, items, settings, seed)
-        models, traces = [model], [trace]
-    elif arm == "single_rater":
-        model, trace = train_single_rater_baseline(model_config, items,
-                                                   settings, seed)
-        models, traces = [model], [trace]
-    else:
-        models, traces = train_deep_ensemble(model_config, items, settings, seed)
-    head_skip = settings.head_skip if arm in ("edue", "le") else 0
+    models, traces = train_arm(arm, config.model_config(), items, settings, seed)
     meta = {
         "config": config.as_dict(),
         "seed": seed,
         "structure": k,
         "structure_name": structures[k],
-        "head_skip": head_skip,
+        "head_skip": ARMS[arm].skipped_heads(settings),
     }
-    save_checkpoint_dir(args.out, "de" if arm == "de" else arm, models,
-                        traces, meta)
+    save_checkpoint_dir(args.out, arm, models, traces, meta)
     last = traces[-1][-1]
     _note(f"trained {arm} ({len(models)} model(s), {settings.epochs} epochs); "
           f"final mean loss {last.mean_total:.4f}; checkpoint in {args.out}")
     return 0
 
 
-def _load_predictor(args: argparse.Namespace):
-    predictor, meta = load_checkpoint_dir(args.model)
+def _load_predictor(args: argparse.Namespace, uncertainty: bool = False):
+    """(arm, models, train_meta, samples, structure index) for a checkpoint
+    and a dataset; uncertainty=True refuses arms that predict one map."""
+    models, meta = load_checkpoint_dir(args.model)
+    arm = meta["arm"]
+    if uncertainty and not ARMS[arm].uncertainty:
+        raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
+                        f"predicts one map and has no uncertainty")
     samples, manifest = load_dataset(args.data)
     structures = list(manifest["structures"])
     k = int(meta.get("structure", 0))
     if k >= len(structures):
         raise DataError(f"checkpoint was trained on structure index {k}, but "
                         f"the dataset has only {structures}")
-    return predictor, meta, samples, k
+    return arm, models, meta, samples, k
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictor, meta, samples, k = _load_predictor(args)
+    arm, models, meta, samples, k = _load_predictor(args)
     head_skip = int(meta.get("head_skip", 0))
-    report = evaluate_arm(predictor, samples, structure=k, head_skip=head_skip)
+    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip)
     out = Path(args.out)
     write_json(out, {
-        "arm": meta.get("arm"),
+        "arm": arm,
         "structure": meta.get("structure_name"),
         "train_meta": meta,
         "per_image": report.per_image,
         "dataset": report.dataset,
     })
-    columns = ["id", "soft_dice", "nll", "sv_model", "sv_gt", "ncc"]
+    columns = list(report.per_image[0])  # id, mask metrics, then any variance metrics
     write_csv(out.with_suffix(".csv"), columns,
               [[rec[c] for c in columns] for rec in report.per_image])
     _note(f"evaluated {len(report.per_image)} images; report in {out}")
@@ -178,15 +168,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
-    predictor, meta, samples, k = _load_predictor(args)
+    arm, models, meta, samples, k = _load_predictor(args, uncertainty=True)
     head_skip = int(meta.get("head_skip", 0))
-    report = evaluate_arm(predictor, samples, structure=k, head_skip=head_skip)
+    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip)
     dice = [rec["soft_dice"] for rec in report.per_image]
     sv = [rec["sv_model"] for rec in report.per_image]
     curve = quality_control(dice, sv, args.dice_threshold)
     out = Path(args.out)
     write_json(out, {
-        "arm": meta.get("arm"),
+        "arm": arm,
         "structure": meta.get("structure_name"),
         "dice_threshold": args.dice_threshold,
         "train_meta": meta,
@@ -213,16 +203,16 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
-    predictor, meta, samples, _ = _load_predictor(args)
+    arm, models, meta, samples, _ = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, int(meta.get("seed", 0)))
     head_skip = int(meta.get("head_skip", 0))
-    report = ood_experiment(predictor, samples, args.kind, args.level,
+    report = ood_experiment(models, samples, args.kind, args.level,
                             rng=np.random.default_rng(seed),
                             fractions=_parse_fractions(args.fractions),
                             head_skip=head_skip)
     out = Path(args.out)
     write_json(out, {
-        "arm": meta.get("arm"),
+        "arm": arm,
         "seed": seed,
         "train_meta": meta,
         **report.as_dict(),

@@ -107,6 +107,9 @@ class RunConfig:
             self.arm_settings().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.head_skip > self.n_d - 2:
+            raise ConfigError(f"head_skip {self.head_skip} must leave at least 2 of "
+                              f"the {self.n_d} heads (at most {self.n_d - 2})")
 
     def as_dict(self) -> dict:
         doc = asdict(self)
@@ -115,7 +118,7 @@ class RunConfig:
 
 
 # The full-scale presets pin the full-run constants (epochs, batch
-# size, learning rate, beta, ensemble size, LE head skip) on top of the
+# size, learning rate, beta, ensemble size, head skip) on top of the
 # six-level architecture; dataset sizes are stand-ins for generator
 # runs at that scale.
 _PRESETS: dict[str, dict] = {
@@ -123,13 +126,13 @@ _PRESETS: dict[str, dict] = {
     "riga-like": dict(
         n_e=6, n_d=5, in_channels=3, input_size=(256, 256),
         beta=5.0, n_raters=6, structure="nested",
-        epochs=200, batch_size=16, lr=5e-5, de_members=5, head_skip=5,
+        epochs=200, batch_size=16, lr=5e-5, de_members=5, head_skip=3,
         n_train=600, n_test=150,
     ),
     "hecktor-like": dict(
         n_e=6, n_d=5, in_channels=2, input_size=(128, 128),
         beta=2.5, n_raters=3, structure="single_blob",
-        epochs=120, batch_size=32, lr=5e-5, de_members=5, head_skip=5,
+        epochs=120, batch_size=32, lr=5e-5, de_members=5, head_skip=3,
         n_train=400, n_test=100,
     ),
 }

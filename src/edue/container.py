@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ContainerError", "save_container", "load_container", "entry_table",
-           "atomic_write_bytes", "atomic_write_text"]
+__all__ = ["ContainerError", "DataError", "save_container", "load_container",
+           "entry_table", "atomic_write_bytes", "atomic_write_text"]
 
 MAGIC = b"EDT1"
 _U32 = struct.Struct("<I")
@@ -31,6 +31,10 @@ _U32 = struct.Struct("<I")
 
 class ContainerError(ValueError):
     """Malformed, truncated, or corrupt container file."""
+
+
+class DataError(ValueError):
+    """Missing, inconsistent, or malformed dataset / checkpoint layout."""
 
 
 def _encode(tensors: dict[str, np.ndarray]) -> bytes:

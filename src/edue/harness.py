@@ -1,12 +1,17 @@
-"""Experiment drivers: baseline arms, quality control, OOD, comparisons.
+"""Experiment drivers: the arm table, quality control, OOD, comparisons.
 
-Three uncertainty arms share one evaluation path.  The disagreement-
-guided model and the label-ensemble baseline are the same multi-head
-network trained with different objectives (the baseline sets beta = 0
-and trains every head on the majority vote).  The deep ensemble trains
-independent full-resolution single-head networks and takes the variance
-across members.  A fourth arm, a single-head network fit to one fixed
-rater, exists purely as the calibration control.
+Every arm is one row of ``ARMS``.  The disagreement-guided model and the
+label-ensemble baseline are the same multi-head network trained with
+different objectives (the baseline sets beta = 0 and trains every head on
+the majority vote).  The deep ensemble trains independent
+full-resolution single-head networks and takes the variance across
+members.  A fourth arm, a single-head network fit to one fixed rater, is
+the calibration control: it predicts one map, so it is scored on its
+mask alone.
+
+Every predictor is a list of models, and one path serves them all:
+``prob_maps`` gives an image's kept head (or member) maps and
+``aggregate_heads`` reduces them to a mean mask and a variance heatmap.
 
 Downstream tasks consume per-image scalars: quality control ranks
 images by summed variance and reports how fast poor segmentations are
@@ -18,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .disagreement import (
     EpochStats,
     LossWeights,
@@ -39,25 +43,18 @@ from .model import (
     aggregate_heads,
     build_model,
     build_single_head_model,
-    forward,
-    predict,
+    prob_maps,
 )
 from .raters import RaterSample, binary_dice, distort
 
 __all__ = [
     "ArmSettings",
+    "Arm",
+    "ARMS",
     "QcCurve",
     "OodReport",
     "to_train_items",
-    "train_edue",
-    "train_le_baseline",
-    "train_single_rater_baseline",
-    "train_deep_ensemble",
-    "ensemble_predict",
-    "head_probability_maps",
-    "member_probability_maps",
-    "predict_records",
-    "ensemble_records",
+    "train_arm",
     "evaluate_arm",
     "quality_control",
     "agreement_score",
@@ -94,122 +91,82 @@ class ArmSettings:
         LossWeights(alpha=self.alpha, beta=self.beta).validate()
 
 
+@dataclass(frozen=True)
+class Arm:
+    """How one arm is built, trained and scored.
+
+    ``labels`` returns the label sampler.  ``disagreement`` keeps beta
+    (else it is forced to 0); ``ensemble`` trains ``de_members`` models
+    seeded ``seed + 1000 * (i + 1)``; ``head_skip`` applies the settings'
+    head skip; ``uncertainty`` scores the variance heatmap too, and only
+    such arms support qc, ood and compare.
+    """
+    build: Callable[[ModelConfig], Model]
+    labels: Callable[[], Callable]
+    disagreement: bool = False
+    ensemble: bool = False
+    head_skip: bool = False
+    uncertainty: bool = True
+
+    def skipped_heads(self, settings: ArmSettings) -> int:
+        return settings.head_skip if self.head_skip else 0
+
+
+# Samplers are looked up when an arm trains, not when the table is built,
+# so wrappers installed on the module-level names (perfbench's tracer)
+# see every call.
+ARMS: dict[str, Arm] = {
+    "edue": Arm(build_model, lambda: sample_labels, disagreement=True, head_skip=True),
+    "le": Arm(build_model, lambda: majority_labels, head_skip=True),
+    "de": Arm(build_single_head_model, lambda: majority_labels, ensemble=True),
+    "single_rater": Arm(build_single_head_model, lambda: single_rater_labels(0),
+                        uncertainty=False),
+}
+
+
 def to_train_items(samples: Sequence[RaterSample], structure: int = 0) -> list[TrainItem]:
     """Project one structure's rater masks out of generator samples."""
     return [TrainItem(image=s.image, masks=s.masks[structure]) for s in samples]
 
 
-def train_edue(config: ModelConfig, items: Sequence[TrainItem], settings: ArmSettings,
-               seed: int) -> tuple[Model, list[EpochStats]]:
+def train_arm(name: str, config: ModelConfig, items: Sequence[TrainItem],
+              settings: ArmSettings, seed: int
+              ) -> tuple[list[Model], list[list[EpochStats]]]:
+    """Train one arm's models (one, or one per ensemble member) and
+    return them with their per-epoch loss traces."""
     settings.validate()
-    model = build_model(replace(config, seed=seed))
-    return train(model, items, epochs=settings.epochs, batch_size=settings.batch_size,
-                 lr=settings.lr, weights=LossWeights(settings.alpha, settings.beta),
-                 rng=np.random.default_rng(seed), sampler=sample_labels)
-
-
-def train_le_baseline(config: ModelConfig, items: Sequence[TrainItem],
-                      settings: ArmSettings, seed: int) -> tuple[Model, list[EpochStats]]:
-    """Same multi-head architecture, no disagreement term: every head is
-    fit to the soft majority vote."""
-    settings.validate()
-    model = build_model(replace(config, seed=seed))
-    return train(model, items, epochs=settings.epochs, batch_size=settings.batch_size,
-                 lr=settings.lr, weights=LossWeights(settings.alpha, 0.0),
-                 rng=np.random.default_rng(seed), sampler=majority_labels)
-
-
-def train_single_rater_baseline(config: ModelConfig, items: Sequence[TrainItem],
-                                settings: ArmSettings, seed: int,
-                                rater: int = 0) -> tuple[Model, list[EpochStats]]:
-    """Single-head network fit to one annotator only: the overconfidence
-    control the multi-rater arms are compared against."""
-    settings.validate()
-    model = build_single_head_model(replace(config, seed=seed))
-    return train(model, items, epochs=settings.epochs, batch_size=settings.batch_size,
-                 lr=settings.lr, weights=LossWeights(settings.alpha, 0.0),
-                 rng=np.random.default_rng(seed), sampler=single_rater_labels(rater))
-
-
-def train_deep_ensemble(config: ModelConfig, items: Sequence[TrainItem],
-                        settings: ArmSettings, seed: int,
-                        m_members: int | None = None
-                        ) -> tuple[list[Model], list[list[EpochStats]]]:
-    """m independently seeded single-head networks on majority labels."""
-    settings.validate()
-    m = settings.de_members if m_members is None else m_members
-    if m < 2:
-        raise ValueError(f"deep ensemble needs >= 2 members, got {m}")
+    arm = ARMS[name]
+    seeds = ([seed + 1000 * (i + 1) for i in range(settings.de_members)]
+             if arm.ensemble else [seed])
+    weights = LossWeights(settings.alpha, settings.beta if arm.disagreement else 0.0)
     models, traces = [], []
-    for i in range(m):
-        member_seed = seed + 1000 * (i + 1)
-        model = build_single_head_model(replace(config, seed=member_seed))
-        _, trace = train(model, items, epochs=settings.epochs,
-                         batch_size=settings.batch_size, lr=settings.lr,
-                         weights=LossWeights(settings.alpha, 0.0),
-                         rng=np.random.default_rng(member_seed),
-                         sampler=majority_labels)
+    for model_seed in seeds:
+        model, trace = train(arm.build(replace(config, seed=model_seed)), items,
+                             epochs=settings.epochs, batch_size=settings.batch_size,
+                             lr=settings.lr, weights=weights,
+                             rng=np.random.default_rng(model_seed), sampler=arm.labels())
         models.append(model)
         traces.append(trace)
     return models, traces
 
 
-def ensemble_predict(models: Sequence[Model], x: Tensor) -> dict:
-    """Mean mask, member-variance heatmap, and its sum; one pass each."""
-    if not models:
-        raise ValueError("ensemble_predict: empty model list")
-    return aggregate_heads([forward(m, x).probs[0].data for m in models])
-
-
-def head_probability_maps(model: Model, image: np.ndarray,
-                          head_skip: int = 0) -> list[np.ndarray]:
-    """Per-head probability maps (H, W) for one image."""
-    outs = forward(model, Tensor(np.asarray(image)[None]))
-    maps = [p.data[0, 0] for p in outs.probs[head_skip:]]
-    if len(maps) < 2:
-        raise ValueError(f"need >= 2 maps after skipping {head_skip} heads")
-    return maps
-
-
-def member_probability_maps(models: Sequence[Model], image: np.ndarray) -> list[np.ndarray]:
-    """Per-member probability maps (H, W) for one image."""
-    if len(models) < 2:
-        raise ValueError("need >= 2 ensemble members")
-    x = Tensor(np.asarray(image)[None])
-    return [forward(m, x).probs[0].data[0, 0] for m in models]
-
-
-def predict_records(model: Model, samples: Sequence[RaterSample], structure: int = 0,
-                    head_skip: int = 0) -> list[PredictionRecord]:
+def evaluate_arm(name: str, models: Sequence[Model], samples: Sequence[RaterSample],
+                 structure: int = 0, head_skip: int = 0) -> MetricReport:
+    """Score one arm's predictor under the arm's eval contract: the mean
+    mask and the variance heatmap, or the mask alone for a one-map arm."""
+    uncertainty = ARMS[name].uncertainty
     records = []
     for i, s in enumerate(samples):
-        out = predict(model, Tensor(np.asarray(s.image)[None]), head_skip=head_skip)
-        records.append(PredictionRecord(ident=f"img{i:04d}",
-                                        final_mask=out["final_mask"][0, 0],
-                                        heatmap=out["heatmap"][0, 0],
+        maps = prob_maps(models, s.image, head_skip)
+        if uncertainty:
+            out = aggregate_heads(maps)
+            mask, heatmap = out["final_mask"], out["heatmap"]
+        else:
+            mask, heatmap = maps[0], None
+        records.append(PredictionRecord(ident=f"img{i:04d}", final_mask=mask,
+                                        heatmap=heatmap,
                                         rater_masks=s.masks[structure]))
-    return records
-
-
-def ensemble_records(models: Sequence[Model], samples: Sequence[RaterSample],
-                     structure: int = 0) -> list[PredictionRecord]:
-    records = []
-    for i, s in enumerate(samples):
-        out = ensemble_predict(models, Tensor(np.asarray(s.image)[None]))
-        records.append(PredictionRecord(ident=f"img{i:04d}",
-                                        final_mask=out["final_mask"][0, 0],
-                                        heatmap=out["heatmap"][0, 0],
-                                        rater_masks=s.masks[structure]))
-    return records
-
-
-def evaluate_arm(model_or_models, samples: Sequence[RaterSample], structure: int = 0,
-                 head_skip: int = 0) -> MetricReport:
-    if isinstance(model_or_models, Model):
-        records = predict_records(model_or_models, samples, structure, head_skip)
-    else:
-        records = ensemble_records(list(model_or_models), samples, structure)
-    return evaluate_predictions(records)
+    return evaluate_predictions(records, variance=uncertainty)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +275,20 @@ def _summary(scores: np.ndarray) -> dict:
     }
 
 
-def ood_experiment(model_or_models, samples: Sequence[RaterSample], kind: str,
+def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind: str,
                    level: float, rng: np.random.Generator,
                    fractions: Sequence[float] = (0.0, 0.5, 1.0),
                    head_skip: int = 0) -> OodReport:
     """Distribution of per-image agreement as more inputs get distorted.
 
     For each fraction f, ceil(f * n) randomly chosen images are distorted
-    before prediction; agreement is computed across heads (single model)
-    or across members (model list).
+    before prediction; agreement is computed across the maps prob_maps
+    gives (heads of one model, or ensemble members).
     """
     samples = list(samples)
     n = len(samples)
     if n == 0:
         raise ValueError("ood_experiment: empty sample list")
-    single = isinstance(model_or_models, Model)
     per_fraction = []
     for f in fractions:
         if not 0.0 <= f <= 1.0:
@@ -342,11 +298,7 @@ def ood_experiment(model_or_models, samples: Sequence[RaterSample], kind: str,
         scores = []
         for i, s in enumerate(samples):
             image = distort(s.image, kind, level, rng) if i in chosen else s.image
-            if single:
-                maps = head_probability_maps(model_or_models, image, head_skip)
-            else:
-                maps = member_probability_maps(list(model_or_models), image)
-            scores.append(agreement_score(maps))
+            scores.append(agreement_score(prob_maps(models, image, head_skip)))
         arr = np.asarray(scores)
         per_fraction.append({"fraction": float(f), "n_distorted": k,
                              "scores": [float(v) for v in scores],
@@ -358,16 +310,10 @@ def ood_experiment(model_or_models, samples: Sequence[RaterSample], kind: str,
 # the full comparison
 
 
-def _count_passes(models) -> int:
-    if isinstance(models, Model):
-        return models.trunk_passes
-    return sum(m.trunk_passes for m in models)
-
-
 def run_comparison(train_samples: Sequence[RaterSample],
                    test_samples: Sequence[RaterSample], config: ModelConfig,
                    settings: ArmSettings, seeds: Sequence[int] = (1, 2, 3)) -> dict:
-    """Train and evaluate all three arms per seed and per structure.
+    """Train and evaluate every uncertainty arm per seed and per structure.
 
     Returns a JSON-ready report: per-seed metric tables for each arm
     plus mean/std aggregation over seeds, forward-pass counts per
@@ -377,28 +323,19 @@ def run_comparison(train_samples: Sequence[RaterSample],
     if not seeds:
         raise ValueError("run_comparison: need at least one seed")
     structures = list(train_samples[0].structure_names)
-    arms: dict[str, dict] = {name: {"per_seed": []} for name in ("edue", "le", "de")}
+    arms: dict[str, dict] = {name: {"per_seed": []}
+                             for name, arm in ARMS.items() if arm.uncertainty}
 
     for seed in seeds:
-        trained = {}
         for name in arms:
             row: dict = {"seed": seed, "structures": {}, "nll_values": []}
             for k, struct in enumerate(structures):
                 items = to_train_items(train_samples, structure=k)
-                if name == "edue":
-                    model, _ = train_edue(config, items, settings, seed)
-                    predictor = model
-                elif name == "le":
-                    model, _ = train_le_baseline(config, items, settings, seed)
-                    predictor = model
-                else:
-                    members, _ = train_deep_ensemble(config, items, settings, seed)
-                    predictor = members
-                passes_before = _count_passes(predictor)
-                head_skip = settings.head_skip if name in ("edue", "le") else 0
-                report = evaluate_arm(predictor, test_samples, structure=k,
-                                      head_skip=head_skip)
-                passes_used = _count_passes(predictor) - passes_before
+                models, _ = train_arm(name, config, items, settings, seed)
+                passes_before = sum(m.trunk_passes for m in models)
+                report = evaluate_arm(name, models, test_samples, structure=k,
+                                      head_skip=ARMS[name].skipped_heads(settings))
+                passes_used = sum(m.trunk_passes for m in models) - passes_before
                 row["structures"][struct] = {
                     "sr": report.dataset["sr"],
                     "dc": report.dataset["dc"],
@@ -407,14 +344,9 @@ def run_comparison(train_samples: Sequence[RaterSample],
                 }
                 row["nll_values"].append(report.dataset["mean_nll"])
                 row["passes_per_image"] = passes_used / len(test_samples)
-                trained[(name, k)] = predictor
             row["nll"] = float(np.mean(row["nll_values"]))
             del row["nll_values"]
-            if name == "de":
-                members = trained[(name, 0)]
-                row["parameter_count"] = int(sum(m.parameter_count() for m in members))
-            else:
-                row["parameter_count"] = trained[(name, 0)].parameter_count()
+            row["parameter_count"] = sum(m.parameter_count() for m in models)
             arms[name]["per_seed"].append(row)
 
     for name, arm in arms.items():

@@ -141,10 +141,11 @@ def image_level_correlation(sv_model, sv_gt) -> dict:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One test image's prediction plus its rater masks (Y >= 2, H, W)."""
+    """One test image's prediction plus its rater masks (Y >= 2, H, W);
+    heatmap is None for a predictor without uncertainty."""
     ident: str
     final_mask: np.ndarray
-    heatmap: np.ndarray
+    heatmap: np.ndarray | None
     rater_masks: np.ndarray
 
 
@@ -166,37 +167,41 @@ def _plane(arr: np.ndarray) -> np.ndarray:
     return a
 
 
-def evaluate_predictions(records: Sequence[PredictionRecord]) -> MetricReport:
-    """Per-image metrics plus the dataset-level correlation summary.
+def evaluate_predictions(records: Sequence[PredictionRecord],
+                         variance: bool = True) -> MetricReport:
+    """Per-image metrics plus the dataset-level summary.
 
     The reference for Dice is the soft majority vote; for NLL it is that
-    vote binarized at 0.5; for NCC and the variance sums it is the rater
-    variance heatmap.
+    vote binarized at 0.5.  With variance, NCC and the variance sums are
+    added against the rater variance heatmap, and the dataset summary
+    gains their correlations; without it, records' heatmaps are ignored.
     """
     records = list(records)
-    if len(records) < 4:
-        raise ValueError(f"need at least 4 images for correlations, got {len(records)}")
+    n_min = 4 if variance else 1  # the correlations need four images
+    if len(records) < n_min:
+        raise ValueError(f"need at least {n_min} images, got {len(records)}")
     per_image = []
     for rec in records:
         pred = _plane(rec.final_mask)
-        heat = _plane(rec.heatmap)
         soft = soft_majority(rec.rater_masks)
-        gt_heat = gt_heatmap(rec.rater_masks)
-        per_image.append({
+        row = {
             "id": rec.ident,
             "soft_dice": soft_dice(pred, soft),
             "nll": nll(pred, binarize_majority(soft)),
-            "sv_model": float(heat.sum()),
-            "sv_gt": float(gt_heat.sum()),
-            "ncc": ncc(heat, gt_heat),
-        })
-    corr = image_level_correlation([r["sv_model"] for r in per_image],
-                                   [r["sv_gt"] for r in per_image])
+        }
+        if variance:
+            heat = _plane(rec.heatmap)
+            gt_heat = gt_heatmap(rec.rater_masks)
+            row.update(sv_model=float(heat.sum()), sv_gt=float(gt_heat.sum()),
+                       ncc=ncc(heat, gt_heat))
+        per_image.append(row)
     dataset = {
-        "sr": corr["sr"],
-        "dc": corr["dc"],
-        "mean_ncc": float(np.mean([r["ncc"] for r in per_image])),
         "mean_dice": float(np.mean([r["soft_dice"] for r in per_image])),
         "mean_nll": float(np.mean([r["nll"] for r in per_image])),
     }
+    if variance:
+        corr = image_level_correlation([r["sv_model"] for r in per_image],
+                                       [r["sv_gt"] for r in per_image])
+        dataset.update(sr=corr["sr"], dc=corr["dc"],
+                       mean_ncc=float(np.mean([r["ncc"] for r in per_image])))
     return MetricReport(per_image=per_image, dataset=dataset)

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import atomic_write_text, load_container, save_container
+from .container import DataError, atomic_write_text, load_container, save_container
 
 __all__ = [
     "ModelConfig",
@@ -35,7 +36,7 @@ __all__ = [
     "build_single_head_model",
     "full_scale_config",
     "forward",
-    "predict",
+    "prob_maps",
     "aggregate_heads",
     "parameter_count",
     "save_checkpoint",
@@ -89,8 +90,8 @@ class HeadOutputs:
 class Model:
     """Parameter store plus forward pass; weights mutate only in training.
 
-    ``trunk_passes`` counts forward executions and ``block_calls`` counts
-    per-block executions, backing the single-pass contract tests.
+    ``trunk_passes`` counts forward executions, backing the single-pass
+    contract tests.
     """
 
     def __init__(self, config: ModelConfig, kind: str, params: dict[str, Tensor]):
@@ -98,7 +99,6 @@ class Model:
         self.kind = kind  # "multi_head" | "single_head_full"
         self.params = params
         self.trunk_passes = 0
-        self.block_calls: dict[str, int] = {}
 
     @property
     def n_heads(self) -> int:
@@ -106,9 +106,6 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
-
-    def _count(self, block: str) -> None:
-        self.block_calls[block] = self.block_calls.get(block, 0) + 1
 
     def weights_hash(self) -> int:
         acc = 0
@@ -204,7 +201,6 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
     skips: list[Tensor] = []
     cur = x
     for i in range(cfg.n_e):
-        model._count(f"enc{i}")
         a = ad.relu(ad.channel_norm(_block(model, f"enc{i}.conv", cur),
                                     p[f"enc{i}.norm.gain"], p[f"enc{i}.norm.shift"]))
         skips.append(a)
@@ -213,7 +209,6 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
     n_dec = cfg.n_d if model.kind == "multi_head" else cfg.n_e
     logits: list[Tensor] = []
     for j in range(n_dec):
-        model._count(f"dec{j}")
         up = ad.upsample_nearest(cur, 2)
         cur = ad.concat_channels([up, skips[cfg.n_e - 1 - j]])
         cur = ad.relu(ad.channel_norm(_block(model, f"dec{j}.conv", cur),
@@ -228,30 +223,34 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
     return HeadOutputs(probs=probs, logits=logits)
 
 
-def aggregate_heads(probs: list[np.ndarray]) -> dict:
+def prob_maps(models: Sequence[Model], image: np.ndarray,
+              head_skip: int = 0) -> np.ndarray:
+    """Probability maps (n_maps, H, W) for one (C, H, W) image.
+
+    One forward pass per model; each model contributes every head after
+    its first head_skip (coarsest) ones.  A multi-head model gives its
+    kept heads, a deep ensemble one map per member.
+    """
+    x = Tensor(np.asarray(image)[None])
+    maps = [p.data[0, 0] for m in models for p in forward(m, x).probs[head_skip:]]
+    if not maps:
+        raise ValueError(f"prob_maps: no maps; the model list is empty or "
+                         f"head_skip {head_skip} skips every head")
+    return np.stack(maps)
+
+
+def aggregate_heads(probs) -> dict:
     """Mean map, per-pixel population variance heatmap, and its sum.
 
     Accumulates in float64 so identical maps give an exactly zero
     heatmap even when the inputs are float32.
     """
-    stacked = np.stack(probs, axis=0).astype(np.float64)
+    stacked = np.asarray(probs, dtype=np.float64)
+    if len(stacked) < 2:
+        raise ValueError(f"aggregate_heads: need >= 2 maps, got {len(stacked)}")
     final = stacked.mean(axis=0)
     heatmap = stacked.var(axis=0)
     return {"final_mask": final, "heatmap": heatmap, "sv": float(heatmap.sum())}
-
-
-def predict(model: Model, x: Tensor, head_skip: int = 0) -> dict:
-    """Inference: mean-of-heads mask, head-variance heatmap, variance sum.
-
-    head_skip drops that many leading (coarsest) heads from the
-    aggregation; at least two heads must remain.
-    """
-    outs = forward(model, x)
-    maps = [pr.data for pr in outs.probs[head_skip:]]
-    if len(maps) < 2:
-        raise ValueError(f"predict: need >= 2 heads after skipping {head_skip}, "
-                         f"model has {len(outs.probs)}")
-    return aggregate_heads(maps)
 
 
 def parameter_count(config: ModelConfig, kind: str = "multi_head") -> int:
@@ -297,11 +296,19 @@ def save_checkpoint(directory: str | Path, model: Model) -> None:
 
 def load_checkpoint(directory: str | Path) -> Model:
     directory = Path(directory)
-    header = json.loads((directory / "model.json").read_text())
-    raw = dict(header["config"])
-    raw["input_size"] = tuple(raw["input_size"])
-    config = ModelConfig(**raw)
-    model = build_model(config) if header["kind"] == "multi_head" else build_single_head_model(config)
+    path = directory / "model.json"
+    header = json.loads(path.read_text())
+    builders = {"multi_head": build_model, "single_head_full": build_single_head_model}
+    if header.get("kind") not in builders:
+        raise DataError(f"{path}: key 'kind' must be one of {sorted(builders)}, "
+                        f"got {header.get('kind')!r}")
+    raw = header.get("config")
+    names = {f.name for f in fields(ModelConfig)}
+    if not isinstance(raw, dict) or set(raw) != names:
+        raise DataError(f"{path}: key 'config' must be an object with exactly "
+                        f"the keys {sorted(names)}")
+    config = ModelConfig(**{**raw, "input_size": tuple(raw["input_size"])})
+    model = builders[header["kind"]](config)
     weights = load_container(directory / "weights.edt")
     if set(weights) != set(model.params):
         missing = set(model.params) ^ set(weights)

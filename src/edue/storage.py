@@ -21,14 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .container import DataError, atomic_write_text, load_container, save_container
 from .disagreement import EpochStats
-from .container import atomic_write_text, save_container, load_container
+from .harness import ARMS
 from .model import Model, load_checkpoint, save_checkpoint
 from .raters import RaterSample
 
 __all__ = [
     "DataError",
-    "atomic_write_text",
     "write_json",
     "write_csv",
     "save_dataset",
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 DATASET_FORMAT = "edue-dataset-v1"
-
-
-class DataError(ValueError):
-    """Missing, inconsistent, or malformed dataset / checkpoint layout."""
 
 
 def _jsonable(obj):
@@ -132,6 +128,9 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         raise DataError("manifest n_images disagrees with its images list")
     samples = []
     for entry in images:
+        for key in ("file", "delta_used"):
+            if key not in entry:
+                raise DataError(f"{manifest_path}: an images entry has no {key!r} key")
         path = directory / entry["file"]
         if not path.is_file():
             raise DataError(f"dataset file missing: {path}")
@@ -140,10 +139,10 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
             raise DataError(f"{path} has no 'image' entry")
         masks, true_masks = [], []
         for name in structures:
-            key = f"masks/{name}"
-            if key not in tensors:
-                raise DataError(f"{path} has no {key!r} entry")
-            masks.append(tensors[key])
+            for key in (f"masks/{name}", f"true/{name}"):
+                if key not in tensors:
+                    raise DataError(f"{path} has no {key!r} entry")
+            masks.append(tensors[f"masks/{name}"])
             true_masks.append(tensors[f"true/{name}"])
         samples.append(RaterSample(image=tensors["image"],
                                    masks=np.stack(masks, axis=0),
@@ -162,6 +161,14 @@ def _trace_rows(member: int, trace: Sequence[EpochStats]) -> list[tuple]:
             for s in trace]
 
 
+def _model_dirs(directory: Path, n_models: int) -> list[Path]:
+    """A lone model lives in the checkpoint directory itself; ensemble
+    members get one member_i/ subdirectory each."""
+    if n_models == 1:
+        return [directory]
+    return [directory / f"member_{i}" for i in range(n_models)]
+
+
 def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
                         models: Sequence[Model],
                         traces: Sequence[Sequence[EpochStats]],
@@ -170,15 +177,10 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
-    if arm == "de":
-        for i, (model, trace) in enumerate(zip(models, traces)):
-            member_dir = directory / f"member_{i}"
-            member_dir.mkdir(exist_ok=True)
-            save_checkpoint(member_dir, model)
-            rows += _trace_rows(i, trace)
-    else:
-        save_checkpoint(directory, models[0])
-        rows += _trace_rows(0, traces[0])
+    for i, (model_dir, model, trace) in enumerate(
+            zip(_model_dirs(directory, len(models)), models, traces)):
+        save_checkpoint(model_dir, model)
+        rows += _trace_rows(i, trace)
     write_csv(directory / "loss.csv",
               ["member", "epoch", "mean_total", "mean_bce", "mean_rmse"], rows)
     doc = dict(meta)
@@ -187,16 +189,19 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     write_json(directory / "train_meta.json", doc)
 
 
-def load_checkpoint_dir(directory: str | os.PathLike):
-    """Returns (model-or-member-list, train_meta dict)."""
+def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:
+    """Returns (models, train_meta dict); one model unless an ensemble."""
     directory = Path(directory)
     meta_path = directory / "train_meta.json"
     if not meta_path.is_file():
         raise DataError(f"no train_meta.json in {directory}; not a checkpoint "
                         f"directory")
     meta = json.loads(meta_path.read_text())
-    if meta.get("arm") == "de":
-        members = [load_checkpoint(directory / f"member_{i}")
-                   for i in range(int(meta["n_members"]))]
-        return members, meta
-    return load_checkpoint(directory), meta
+    if meta.get("arm") not in ARMS:
+        raise DataError(f"{meta_path}: key 'arm' must be one of {sorted(ARMS)}, "
+                        f"got {meta.get('arm')!r}")
+    n_models = meta.get("n_members")
+    if isinstance(n_models, bool) or not isinstance(n_models, int) or n_models < 1:
+        raise DataError(f"{meta_path}: key 'n_members' must be a positive "
+                        f"integer, got {n_models!r}")
+    return [load_checkpoint(d) for d in _model_dirs(directory, n_models)], meta

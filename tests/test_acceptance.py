@@ -33,15 +33,11 @@ from edue.disagreement import (
 )
 from edue.harness import (
     ArmSettings,
-    ensemble_predict,
     evaluate_arm,
     ood_experiment,
     quality_control,
     to_train_items,
-    train_deep_ensemble,
-    train_edue,
-    train_le_baseline,
-    train_single_rater_baseline,
+    train_arm,
 )
 from edue.metrics import (
     distance_correlation,
@@ -52,12 +48,13 @@ from edue.metrics import (
 )
 from edue.model import (
     ModelConfig,
+    aggregate_heads,
     build_model,
     build_single_head_model,
     forward,
     full_scale_config,
     parameter_count,
-    predict,
+    prob_maps,
 )
 from edue.raters import (
     SceneParams,
@@ -132,14 +129,14 @@ def desk_arms(desk_data):
     reports = {"edue": [], "le": [], "single": []}
     t0 = time.perf_counter()
     for seed in SEEDS:
-        edue_model, _ = train_edue(config, items, settings, seed)
-        le_model, _ = train_le_baseline(config, items, settings, seed)
-        single_model, _ = train_single_rater_baseline(config, items, settings, seed)
-        arms["edue"].append(edue_model)
-        arms["le"].append(le_model)
+        edue_models, _ = train_arm("edue", config, items, settings, seed)
+        le_models, _ = train_arm("le", config, items, settings, seed)
+        (single_model,), _ = train_arm("single_rater", config, items, settings, seed)
+        arms["edue"].append(edue_models)
+        arms["le"].append(le_models)
         arms["single"].append(single_model)
-        reports["edue"].append(evaluate_arm(edue_model, test_samples))
-        reports["le"].append(evaluate_arm(le_model, test_samples))
+        reports["edue"].append(evaluate_arm("edue", edue_models, test_samples))
+        reports["le"].append(evaluate_arm("le", le_models, test_samples))
         reports["single"].append(_single_rater_nll(single_model, test_samples))
     elapsed = time.perf_counter() - t0
     return arms, reports, elapsed
@@ -152,7 +149,7 @@ def desk_ensembles(desk_data):
     items = to_train_items(train_samples)
     config = ModelConfig()
     settings = ArmSettings()
-    return [train_deep_ensemble(config, items, settings, seed)[0] for seed in SEEDS]
+    return [train_arm("de", config, items, settings, seed)[0] for seed in SEEDS]
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +427,14 @@ def test_criterion_4_directional_ordering(announce, desk_arms):
 def test_criterion_5_single_pass_and_parameter_ratio(announce):
     config = ModelConfig()
     model = build_model(config)
-    x = Tensor(np.zeros((1, config.in_channels, *config.input_size), dtype=np.float32))
-    predict(model, x)
-    predict(model, x)
+    image = np.zeros((config.in_channels, *config.input_size), dtype=np.float32)
+    aggregate_heads(prob_maps([model], image))
+    aggregate_heads(prob_maps([model], image))
     edue_passes = model.trunk_passes
 
     m = 3
     members = [build_single_head_model(ModelConfig(seed=i)) for i in range(m)]
-    ensemble_predict(members, x)
+    aggregate_heads(prob_maps(members, image))
     de_passes = sum(mm.trunk_passes for mm in members)
 
     desk_multi = parameter_count(config, "multi_head")

@@ -3,13 +3,20 @@
 import json
 import hashlib
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from edue.autodiff import Tensor
 from edue.cli import main
-from edue.storage import DataError, load_dataset
+from edue.disagreement import binarize_majority, soft_majority
+from edue.metrics import nll
+from edue.model import forward
+from edue.storage import DataError, load_checkpoint_dir, load_dataset
 
 
 TINY = {
@@ -206,6 +213,147 @@ class TestEval:
         assert "data error" in capsys.readouterr().err
 
 
+class TestEveryArm:
+    MASK_COLUMNS = "id,soft_dice,nll"
+
+    @pytest.mark.parametrize("arm", ["edue", "le", "de", "single-rater"])
+    def test_train_then_eval_qc_ood(self, tmp_path, cfg_path, dataset, capsys, arm):
+        ckpt = tmp_path / arm
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(ckpt), "--arm", arm]) == 0
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(ckpt), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        header = (tmp_path / "eval.csv").read_text().splitlines()[0]
+        uncertain = arm != "single-rater"
+        if uncertain:
+            assert header == self.MASK_COLUMNS + ",sv_model,sv_gt,ncc"
+            assert set(doc["dataset"]) == {"sr", "dc", "mean_ncc", "mean_dice",
+                                           "mean_nll"}
+        else:
+            assert header == self.MASK_COLUMNS
+            assert set(doc["dataset"]) == {"mean_dice", "mean_nll"}
+            assert all(set(row) == {"id", "soft_dice", "nll"}
+                       for row in doc["per_image"])
+        capsys.readouterr()
+        for argv in (["qc", "--out", str(tmp_path / "qc.json")],
+                     ["ood", "--out", str(tmp_path / "ood.json")]):
+            code = main(argv + ["--model", str(ckpt), "--data", str(dataset)])
+            err = capsys.readouterr().err
+            if uncertain:
+                assert code == 0, err
+            else:
+                assert code == 2
+                assert "single_rater" in err
+                assert "one map" in err and "no uncertainty" in err
+
+    def test_single_rater_nll_is_against_binarized_majority(self, tmp_path,
+                                                            cfg_path, dataset):
+        ckpt = tmp_path / "sr"
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(ckpt), "--arm", "single-rater"]) == 0
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(ckpt), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        (model,), _ = load_checkpoint_dir(ckpt)
+        samples, _ = load_dataset(dataset)
+        expected = [nll(forward(model, Tensor(s.image[None])).probs[0].data[0, 0],
+                        binarize_majority(soft_majority(s.masks[0])))
+                    for s in samples]
+        doc = json.loads(out.read_text())
+        assert [row["nll"] for row in doc["per_image"]] == expected
+        assert doc["dataset"]["mean_nll"] == float(np.mean(expected))
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _train_edue_and_de(root, cfg_path, dataset):
+    for arm in ("edue", "de"):
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(root / arm), "--arm", arm]) == 0
+
+
+class TestMalformedFiles:
+    CASES = {
+        "model_kind_missing": ("edue", "edue/model.json", "kind",
+                               lambda d: d.pop("kind")),
+        "model_config_missing": ("edue", "edue/model.json", "config",
+                                 lambda d: d.pop("config")),
+        "model_kind_unknown": ("edue", "edue/model.json", "kind",
+                               lambda d: d.update(kind="three_headed")),
+        "member_kind_missing": ("de", "de/member_0/model.json", "kind",
+                                lambda d: d.pop("kind")),
+        "manifest_file_missing": ("edue", "data/manifest.json", "file",
+                                  lambda d: d["images"][2].pop("file")),
+        "manifest_delta_missing": ("edue", "data/manifest.json", "delta_used",
+                                   lambda d: d["images"][0].pop("delta_used")),
+        "de_meta_n_members_missing": ("de", "de/train_meta.json", "n_members",
+                                      lambda d: d.pop("n_members")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_two_naming_file_and_key(self, tmp_path, cfg_path, dataset,
+                                           capsys, case):
+        arm, rel, key, edit = self.CASES[case]
+        _train_edue_and_de(tmp_path, cfg_path, dataset)
+        _edit_json(tmp_path / rel, edit)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(tmp_path / arm), "--data",
+                     str(dataset), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert str(tmp_path / rel) in err and repr(key) in err
+
+
+@pytest.fixture(scope="module")
+def trained_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tree")
+    cfg = root / "tiny.json"
+    cfg.write_text(json.dumps(TINY))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    _train_edue_and_de(root, str(cfg), root / "data")
+    return root
+
+
+# (file, path of keys to the object whose key gets deleted)
+JSON_OBJECTS = [
+    ("data/manifest.json", ()),
+    ("data/manifest.json", ("images", 0)),
+    ("edue/model.json", ()),
+    ("edue/model.json", ("config",)),
+    ("edue/train_meta.json", ()),
+    ("de/train_meta.json", ()),
+    ("de/member_1/model.json", ()),
+]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_deleting_any_json_key_exits_zero_or_two(trained_tree, data):
+    rel, trail = data.draw(st.sampled_from(JSON_OBJECTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tree"
+        shutil.copytree(trained_tree, root)
+        doc = json.loads((root / rel).read_text())
+        target = doc
+        for step in trail:
+            target = target[step]
+        key = data.draw(st.sampled_from(sorted(target)))
+        del target[key]
+        (root / rel).write_text(json.dumps(doc))
+        arm = rel.split("/")[0] if rel.split("/")[0] != "data" else "edue"
+        code = main(["eval", "--model", str(root / arm), "--data",
+                     str(root / "data"), "--out", str(root / "r.json")])
+    assert code in (0, 2), (rel, trail, key)
+
+
 class TestQcAndOod:
     def test_qc_report(self, tmp_path, dataset, checkpoint):
         out = tmp_path / "qc.json"
@@ -323,6 +471,15 @@ class TestDatasetValidation:
     def test_missing_image_file(self, dataset):
         os.unlink(dataset / "img_0003.edt")
         with pytest.raises(DataError, match="missing"):
+            load_dataset(dataset)
+
+    def test_missing_true_mask_entry(self, dataset):
+        from edue.container import load_container, save_container
+
+        tensors = load_container(dataset / "img_0001.edt")
+        del tensors["true/blob"]
+        save_container(dataset / "img_0001.edt", tensors)
+        with pytest.raises(DataError, match="'true/blob'"):
             load_dataset(dataset)
 
     def test_heatmap_entry_matches_mask_variance(self, dataset):

@@ -37,7 +37,7 @@ class TestPresets:
         assert cfg.in_channels == 3
         assert cfg.epochs == 200 and cfg.batch_size == 16
         assert cfg.lr == 5e-5 and cfg.beta == 5.0
-        assert cfg.de_members == 5 and cfg.head_skip == 5
+        assert cfg.de_members == 5 and cfg.head_skip == 3
         assert cfg.structure == "nested" and cfg.n_raters == 6
 
     def test_hecktor_like_preset_constants(self):
@@ -47,6 +47,17 @@ class TestPresets:
         assert cfg.lr == 5e-5 and cfg.beta == 2.5
         assert cfg.de_members == 5
         assert cfg.structure == "single_blob" and cfg.n_raters == 3
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_leaves_two_heads(self, name):
+        cfg = preset(name)
+        cfg.validate()
+        assert cfg.n_d - cfg.head_skip >= 2
+
+    def test_head_skip_must_leave_two_heads(self):
+        from_dict({"head_skip": 1})  # desk: three heads, two kept
+        with pytest.raises(ConfigError, match="head_skip"):
+            from_dict({"head_skip": 2})
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):

@@ -14,20 +14,20 @@ from edue.autodiff import Tensor
 from edue.harness import (
     ArmSettings,
     agreement_score,
-    ensemble_predict,
-    head_probability_maps,
-    member_probability_maps,
     ood_experiment,
-    predict_records,
     quality_control,
     run_comparison,
     to_train_items,
-    train_deep_ensemble,
-    train_edue,
-    train_le_baseline,
-    train_single_rater_baseline,
+    train_arm,
 )
-from edue.model import ModelConfig, build_model, build_single_head_model, forward
+from edue.model import (
+    ModelConfig,
+    aggregate_heads,
+    build_model,
+    build_single_head_model,
+    forward,
+    prob_maps,
+)
 from edue.raters import SceneParams, generate_dataset
 
 
@@ -66,8 +66,8 @@ class TestTrainingArms:
     def test_le_baseline_same_architecture_no_disagreement_term(self):
         items = to_train_items(make_samples(6))
         settings = tiny_settings()
-        le, trace = train_le_baseline(tiny_config(), items, settings, seed=3)
-        ed, _ = train_edue(tiny_config(), items, settings, seed=3)
+        (le,), (trace,) = train_arm("le", tiny_config(), items, settings, seed=3)
+        (ed,), _ = train_arm("edue", tiny_config(), items, settings, seed=3)
         assert le.kind == "multi_head"
         assert le.parameter_count() == ed.parameter_count()
         for stats in trace:
@@ -76,8 +76,8 @@ class TestTrainingArms:
 
     def test_single_rater_baseline_is_single_head(self):
         items = to_train_items(make_samples(6))
-        model, trace = train_single_rater_baseline(tiny_config(), items,
-                                                   tiny_settings(), seed=1)
+        (model,), (trace,) = train_arm("single_rater", tiny_config(), items,
+                                       tiny_settings(), seed=1)
         assert model.kind == "single_head_full"
         assert model.n_heads == 1
         assert len(trace) == 2
@@ -85,9 +85,8 @@ class TestTrainingArms:
 
     def test_deep_ensemble_members_are_distinct(self):
         items = to_train_items(make_samples(6))
-        members, traces = train_deep_ensemble(tiny_config(), items,
-                                              tiny_settings(), seed=5,
-                                              m_members=3)
+        members, traces = train_arm("de", tiny_config(), items,
+                                    tiny_settings(de_members=3), seed=5)
         assert len(members) == 3 and len(traces) == 3
         hashes = {m.weights_hash() for m in members}
         assert len(hashes) == 3
@@ -96,13 +95,13 @@ class TestTrainingArms:
     def test_deep_ensemble_rejects_fewer_than_two_members(self):
         items = to_train_items(make_samples(4))
         with pytest.raises(ValueError, match=">= 2 members"):
-            train_deep_ensemble(tiny_config(), items, tiny_settings(), seed=0,
-                                m_members=1)
+            train_arm("de", tiny_config(), items, tiny_settings(de_members=1),
+                      seed=0)
 
     def test_training_is_deterministic_across_calls(self):
         items = to_train_items(make_samples(6))
-        a, _ = train_edue(tiny_config(), items, tiny_settings(), seed=7)
-        b, _ = train_edue(tiny_config(), items, tiny_settings(), seed=7)
+        (a,), _ = train_arm("edue", tiny_config(), items, tiny_settings(), seed=7)
+        (b,), _ = train_arm("edue", tiny_config(), items, tiny_settings(), seed=7)
         assert a.weights_hash() == b.weights_hash()
 
     def test_settings_validation(self):
@@ -122,17 +121,17 @@ class TestEnsemblePredict:
     def test_identical_members_give_zero_heatmap(self):
         members = [build_single_head_model(tiny_config(seed=4)) for _ in range(3)]
         x = Tensor(np.random.default_rng(0).random((1, 1, 16, 16)))
-        out = ensemble_predict(members, x)
+        out = aggregate_heads(prob_maps(members, x.data[0]))
         np.testing.assert_array_equal(out["heatmap"], 0.0)
         assert out["sv"] == 0.0
-        single = forward(members[0], x).probs[0].data
+        single = forward(members[0], x).probs[0].data[0, 0]
         np.testing.assert_allclose(out["final_mask"], single, rtol=1e-6)
 
     def test_two_fixed_members_give_known_variance(self):
         members = [fixed_output_member(tiny_config(), 0.2),
                    fixed_output_member(tiny_config(), 0.8)]
         x = Tensor(np.random.default_rng(1).random((1, 1, 16, 16)))
-        out = ensemble_predict(members, x)
+        out = aggregate_heads(prob_maps(members, x.data[0]))
         np.testing.assert_allclose(out["final_mask"], 0.5, atol=1e-6)
         np.testing.assert_allclose(out["heatmap"], 0.09, atol=1e-6)
         np.testing.assert_allclose(out["sv"], 0.09 * 16 * 16, rtol=1e-5)
@@ -142,17 +141,17 @@ class TestEnsemblePredict:
         images = np.random.default_rng(2).random((4, 1, 1, 16, 16))
         before = sum(m.trunk_passes for m in members)
         for img in images:
-            ensemble_predict(members, Tensor(img))
+            aggregate_heads(prob_maps(members, img[0]))
         assert sum(m.trunk_passes for m in members) - before == 3 * 4
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ensemble_predict([], Tensor(np.zeros((1, 1, 16, 16))))
+            prob_maps([], np.zeros((1, 16, 16)))
 
     def test_heatmap_matches_per_pixel_variance_loop(self):
         members = [build_single_head_model(tiny_config(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
-        out = ensemble_predict(members, x)
+        out = aggregate_heads(prob_maps(members, x.data[0]))
         maps = [forward(m, x).probs[0].data[0, 0].astype(np.float64)
                 for m in members]
         expected = np.zeros((16, 16))
@@ -161,34 +160,34 @@ class TestEnsemblePredict:
                 vals = [m[r, c] for m in maps]
                 mu = sum(vals) / len(vals)
                 expected[r, c] = sum((v - mu) ** 2 for v in vals) / len(vals)
-        np.testing.assert_allclose(out["heatmap"][0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(out["heatmap"], expected, atol=1e-12)
 
 
 class TestProbabilityMaps:
     def test_head_maps_shape_and_count(self):
         model = build_model(tiny_config(seed=2))
         image = np.random.default_rng(3).random((1, 16, 16))
-        maps = head_probability_maps(model, image)
+        maps = prob_maps([model], image)
         assert len(maps) == 3
         assert all(m.shape == (16, 16) for m in maps)
 
     def test_head_skip_drops_coarse_heads(self):
         model = build_model(tiny_config(seed=2))
         image = np.random.default_rng(3).random((1, 16, 16))
-        full = head_probability_maps(model, image)
-        skipped = head_probability_maps(model, image, head_skip=1)
+        full = prob_maps([model], image)
+        skipped = prob_maps([model], image, head_skip=1)
         assert len(skipped) == 2
         np.testing.assert_array_equal(skipped[0], full[1])
         with pytest.raises(ValueError, match=">= 2 maps"):
-            head_probability_maps(model, image, head_skip=2)
+            aggregate_heads(prob_maps([model], image, head_skip=2))
 
     def test_member_maps(self):
         members = [build_single_head_model(tiny_config(seed=s)) for s in range(2)]
         image = np.random.default_rng(4).random((1, 16, 16))
-        maps = member_probability_maps(members, image)
+        maps = prob_maps(members, image)
         assert len(maps) == 2 and maps[0].shape == (16, 16)
         with pytest.raises(ValueError, match=">= 2"):
-            member_probability_maps(members[:1], image)
+            aggregate_heads(prob_maps(members[:1], image))
 
 
 class TestQualityControl:
@@ -367,7 +366,7 @@ def setup():
 class TestOodExperiment:
     def test_distorted_counts_follow_ceiling(self, setup):
         model, samples = setup
-        report = ood_experiment(model, samples, "gauss_noise", 0.3,
+        report = ood_experiment([model], samples, "gauss_noise", 0.3,
                                 rng=np.random.default_rng(0))
         counts = [row["n_distorted"] for row in report.per_fraction]
         assert counts == [0, 3, 5]
@@ -376,18 +375,18 @@ class TestOodExperiment:
 
     def test_deterministic_under_fixed_seed(self, setup):
         model, samples = setup
-        a = ood_experiment(model, samples, "gauss_noise", 0.3,
+        a = ood_experiment([model], samples, "gauss_noise", 0.3,
                            rng=np.random.default_rng(42))
-        b = ood_experiment(model, samples, "gauss_noise", 0.3,
+        b = ood_experiment([model], samples, "gauss_noise", 0.3,
                            rng=np.random.default_rng(42))
         assert a.as_dict() == b.as_dict()
 
     def test_clean_fraction_matches_direct_agreement(self, setup):
         model, samples = setup
-        report = ood_experiment(model, samples, "blur", 2.0,
+        report = ood_experiment([model], samples, "blur", 2.0,
                                 rng=np.random.default_rng(1))
         clean = report.per_fraction[0]
-        direct = [agreement_score(head_probability_maps(model, s.image))
+        direct = [agreement_score(prob_maps([model], s.image))
                   for s in samples]
         np.testing.assert_allclose(clean["scores"], direct, atol=1e-12)
         summary = clean["summary"]
@@ -396,7 +395,7 @@ class TestOodExperiment:
 
     def test_scores_lie_in_unit_interval(self, setup):
         model, samples = setup
-        report = ood_experiment(model, samples, "intensity_shift", 0.4,
+        report = ood_experiment([model], samples, "intensity_shift", 0.4,
                                 rng=np.random.default_rng(2))
         for row in report.per_fraction:
             assert len(row["scores"]) == len(samples)
@@ -412,10 +411,10 @@ class TestOodExperiment:
     def test_validation(self, setup):
         model, samples = setup
         with pytest.raises(ValueError, match="fractions"):
-            ood_experiment(model, samples, "gauss_noise", 0.3,
+            ood_experiment([model], samples, "gauss_noise", 0.3,
                            rng=np.random.default_rng(0), fractions=(0.0, 1.5))
         with pytest.raises(ValueError, match="empty"):
-            ood_experiment(model, [], "gauss_noise", 0.3,
+            ood_experiment([model], [], "gauss_noise", 0.3,
                            rng=np.random.default_rng(0))
 
 

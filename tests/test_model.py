@@ -15,7 +15,7 @@ from edue.model import (
     load_checkpoint,
     full_scale_config,
     parameter_count,
-    predict,
+    prob_maps,
     save_checkpoint,
 )
 
@@ -149,10 +149,8 @@ class TestForward:
         model = build_model(DESK)
         forward(model, desk_input())
         assert model.trunk_passes == 1
-        assert model.block_calls == {f"enc{i}": 1 for i in range(4)} | {f"dec{j}": 1 for j in range(3)}
-        predict(model, desk_input())
+        aggregate_heads(prob_maps([model], desk_input(batch=1).data[0]))
         assert model.trunk_passes == 2
-        assert all(v == 2 for v in model.block_calls.values())
 
     def test_full_scale_forward_shapes(self):
         cfg = full_scale_config()
@@ -199,18 +197,18 @@ class TestAggregation:
 
     def test_predict_head_skip(self):
         model = build_model(DESK)
-        x = desk_input()
-        full = predict(model, x)
-        skipped = predict(model, x, head_skip=1)
+        x = desk_input(batch=1)
+        full = aggregate_heads(prob_maps([model], x.data[0]))
+        skipped = aggregate_heads(prob_maps([model], x.data[0], head_skip=1))
         outs = forward(model, x)
         np.testing.assert_allclose(
             skipped["final_mask"],
-            np.stack([outs.probs[1].data, outs.probs[2].data]).mean(axis=0),
+            np.stack([outs.probs[1].data, outs.probs[2].data]).mean(axis=0)[0, 0],
             atol=1e-7,
         )
         assert not np.allclose(full["final_mask"], skipped["final_mask"])
         with pytest.raises(ValueError, match="head"):
-            predict(model, x, head_skip=2)
+            aggregate_heads(prob_maps([model], x.data[0], head_skip=2))
 
 
 class TestConfigValidation:
@@ -230,15 +228,15 @@ class TestConfigValidation:
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = build_model(ModelConfig(seed=3))
-        x = desk_input()
-        before = predict(model, x)
+        image = desk_input(batch=1).data[0]
+        before = aggregate_heads(prob_maps([model], image))
         save_checkpoint(tmp_path / "ckpt", model)
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.kind == "multi_head"
         assert loaded.config == model.config
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
-        after = predict(loaded, x)
+        after = aggregate_heads(prob_maps([loaded], image))
         np.testing.assert_array_equal(before["final_mask"], after["final_mask"])
         assert before["sv"] == after["sv"]
 
