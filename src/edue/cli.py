@@ -150,8 +150,9 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool = False):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     arm, models, meta, samples, k = _load_predictor(args)
-    head_skip = int(meta.get("head_skip", 0))
-    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip)
+    report = evaluate_arm(arm, models, samples, structure=k,
+                          head_skip=int(meta.get("head_skip", 0)),
+                          batch_size=meta["config"]["batch_size"])
     out = Path(args.out)
     write_json(out, {
         "arm": arm,
@@ -169,8 +170,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_qc(args: argparse.Namespace) -> int:
     arm, models, meta, samples, k = _load_predictor(args, uncertainty=True)
-    head_skip = int(meta.get("head_skip", 0))
-    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip)
+    report = evaluate_arm(arm, models, samples, structure=k,
+                          head_skip=int(meta.get("head_skip", 0)),
+                          batch_size=meta["config"]["batch_size"])
     dice = [rec["soft_dice"] for rec in report.per_image]
     sv = [rec["sv_model"] for rec in report.per_image]
     curve = quality_control(dice, sv, args.dice_threshold)
@@ -205,11 +207,11 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 def cmd_ood(args: argparse.Namespace) -> int:
     arm, models, meta, samples, _ = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, int(meta.get("seed", 0)))
-    head_skip = int(meta.get("head_skip", 0))
     report = ood_experiment(models, samples, args.kind, args.level,
                             rng=np.random.default_rng(seed),
                             fractions=_parse_fractions(args.fractions),
-                            head_skip=head_skip)
+                            head_skip=int(meta.get("head_skip", 0)),
+                            batch_size=meta["config"]["batch_size"])
     out = Path(args.out)
     write_json(out, {
         "arm": arm,

@@ -14,6 +14,7 @@ place, so readers never observe a partial file.
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["ContainerError", "DataError", "save_container", "load_container",
-           "entry_table", "atomic_write_bytes", "atomic_write_text"]
+           "entry_table", "atomic_write_bytes", "atomic_write_text",
+           "read_json_object"]
 
 MAGIC = b"EDT1"
 _U32 = struct.Struct("<I")
@@ -72,6 +74,15 @@ def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_json_object(path: str | os.PathLike) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: top level must be a JSON object, "
+                        f"got {type(doc).__name__}")
+    return doc
 
 
 def save_container(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:

@@ -177,7 +177,6 @@ def total_loss(heads: HeadOutputs, head_targets: Sequence[np.ndarray],
     rmse = None
     if weights.beta > 0 and h_gt is not None:
         hm = model_heatmap(heads)
-        heads.heatmap = hm
         sel = hm if rmse_rows is None else ad.select_rows(hm, rmse_rows)
         rmse = rmse_loss(sel, Tensor(h_gt))
 

@@ -10,8 +10,9 @@ the calibration control: it predicts one map, so it is scored on its
 mask alone.
 
 Every predictor is a list of models, and one path serves them all:
-``prob_maps`` gives an image's kept head (or member) maps and
-``aggregate_heads`` reduces them to a mean mask and a variance heatmap.
+``prob_maps`` gives every image's kept head (or member) maps, predicting
+the whole set in chunks of the run's batch size, and ``aggregate_heads``
+reduces one image's maps to a mean mask and a variance heatmap.
 
 Downstream tasks consume per-image scalars: quality control ranks
 images by summed variance and reports how fast poor segmentations are
@@ -151,13 +152,16 @@ def train_arm(name: str, config: ModelConfig, items: Sequence[TrainItem],
 
 
 def evaluate_arm(name: str, models: Sequence[Model], samples: Sequence[RaterSample],
-                 structure: int = 0, head_skip: int = 0) -> MetricReport:
+                 structure: int = 0, head_skip: int = 0,
+                 batch_size: int | None = None) -> MetricReport:
     """Score one arm's predictor under the arm's eval contract: the mean
-    mask and the variance heatmap, or the mask alone for a one-map arm."""
+    mask and the variance heatmap, or the mask alone for a one-map arm.
+    Images go through the models batch_size at a time (see prob_maps)."""
     uncertainty = ARMS[name].uncertainty
+    all_maps = prob_maps(models, np.stack([s.image for s in samples]),
+                         head_skip, batch_size)
     records = []
-    for i, s in enumerate(samples):
-        maps = prob_maps(models, s.image, head_skip)
+    for i, (s, maps) in enumerate(zip(samples, all_maps)):
         if uncertainty:
             out = aggregate_heads(maps)
             mask, heatmap = out["final_mask"], out["heatmap"]
@@ -278,12 +282,14 @@ def _summary(scores: np.ndarray) -> dict:
 def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind: str,
                    level: float, rng: np.random.Generator,
                    fractions: Sequence[float] = (0.0, 0.5, 1.0),
-                   head_skip: int = 0) -> OodReport:
+                   head_skip: int = 0, batch_size: int | None = None) -> OodReport:
     """Distribution of per-image agreement as more inputs get distorted.
 
     For each fraction f, ceil(f * n) randomly chosen images are distorted
-    before prediction; agreement is computed across the maps prob_maps
-    gives (heads of one model, or ensemble members).
+    (in index order, so the rng stream does not depend on batching), then
+    the whole set is predicted batch_size at a time; agreement is computed
+    across the maps prob_maps gives (heads of one model, or ensemble
+    members).
     """
     samples = list(samples)
     n = len(samples)
@@ -295,10 +301,10 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
             raise ValueError(f"fractions must lie in [0, 1], got {f}")
         k = math.ceil(f * n)
         chosen = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-        scores = []
-        for i, s in enumerate(samples):
-            image = distort(s.image, kind, level, rng) if i in chosen else s.image
-            scores.append(agreement_score(prob_maps(models, image, head_skip)))
+        images = np.stack([distort(s.image, kind, level, rng) if i in chosen
+                           else s.image for i, s in enumerate(samples)])
+        scores = [agreement_score(maps)
+                  for maps in prob_maps(models, images, head_skip, batch_size)]
         arr = np.asarray(scores)
         per_fraction.append({"fraction": float(f), "n_distorted": k,
                              "scores": [float(v) for v in scores],
@@ -334,7 +340,8 @@ def run_comparison(train_samples: Sequence[RaterSample],
                 models, _ = train_arm(name, config, items, settings, seed)
                 passes_before = sum(m.trunk_passes for m in models)
                 report = evaluate_arm(name, models, test_samples, structure=k,
-                                      head_skip=ARMS[name].skipped_heads(settings))
+                                      head_skip=ARMS[name].skipped_heads(settings),
+                                      batch_size=settings.batch_size)
                 passes_used = sum(m.trunk_passes for m in models) - passes_before
                 row["structures"][struct] = {
                     "sr": report.dataset["sr"],

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import DataError, atomic_write_text, load_container, save_container
+from .container import (DataError, atomic_write_text, load_container,
+                        read_json_object, save_container)
 
 __all__ = [
     "ModelConfig",
@@ -83,15 +84,13 @@ def full_scale_config(in_channels: int = 3, seed: int = 0) -> ModelConfig:
 class HeadOutputs:
     """All head probability maps from one pass, full input resolution each."""
     probs: list[Tensor]
-    logits: list[Tensor]
-    heatmap: Tensor | None = None
 
 
 class Model:
     """Parameter store plus forward pass; weights mutate only in training.
 
-    ``trunk_passes`` counts forward executions, backing the single-pass
-    contract tests.
+    ``trunk_passes`` counts images through the trunk (a batch of b adds
+    b), backing the one-pass-per-image contract tests.
     """
 
     def __init__(self, config: ModelConfig, kind: str, params: dict[str, Tensor]):
@@ -195,7 +194,7 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
     if (c, h, w) != (cfg.in_channels, *cfg.input_size):
         raise ad.ShapeError(f"forward: input shape {x.data.shape} does not match "
                             f"config (*, {cfg.in_channels}, {cfg.input_size[0]}, {cfg.input_size[1]})")
-    model.trunk_passes += 1
+    model.trunk_passes += b
     p = model.params
 
     skips: list[Tensor] = []
@@ -207,7 +206,7 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
         cur = _block(model, f"enc{i}.down", a, stride=2)
 
     n_dec = cfg.n_d if model.kind == "multi_head" else cfg.n_e
-    logits: list[Tensor] = []
+    probs: list[Tensor] = []
     for j in range(n_dec):
         up = ad.upsample_nearest(cur, 2)
         cur = ad.concat_channels([up, skips[cfg.n_e - 1 - j]])
@@ -215,28 +214,39 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
                                       p[f"dec{j}.norm.gain"], p[f"dec{j}.norm.shift"]))
         if model.kind == "multi_head":
             factor = 1 << (cfg.n_e - 1 - j)
-            logits.append(ad.upsample_nearest(_head_logits(model, f"head{j}", cur), factor))
+            probs.append(ad.sigmoid(ad.upsample_nearest(
+                _head_logits(model, f"head{j}", cur), factor)))
     if model.kind != "multi_head":
-        logits.append(_head_logits(model, "head0", cur))
-
-    probs = [ad.sigmoid(z) for z in logits]
-    return HeadOutputs(probs=probs, logits=logits)
+        probs.append(ad.sigmoid(_head_logits(model, "head0", cur)))
+    return HeadOutputs(probs=probs)
 
 
-def prob_maps(models: Sequence[Model], image: np.ndarray,
-              head_skip: int = 0) -> np.ndarray:
-    """Probability maps (n_maps, H, W) for one (C, H, W) image.
+def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
+              batch_size: int | None = None) -> np.ndarray:
+    """Probability maps (N, n_maps, H, W) for an (N, C, H, W) image set.
 
-    One forward pass per model; each model contributes every head after
-    its first head_skip (coarsest) ones.  A multi-head model gives its
-    kept heads, a deep ensemble one map per member.
+    Each model runs once per chunk of at most batch_size images (None:
+    the whole set in one chunk), so every image makes one trunk pass per
+    model.  Each model contributes every head after its first head_skip
+    (coarsest) ones: a multi-head model gives its kept heads, a deep
+    ensemble one map per member.
     """
-    x = Tensor(np.asarray(image)[None])
-    maps = [p.data[0, 0] for m in models for p in forward(m, x).probs[head_skip:]]
-    if not maps:
-        raise ValueError(f"prob_maps: no maps; the model list is empty or "
-                         f"head_skip {head_skip} skips every head")
-    return np.stack(maps)
+    images = np.asarray(images)
+    if images.ndim != 4 or len(images) == 0:
+        raise ad.ShapeError(f"prob_maps: need a non-empty (N, C, H, W) image "
+                            f"set, got shape {images.shape}")
+    step = len(images) if batch_size is None else batch_size
+    if step < 1:
+        raise ValueError(f"prob_maps: batch_size must be >= 1, got {batch_size}")
+    chunks = []
+    for start in range(0, len(images), step):
+        x = Tensor(images[start:start + step])
+        maps = [p.data[:, 0] for m in models for p in forward(m, x).probs[head_skip:]]
+        if not maps:
+            raise ValueError(f"prob_maps: no maps; the model list is empty or "
+                             f"head_skip {head_skip} skips every head")
+        chunks.append(np.stack(maps, axis=1))
+    return np.concatenate(chunks)
 
 
 def aggregate_heads(probs) -> dict:
@@ -297,7 +307,7 @@ def save_checkpoint(directory: str | Path, model: Model) -> None:
 def load_checkpoint(directory: str | Path) -> Model:
     directory = Path(directory)
     path = directory / "model.json"
-    header = json.loads(path.read_text())
+    header = read_json_object(path)
     builders = {"multi_head": build_model, "single_head_full": build_single_head_model}
     if header.get("kind") not in builders:
         raise DataError(f"{path}: key 'kind' must be one of {sorted(builders)}, "

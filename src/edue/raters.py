@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "SceneParams",
     "RaterSample",
+    "DegenerateSceneError",
     "generate_sample",
     "generate_dataset",
     "distort",
@@ -35,6 +36,10 @@ DISTORTION_KINDS = ("gauss_noise", "blur", "intensity_shift", "channel_shift")
 
 MIN_BLOB_AREA = 9
 MAX_REGENERATIONS = 10
+
+
+class DegenerateSceneError(ValueError):
+    """The scene parameters keep producing blobs too small to annotate."""
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,10 @@ def generate_sample(params: SceneParams, rng: np.random.Generator) -> RaterSampl
         sample = _try_generate(params, rng)
         if sample is not None:
             return sample
-    raise RuntimeError(f"degenerate blob (area < {MIN_BLOB_AREA} px) persisted "
-                       f"through {MAX_REGENERATIONS} regenerations")
+    raise DegenerateSceneError(
+        f"degenerate blob (area < {MIN_BLOB_AREA} px) persisted through "
+        f"{MAX_REGENERATIONS} regenerations; input_size {list(params.image_size)} "
+        f"is too small for structure {params.structure!r}")
 
 
 def generate_dataset(params: SceneParams, n_images: int,

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import DataError, atomic_write_text, load_container, save_container
+from .container import (DataError, atomic_write_text, load_container,
+                        read_json_object, save_container)
 from .disagreement import EpochStats
 from .harness import ARMS
 from .model import Model, load_checkpoint, save_checkpoint
@@ -116,7 +117,7 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json in {directory}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json_object(manifest_path)
     if manifest.get("format") != DATASET_FORMAT:
         raise DataError(f"unrecognized dataset format "
                         f"{manifest.get('format')!r} in {manifest_path}")
@@ -189,6 +190,10 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     write_json(directory / "train_meta.json", doc)
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:
     """Returns (models, train_meta dict); one model unless an ensemble."""
     directory = Path(directory)
@@ -196,12 +201,18 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
     if not meta_path.is_file():
         raise DataError(f"no train_meta.json in {directory}; not a checkpoint "
                         f"directory")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json_object(meta_path)
     if meta.get("arm") not in ARMS:
         raise DataError(f"{meta_path}: key 'arm' must be one of {sorted(ARMS)}, "
                         f"got {meta.get('arm')!r}")
     n_models = meta.get("n_members")
-    if isinstance(n_models, bool) or not isinstance(n_models, int) or n_models < 1:
+    if not _positive_int(n_models):
         raise DataError(f"{meta_path}: key 'n_members' must be a positive "
                         f"integer, got {n_models!r}")
+    # eval, qc and ood predict in chunks of the run's training batch size
+    config = meta.get("config")
+    batch = config.get("batch_size") if isinstance(config, dict) else None
+    if not _positive_int(batch):
+        raise DataError(f"{meta_path}: key 'config' must hold a positive "
+                        f"integer 'batch_size', got {batch!r}")
     return [load_checkpoint(d) for d in _model_dirs(directory, n_models)], meta

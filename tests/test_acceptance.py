@@ -135,8 +135,10 @@ def desk_arms(desk_data):
         arms["edue"].append(edue_models)
         arms["le"].append(le_models)
         arms["single"].append(single_model)
-        reports["edue"].append(evaluate_arm("edue", edue_models, test_samples))
-        reports["le"].append(evaluate_arm("le", le_models, test_samples))
+        reports["edue"].append(evaluate_arm("edue", edue_models, test_samples,
+                                            batch_size=settings.batch_size))
+        reports["le"].append(evaluate_arm("le", le_models, test_samples,
+                                          batch_size=settings.batch_size))
         reports["single"].append(_single_rater_nll(single_model, test_samples))
     elapsed = time.perf_counter() - t0
     return arms, reports, elapsed
@@ -235,7 +237,7 @@ def _two_head_loss(params, x, head_targets, h_gt, weights):
     h = ad.relu(ad.channel_norm(h, params["g1"], params["s1"]))
     logits = [ad.conv2d(h, params["hw0"], params["hb0"]),
               ad.conv2d(h, params["hw1"], params["hb1"])]
-    heads = HeadOutputs(probs=[ad.sigmoid(z) for z in logits], logits=logits)
+    heads = HeadOutputs(probs=[ad.sigmoid(z) for z in logits])
     loss, _ = total_loss(heads, head_targets, h_gt, weights)
     return loss
 
@@ -361,7 +363,7 @@ def test_criterion_3_loss_algebra_is_exact(announce):
         w = LossWeights(alpha=float(rng.uniform(0.1, 2.0)),
                         beta=float(rng.uniform(0.1, 5.0)))
         tens = [Tensor(hd) for hd in heads]
-        _, parts = total_loss(HeadOutputs(probs=tens, logits=tens),
+        _, parts = total_loss(HeadOutputs(probs=tens),
                               targets, h_gt, w)
         f = ad.default_dtype()
         recomposed = f(f(parts["bce_sum"]) * f(w.alpha)) + f(f(parts["rmse"]) * f(w.beta))
@@ -375,8 +377,7 @@ def test_criterion_3_loss_algebra_is_exact(announce):
         for _ in range(25):
             k = int(rng.integers(2, 5))
             probs = [rng.uniform(0.0, 1.0, (1, 1, 4, 4)) for _ in range(k)]
-            hm = model_heatmap(HeadOutputs(probs=[Tensor(pr) for pr in probs],
-                                           logits=[])).data
+            hm = model_heatmap(HeadOutputs(probs=[Tensor(pr) for pr in probs])).data
             loop = np.empty((1, 1, 4, 4))
             stacked = np.stack(probs)
             for i in range(4):
@@ -427,14 +428,14 @@ def test_criterion_4_directional_ordering(announce, desk_arms):
 def test_criterion_5_single_pass_and_parameter_ratio(announce):
     config = ModelConfig()
     model = build_model(config)
-    image = np.zeros((config.in_channels, *config.input_size), dtype=np.float32)
-    aggregate_heads(prob_maps([model], image))
-    aggregate_heads(prob_maps([model], image))
+    image = np.zeros((1, config.in_channels, *config.input_size), dtype=np.float32)
+    aggregate_heads(prob_maps([model], image)[0])
+    aggregate_heads(prob_maps([model], image)[0])
     edue_passes = model.trunk_passes
 
     m = 3
     members = [build_single_head_model(ModelConfig(seed=i)) for i in range(m)]
-    aggregate_heads(prob_maps(members, image))
+    aggregate_heads(prob_maps(members, image)[0])
     de_passes = sum(mm.trunk_passes for mm in members)
 
     desk_multi = parameter_count(config, "multi_head")
@@ -510,7 +511,8 @@ def test_criterion_7_ood_agreement_drops(announce, desk_data, desk_arms, desk_en
         for i, predictor in enumerate(predictors):
             report = ood_experiment(predictor, test_samples, "gauss_noise", 0.3,
                                     rng=np.random.default_rng(900 + i),
-                                    fractions=(0.0, 1.0))
+                                    fractions=(0.0, 1.0),
+                                    batch_size=ArmSettings().batch_size)
             clean.extend(report.per_fraction[0]["scores"])
             noisy.extend(report.per_fraction[1]["scores"])
         med0 = float(np.median(clean))

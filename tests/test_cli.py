@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from edue.autodiff import Tensor
 from edue.cli import main
 from edue.disagreement import binarize_majority, soft_majority
 from edue.metrics import nll
-from edue.model import forward
+from edue.model import prob_maps
 from edue.storage import DataError, load_checkpoint_dir, load_dataset
 
 
@@ -258,9 +257,11 @@ class TestEveryArm:
                      "--out", str(out)]) == 0
         (model,), _ = load_checkpoint_dir(ckpt)
         samples, _ = load_dataset(dataset)
-        expected = [nll(forward(model, Tensor(s.image[None])).probs[0].data[0, 0],
-                        binarize_majority(soft_majority(s.masks[0])))
-                    for s in samples]
+        # eval predicts in chunks of the training batch size
+        maps = prob_maps([model], np.stack([s.image for s in samples]),
+                         batch_size=TINY["batch_size"])
+        expected = [nll(m[0], binarize_majority(soft_majority(s.masks[0])))
+                    for m, s in zip(maps, samples)]
         doc = json.loads(out.read_text())
         assert [row["nll"] for row in doc["per_image"]] == expected
         assert doc["dataset"]["mean_nll"] == float(np.mean(expected))
@@ -294,6 +295,14 @@ class TestMalformedFiles:
                                    lambda d: d["images"][0].pop("delta_used")),
         "de_meta_n_members_missing": ("de", "de/train_meta.json", "n_members",
                                       lambda d: d.pop("n_members")),
+        "meta_config_missing": ("edue", "edue/train_meta.json", "config",
+                                lambda d: d.pop("config")),
+        "meta_batch_size_missing": ("edue", "edue/train_meta.json", "batch_size",
+                                    lambda d: d["config"].pop("batch_size")),
+        "meta_batch_size_zero": ("de", "de/train_meta.json", "batch_size",
+                                 lambda d: d["config"].update(batch_size=0)),
+        "meta_batch_size_float": ("edue", "edue/train_meta.json", "batch_size",
+                                  lambda d: d["config"].update(batch_size=4.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -309,6 +318,22 @@ class TestMalformedFiles:
         assert code == 2
         assert err.startswith("data error: ")
         assert str(tmp_path / rel) in err and repr(key) in err
+
+    @pytest.mark.parametrize("rel", ["data/manifest.json", "edue/model.json",
+                                     "edue/train_meta.json",
+                                     "de/member_1/model.json"])
+    def test_non_object_top_level_exits_two_naming_file(self, tmp_path, cfg_path,
+                                                        dataset, capsys, rel):
+        _train_edue_and_de(tmp_path, cfg_path, dataset)
+        (tmp_path / rel).write_text("[1]")
+        capsys.readouterr()
+        arm = "de" if rel.startswith("de/") else "edue"
+        code = main(["eval", "--model", str(tmp_path / arm), "--data",
+                     str(dataset), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert str(tmp_path / rel) in err and "JSON object" in err
 
 
 @pytest.fixture(scope="module")
@@ -333,25 +358,35 @@ JSON_OBJECTS = [
 ]
 
 
-@settings(max_examples=40, deadline=None,
+# Top-level stand-ins for an object: a list, a number and a string.
+NON_OBJECTS = ([1], 3, "text")
+
+
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_deleting_any_json_key_exits_zero_or_two(trained_tree, data):
+    """Delete one key from a JSON object, or replace a file's whole top
+    level with a non-object; eval must exit 0 or 2, never 1."""
     rel, trail = data.draw(st.sampled_from(JSON_OBJECTS))
+    replace_top = not trail and data.draw(st.booleans())
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "tree"
         shutil.copytree(trained_tree, root)
         doc = json.loads((root / rel).read_text())
-        target = doc
-        for step in trail:
-            target = target[step]
-        key = data.draw(st.sampled_from(sorted(target)))
-        del target[key]
+        if replace_top:
+            key = doc = data.draw(st.sampled_from(NON_OBJECTS))
+        else:
+            target = doc
+            for step in trail:
+                target = target[step]
+            key = data.draw(st.sampled_from(sorted(target)))
+            del target[key]
         (root / rel).write_text(json.dumps(doc))
         arm = rel.split("/")[0] if rel.split("/")[0] != "data" else "edue"
         code = main(["eval", "--model", str(root / arm), "--data",
                      str(root / "data"), "--out", str(root / "r.json")])
-    assert code in (0, 2), (rel, trail, key)
+    assert code in ((2,) if replace_top else (0, 2)), (rel, trail, key)
 
 
 class TestQcAndOod:
@@ -450,6 +485,16 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_structure_too_big_for_input_size(self, tmp_path, capsys):
+        cfg = tmp_path / "nested16.json"
+        cfg.write_text(json.dumps({**TINY, "structure": "nested"}))
+        code = main(["gen-data", "--config", str(cfg), "--n", "50",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: degenerate blob")
+        assert "input_size [16, 16]" in err and "structure 'nested'" in err
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

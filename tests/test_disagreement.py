@@ -38,7 +38,7 @@ def dtype64():
 
 def heads_from(prob_arrays):
     tensors = [Tensor(p) for p in prob_arrays]
-    return HeadOutputs(probs=tensors, logits=tensors)
+    return HeadOutputs(probs=tensors)
 
 
 def fd_grad(build_loss, leaf, h=1e-5):
@@ -136,11 +136,11 @@ class TestModelHeatmap:
                       for _ in range(3)]
 
             def variance_sum():
-                hm = model_heatmap(HeadOutputs(probs=leaves, logits=leaves))
+                hm = model_heatmap(HeadOutputs(probs=leaves))
                 return float(ad.scale(ad.mean_all(hm), hm.data.size).data)
 
             with Tape() as tape:
-                hm = model_heatmap(HeadOutputs(probs=leaves, logits=leaves))
+                hm = model_heatmap(HeadOutputs(probs=leaves))
                 tape.backward(ad.scale(ad.mean_all(hm), hm.data.size))
             mean = np.mean([l.data for l in leaves], axis=0)
             for leaf in leaves:
@@ -319,12 +319,12 @@ class TestTotalLoss:
 
             def build_loss():
                 probs = [ad.sigmoid(t) for t in z]
-                loss, _ = total_loss(HeadOutputs(probs=probs, logits=z), targets, h_gt, w)
+                loss, _ = total_loss(HeadOutputs(probs=probs), targets, h_gt, w)
                 return float(loss.data)
 
             with Tape() as tape:
                 probs = [ad.sigmoid(t) for t in z]
-                loss, _ = total_loss(HeadOutputs(probs=probs, logits=z), targets, h_gt, w)
+                loss, _ = total_loss(HeadOutputs(probs=probs), targets, h_gt, w)
                 tape.backward(loss)
             for leaf in z:
                 assert rel_err(leaf.grad, fd_grad(build_loss, leaf)) < 1e-5
@@ -346,8 +346,7 @@ class TestRmseOnlyConvergence:
         gap = None
         for _ in range(500):
             with Tape() as tape:
-                hm = model_heatmap(HeadOutputs(probs=[ad.sigmoid(z1), ad.sigmoid(z2)],
-                                               logits=[z1, z2]))
+                hm = model_heatmap(HeadOutputs(probs=[ad.sigmoid(z1), ad.sigmoid(z2)]))
                 tape.backward(rmse_loss(hm, Tensor(target)))
             opt.step()
             opt.zero_grad()

@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edue.autodiff import Tensor
+from edue import harness
+from edue import model as model_module
+from edue.autodiff import ShapeError, Tensor
 from edue.harness import (
+    ARMS,
     ArmSettings,
     agreement_score,
     ood_experiment,
@@ -28,7 +31,7 @@ from edue.model import (
     forward,
     prob_maps,
 )
-from edue.raters import SceneParams, generate_dataset
+from edue.raters import SceneParams, distort, generate_dataset
 
 
 def tiny_config(**kwargs):
@@ -121,7 +124,7 @@ class TestEnsemblePredict:
     def test_identical_members_give_zero_heatmap(self):
         members = [build_single_head_model(tiny_config(seed=4)) for _ in range(3)]
         x = Tensor(np.random.default_rng(0).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data[0]))
+        out = aggregate_heads(prob_maps(members, x.data)[0])
         np.testing.assert_array_equal(out["heatmap"], 0.0)
         assert out["sv"] == 0.0
         single = forward(members[0], x).probs[0].data[0, 0]
@@ -131,7 +134,7 @@ class TestEnsemblePredict:
         members = [fixed_output_member(tiny_config(), 0.2),
                    fixed_output_member(tiny_config(), 0.8)]
         x = Tensor(np.random.default_rng(1).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data[0]))
+        out = aggregate_heads(prob_maps(members, x.data)[0])
         np.testing.assert_allclose(out["final_mask"], 0.5, atol=1e-6)
         np.testing.assert_allclose(out["heatmap"], 0.09, atol=1e-6)
         np.testing.assert_allclose(out["sv"], 0.09 * 16 * 16, rtol=1e-5)
@@ -141,17 +144,17 @@ class TestEnsemblePredict:
         images = np.random.default_rng(2).random((4, 1, 1, 16, 16))
         before = sum(m.trunk_passes for m in members)
         for img in images:
-            aggregate_heads(prob_maps(members, img[0]))
+            aggregate_heads(prob_maps(members, img)[0])
         assert sum(m.trunk_passes for m in members) - before == 3 * 4
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            prob_maps([], np.zeros((1, 16, 16)))
+            prob_maps([], np.zeros((1, 1, 16, 16)))
 
     def test_heatmap_matches_per_pixel_variance_loop(self):
         members = [build_single_head_model(tiny_config(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data[0]))
+        out = aggregate_heads(prob_maps(members, x.data)[0])
         maps = [forward(m, x).probs[0].data[0, 0].astype(np.float64)
                 for m in members]
         expected = np.zeros((16, 16))
@@ -166,28 +169,113 @@ class TestEnsemblePredict:
 class TestProbabilityMaps:
     def test_head_maps_shape_and_count(self):
         model = build_model(tiny_config(seed=2))
-        image = np.random.default_rng(3).random((1, 16, 16))
-        maps = prob_maps([model], image)
+        image = np.random.default_rng(3).random((1, 1, 16, 16))
+        (maps,) = prob_maps([model], image)
         assert len(maps) == 3
         assert all(m.shape == (16, 16) for m in maps)
 
     def test_head_skip_drops_coarse_heads(self):
         model = build_model(tiny_config(seed=2))
-        image = np.random.default_rng(3).random((1, 16, 16))
-        full = prob_maps([model], image)
-        skipped = prob_maps([model], image, head_skip=1)
+        image = np.random.default_rng(3).random((1, 1, 16, 16))
+        (full,) = prob_maps([model], image)
+        (skipped,) = prob_maps([model], image, head_skip=1)
         assert len(skipped) == 2
         np.testing.assert_array_equal(skipped[0], full[1])
         with pytest.raises(ValueError, match=">= 2 maps"):
-            aggregate_heads(prob_maps([model], image, head_skip=2))
+            aggregate_heads(prob_maps([model], image, head_skip=2)[0])
 
     def test_member_maps(self):
         members = [build_single_head_model(tiny_config(seed=s)) for s in range(2)]
-        image = np.random.default_rng(4).random((1, 16, 16))
-        maps = prob_maps(members, image)
+        image = np.random.default_rng(4).random((1, 1, 16, 16))
+        (maps,) = prob_maps(members, image)
         assert len(maps) == 2 and maps[0].shape == (16, 16)
         with pytest.raises(ValueError, match=">= 2"):
-            aggregate_heads(prob_maps(members[:1], image))
+            aggregate_heads(prob_maps(members[:1], image)[0])
+
+
+def untrained_arm(name, members=2):
+    """An arm's untrained models: one, or `members` for an ensemble."""
+    arm = ARMS[name]
+    return [arm.build(tiny_config(seed=11 + i))
+            for i in range(members if arm.ensemble else 1)]
+
+
+class TestBatchedPrediction:
+    @pytest.mark.parametrize("name", sorted(ARMS))
+    @pytest.mark.parametrize("head_skip", [0, 1])
+    def test_batched_equals_one_image_batches(self, name, head_skip):
+        models = untrained_arm(name)
+        skip = ARMS[name].skipped_heads(tiny_settings(head_skip=head_skip))
+        images = np.random.default_rng(6).random((7, 1, 16, 16))
+        single = np.concatenate([prob_maps(models, images[i:i + 1], skip)
+                                 for i in range(len(images))])
+        n_maps = len(models) * (models[0].n_heads - skip)
+        assert single.shape == (7, n_maps, 16, 16)
+        # 7 is not a multiple of 3 and is less than 8; None is one chunk
+        for batch_size in (3, 8, None):
+            batched = prob_maps(models, images, skip, batch_size)
+            assert batched.shape == single.shape
+            np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
+
+    def test_chunks_follow_batch_size(self, monkeypatch):
+        sizes = []
+        real = model_module.forward
+
+        def spy(model, x):
+            sizes.append(len(x.data))
+            return real(model, x)
+
+        monkeypatch.setattr(model_module, "forward", spy)
+        model = build_model(tiny_config())
+        for n, batch_size, chunks in ((7, 3, [3, 3, 1]), (2, 8, [2]),
+                                      (6, 3, [3, 3]), (4, None, [4])):
+            sizes.clear()
+            maps = prob_maps([model], np.zeros((n, 1, 16, 16)),
+                             batch_size=batch_size)
+            assert sizes == chunks
+            assert maps.shape == (n, 3, 16, 16)
+
+    def test_trunk_passes_grow_by_image_count(self):
+        members = untrained_arm("de", members=3)
+        images = np.random.default_rng(7).random((5, 1, 16, 16))
+        for expected in (5, 10):
+            prob_maps(members, images, batch_size=2)
+            assert [m.trunk_passes for m in members] == [expected] * 3
+
+    def test_rejects_bad_image_sets_and_batch_sizes(self):
+        model = build_model(tiny_config())
+        with pytest.raises(ShapeError, match="N, C, H, W"):
+            prob_maps([model], np.zeros((1, 16, 16)))
+        with pytest.raises(ShapeError, match="non-empty"):
+            prob_maps([model], np.zeros((0, 1, 16, 16)))
+        with pytest.raises(ValueError, match="batch_size"):
+            prob_maps([model], np.zeros((2, 1, 16, 16)), batch_size=0)
+
+    def test_ood_draws_distortions_in_per_image_order(self, monkeypatch):
+        model = build_model(tiny_config(seed=9))
+        samples = make_samples(5, seed=21)
+        seen = []
+        real = harness.prob_maps
+
+        def spy(models, images, head_skip=0, batch_size=None):
+            seen.append(np.array(images))
+            return real(models, images, head_skip, batch_size)
+
+        monkeypatch.setattr(harness, "prob_maps", spy)
+        fractions = (0.0, 0.5, 1.0)
+        ood_experiment([model], samples, "gauss_noise", 0.3,
+                       rng=np.random.default_rng(4), fractions=fractions,
+                       batch_size=2)
+        assert len(seen) == len(fractions)
+        # Replay the per-image order: choose, then distort each chosen
+        # image in index order from the same stream.
+        rng = np.random.default_rng(4)
+        for f, images in zip(fractions, seen):
+            k = math.ceil(f * len(samples))
+            chosen = set(rng.choice(len(samples), size=k, replace=False).tolist()) if k else set()
+            expected = [distort(s.image, "gauss_noise", 0.3, rng) if i in chosen
+                        else s.image for i, s in enumerate(samples)]
+            np.testing.assert_array_equal(images, np.stack(expected))
 
 
 class TestQualityControl:
@@ -386,8 +474,8 @@ class TestOodExperiment:
         report = ood_experiment([model], samples, "blur", 2.0,
                                 rng=np.random.default_rng(1))
         clean = report.per_fraction[0]
-        direct = [agreement_score(prob_maps([model], s.image))
-                  for s in samples]
+        images = np.stack([s.image for s in samples])
+        direct = [agreement_score(maps) for maps in prob_maps([model], images)]
         np.testing.assert_allclose(clean["scores"], direct, atol=1e-12)
         summary = clean["summary"]
         assert set(summary) == {"min", "q1", "median", "q3", "max", "mean"}

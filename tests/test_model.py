@@ -148,9 +148,9 @@ class TestForward:
     def test_pass_counters(self):
         model = build_model(DESK)
         forward(model, desk_input())
-        assert model.trunk_passes == 1
-        aggregate_heads(prob_maps([model], desk_input(batch=1).data[0]))
         assert model.trunk_passes == 2
+        aggregate_heads(prob_maps([model], desk_input(batch=1).data)[0])
+        assert model.trunk_passes == 3
 
     def test_full_scale_forward_shapes(self):
         cfg = full_scale_config()
@@ -198,8 +198,8 @@ class TestAggregation:
     def test_predict_head_skip(self):
         model = build_model(DESK)
         x = desk_input(batch=1)
-        full = aggregate_heads(prob_maps([model], x.data[0]))
-        skipped = aggregate_heads(prob_maps([model], x.data[0], head_skip=1))
+        full = aggregate_heads(prob_maps([model], x.data)[0])
+        skipped = aggregate_heads(prob_maps([model], x.data, head_skip=1)[0])
         outs = forward(model, x)
         np.testing.assert_allclose(
             skipped["final_mask"],
@@ -208,7 +208,7 @@ class TestAggregation:
         )
         assert not np.allclose(full["final_mask"], skipped["final_mask"])
         with pytest.raises(ValueError, match="head"):
-            aggregate_heads(prob_maps([model], x.data[0], head_skip=2))
+            aggregate_heads(prob_maps([model], x.data, head_skip=2)[0])
 
 
 class TestConfigValidation:
@@ -228,15 +228,15 @@ class TestConfigValidation:
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = build_model(ModelConfig(seed=3))
-        image = desk_input(batch=1).data[0]
-        before = aggregate_heads(prob_maps([model], image))
+        images = desk_input(batch=1).data
+        before = aggregate_heads(prob_maps([model], images)[0])
         save_checkpoint(tmp_path / "ckpt", model)
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.kind == "multi_head"
         assert loaded.config == model.config
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
-        after = aggregate_heads(prob_maps([loaded], image))
+        after = aggregate_heads(prob_maps([loaded], images)[0])
         np.testing.assert_array_equal(before["final_mask"], after["final_mask"])
         assert before["sv"] == after["sv"]
 

@@ -10,6 +10,7 @@ from edue import raters
 from edue.disagreement import gt_heatmap
 from edue.raters import (
     DISTORTION_KINDS,
+    DegenerateSceneError,
     RaterSample,
     SceneParams,
     binary_dice,
@@ -100,7 +101,7 @@ class TestGenerateSample:
 
     def test_degenerate_blob_aborts(self, monkeypatch):
         monkeypatch.setattr(raters, "MIN_BLOB_AREA", 10 ** 6)
-        with pytest.raises(RuntimeError, match="degenerate"):
+        with pytest.raises(DegenerateSceneError, match="degenerate"):
             generate_sample(SceneParams(), np.random.default_rng(0))
 
     def test_nested_structures(self):
