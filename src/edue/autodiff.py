@@ -41,7 +41,6 @@ __all__ = [
     "select_rows",
     "variance_along_first_axis",
     "bce_loss",
-    "zero_grads",
 ]
 
 
@@ -118,11 +117,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
-
-
-def zero_grads(tensors: Sequence[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 class Tape:

@@ -131,27 +131,37 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _meta_index(args: argparse.Namespace, meta: dict, key: str) -> int:
+    """A train_meta.json value that must be a non-negative integer; 0 if absent."""
+    value = meta.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DataError(f"{Path(args.model) / 'train_meta.json'}: key {key!r} "
+                        f"must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _load_predictor(args: argparse.Namespace, uncertainty: bool = False):
-    """(arm, models, train_meta, samples, structure index) for a checkpoint
-    and a dataset; uncertainty=True refuses arms that predict one map."""
+    """(arm, models, train_meta, samples, structure index, head skip) for a
+    checkpoint and a dataset; uncertainty=True refuses arms that predict
+    one map."""
     models, meta = load_checkpoint_dir(args.model)
     arm = meta["arm"]
     if uncertainty and not ARMS[arm].uncertainty:
         raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
                         f"predicts one map and has no uncertainty")
+    k = _meta_index(args, meta, "structure")
+    head_skip = _meta_index(args, meta, "head_skip")
     samples, manifest = load_dataset(args.data)
     structures = list(manifest["structures"])
-    k = int(meta.get("structure", 0))
     if k >= len(structures):
         raise DataError(f"checkpoint was trained on structure index {k}, but "
                         f"the dataset has only {structures}")
-    return arm, models, meta, samples, k
+    return arm, models, meta, samples, k, head_skip
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    arm, models, meta, samples, k = _load_predictor(args)
-    report = evaluate_arm(arm, models, samples, structure=k,
-                          head_skip=int(meta.get("head_skip", 0)),
+    arm, models, meta, samples, k, head_skip = _load_predictor(args)
+    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip,
                           batch_size=meta["config"]["batch_size"])
     out = Path(args.out)
     write_json(out, {
@@ -169,9 +179,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
-    arm, models, meta, samples, k = _load_predictor(args, uncertainty=True)
-    report = evaluate_arm(arm, models, samples, structure=k,
-                          head_skip=int(meta.get("head_skip", 0)),
+    arm, models, meta, samples, k, head_skip = _load_predictor(args, uncertainty=True)
+    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip,
                           batch_size=meta["config"]["batch_size"])
     dice = [rec["soft_dice"] for rec in report.per_image]
     sv = [rec["sv_model"] for rec in report.per_image]
@@ -205,13 +214,12 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
-    arm, models, meta, samples, _ = _load_predictor(args, uncertainty=True)
-    seed = _resolve_seed(args, int(meta.get("seed", 0)))
+    arm, models, meta, samples, _, head_skip = _load_predictor(args, uncertainty=True)
+    seed = _resolve_seed(args, _meta_index(args, meta, "seed"))
     report = ood_experiment(models, samples, args.kind, args.level,
                             rng=np.random.default_rng(seed),
                             fractions=_parse_fractions(args.fractions),
-                            head_skip=int(meta.get("head_skip", 0)),
-                            batch_size=meta["config"]["batch_size"])
+                            head_skip=head_skip, batch_size=meta["config"]["batch_size"])
     out = Path(args.out)
     write_json(out, {
         "arm": arm,

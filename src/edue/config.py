@@ -18,8 +18,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .container import atomic_write_text
-from .disagreement import LossWeights
+from .container import atomic_write_text, typed_fields
 from .harness import ArmSettings
 from .model import ModelConfig
 from .raters import SceneParams
@@ -49,7 +48,6 @@ class RunConfig:
     in_channels: int = 1
     base_channels: int = 8
     channel_growth: int = 2
-    head_hidden: int = 0
     input_size: tuple[int, int] = (32, 32)
     # loss; desk beta calibrated empirically on the synthetic generator,
     # the full-scale presets carry their own per-dataset values
@@ -76,7 +74,7 @@ class RunConfig:
         return ModelConfig(n_e=self.n_e, n_d=self.n_d, in_channels=self.in_channels,
                            base_channels=self.base_channels,
                            channel_growth=self.channel_growth,
-                           input_size=self.input_size, head_hidden=self.head_hidden,
+                           input_size=self.input_size,
                            seed=self.seed if seed is None else seed)
 
     def scene_params(self, seed: int | None = None) -> SceneParams:
@@ -91,9 +89,6 @@ class RunConfig:
         return ArmSettings(epochs=self.epochs, batch_size=self.batch_size,
                            lr=self.lr, alpha=self.alpha, beta=self.beta,
                            de_members=self.de_members, head_skip=self.head_skip)
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(alpha=self.alpha, beta=self.beta)
 
     def validate(self) -> None:
         if self.preset not in PRESET_NAMES:
@@ -138,14 +133,6 @@ _PRESETS: dict[str, dict] = {
 }
 PRESET_NAMES = tuple(_PRESETS)
 
-_INT_KEYS = {"seed", "n_e", "n_d", "in_channels", "base_channels",
-             "channel_growth", "head_hidden", "n_raters", "epochs",
-             "batch_size", "de_members", "head_skip", "n_train", "n_test"}
-_FLOAT_KEYS = {"alpha", "beta", "delta_low", "delta_high", "ambiguity_mix",
-               "texture_noise", "lr"}
-_STR_KEYS = {"preset", "structure"}
-
-
 def preset(name: str) -> RunConfig:
     """The named preset with no overrides."""
     if name not in _PRESETS:
@@ -156,37 +143,12 @@ def preset(name: str) -> RunConfig:
     return config
 
 
-def _coerce(key: str, value):
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, "
-                              f"got {value!r}")
-        return value
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, "
-                              f"got {value!r}")
-        return float(value)
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, "
-                              f"got {value!r}")
-        return value
-    if key == "input_size":
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int)
-                       for v in value)):
-            raise ConfigError("config key 'input_size' must be a pair of "
-                              f"integers, got {value!r}")
-        return (value[0], value[1])
-    raise ConfigError(f"unknown config key {key!r}")
-
-
-def from_dict(doc: dict) -> RunConfig:
+def from_dict(doc: dict, where: str = "config") -> RunConfig:
     """Build and validate a RunConfig from a JSON-shaped dict.
 
     Values start from the named preset (default "desk"); every other
-    key overrides one field.  Unknown keys are an error.
+    key overrides one field.  Unknown keys and values of the wrong type
+    are errors; a type error names where the document came from and the key.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
@@ -194,16 +156,12 @@ def from_dict(doc: dict) -> RunConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    name = _coerce("preset", doc.get("preset", "desk"))
+    overrides = typed_fields(doc, RunConfig, where, ConfigError)
+    name = overrides.get("preset", "desk")
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; "
                           f"expected one of {sorted(_PRESETS)}")
-    merged: dict = {"preset": name, **_PRESETS[name]}
-    for key, value in doc.items():
-        if key == "preset":
-            continue
-        merged[key] = _coerce(key, value)
-    config = RunConfig(**merged)
+    config = RunConfig(**{**_PRESETS[name], **overrides})
     config.validate()
     return config
 
@@ -216,7 +174,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return from_dict(doc)
+    return from_dict(doc, where=f"{path}: config")
 
 
 def save_config(path: str | os.PathLike, config: RunConfig) -> None:

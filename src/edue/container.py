@@ -18,6 +18,7 @@ import json
 import os
 import struct
 import tempfile
+import typing
 import zlib
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 
 __all__ = ["ContainerError", "DataError", "save_container", "load_container",
            "entry_table", "atomic_write_bytes", "atomic_write_text",
-           "read_json_object"]
+           "read_json_object", "typed_fields"]
 
 MAGIC = b"EDT1"
 _U32 = struct.Struct("<I")
@@ -83,6 +84,39 @@ def read_json_object(path: str | os.PathLike) -> dict:
         raise DataError(f"{path}: top level must be a JSON object, "
                         f"got {type(doc).__name__}")
     return doc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field type -> (description, accepts the JSON value, converts it)
+_FIELD_TYPES = {
+    int: ("an integer", _is_int, int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    tuple[int, int]: ("a pair of integers",
+                      lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                      and all(map(_is_int, v)), tuple),
+}
+
+
+def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
+    """doc's values checked against the field types of dataclass cls.
+
+    Every key of doc must be a field of cls.  Integers never accept a
+    bool, number fields accept an integer and return a float, and pair
+    fields accept a JSON list.  A value of the wrong type raises error,
+    naming where and the key.
+    """
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, value in doc.items():
+        what, accepts, convert = _FIELD_TYPES[hints[key]]
+        if not accepts(value):
+            raise error(f"{where} key {key!r} must be {what}, got {value!r}")
+        out[key] = convert(value)
+    return out
 
 
 def save_container(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:

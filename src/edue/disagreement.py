@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .model import HeadOutputs, Model, forward
+from .model import Model, forward
 
 __all__ = [
     "RMSE_EPS",
@@ -104,11 +104,11 @@ def gt_heatmap(masks) -> np.ndarray:
     return m.var(axis=0)
 
 
-def model_heatmap(heads: HeadOutputs) -> Tensor:
-    """Differentiable per-pixel variance across the head probabilities."""
-    if len(heads.probs) < 2:
-        raise ValueError(f"model_heatmap needs >= 2 heads, got {len(heads.probs)}")
-    return ad.variance_along_first_axis(ad.stack_first(heads.probs))
+def model_heatmap(heads: Sequence[Tensor]) -> Tensor:
+    """Differentiable per-pixel variance across the head probability maps."""
+    if len(heads) < 2:
+        raise ValueError(f"model_heatmap needs >= 2 heads, got {len(heads)}")
+    return ad.variance_along_first_axis(ad.stack_first(heads))
 
 
 def rmse_loss(h_model: Tensor, h_gt: Tensor) -> Tensor:
@@ -154,7 +154,7 @@ def single_rater_labels(rater: int = 0) -> Callable:
     return sampler
 
 
-def total_loss(heads: HeadOutputs, head_targets: Sequence[np.ndarray],
+def total_loss(heads: Sequence[Tensor], head_targets: Sequence[np.ndarray],
                h_gt: np.ndarray | None, weights: LossWeights,
                rmse_rows: Sequence[int] | None = None) -> tuple[Tensor, dict]:
     """Combined loss for one batch; returns the scalar and its parts.
@@ -165,11 +165,11 @@ def total_loss(heads: HeadOutputs, head_targets: Sequence[np.ndarray],
     disagreement term, as for rows with a single rater.
     """
     weights.validate()
-    if len(head_targets) != len(heads.probs):
-        raise ValueError(f"got {len(head_targets)} targets for {len(heads.probs)} heads")
+    if len(head_targets) != len(heads):
+        raise ValueError(f"got {len(head_targets)} targets for {len(heads)} heads")
     bce_sum = None
     bce_per_head = []
-    for pr, target in zip(heads.probs, head_targets):
+    for pr, target in zip(heads, head_targets):
         term = ad.bce_loss(pr, Tensor(target))
         bce_per_head.append(float(term.data))
         bce_sum = term if bce_sum is None else ad.add(bce_sum, term)

@@ -2,21 +2,23 @@
 
 One forward pass yields every head's full-resolution probability map.  The
 encoder is ``n_e`` blocks of conv / channel-norm / relu followed by a
-stride-2 conv; the decoder mirrors it with ``n_d = n_e - 1`` blocks of
-nearest upsampling, skip concatenation, and conv / norm / relu.  Each head
-is a 1x1 conv on its decoder level, nearest-upsampled to input resolution
-before the sigmoid, so head variance is defined per input pixel.
+stride-2 conv; the decoder mirrors it with blocks of nearest upsampling,
+skip concatenation, and conv / norm / relu.  Each head is a 1x1 conv on its
+decoder level, nearest-upsampled to input resolution before the sigmoid, so
+head variance is defined per input pixel.
 
-``build_single_head_model`` builds the ensemble-member variant: the same
-encoder, a decoder extended one level to full resolution (using the
-full-resolution skip the multi-head model leaves unused), and a single
-head.  That is the classic one-output U-Net the deep-ensemble baseline
-trains copies of.
+One layer spec serves both network kinds: ``_heads`` places the heads,
+and parameter init, the forward pass and the closed-form parameter count
+all read it.  The multi-head model has a head on each of its
+``n_d = n_e - 1`` levels.  The ensemble member (``build_single_head_model``),
+the one-output U-Net the deep-ensemble baseline trains copies of, decodes
+the same trunk one level further, to full resolution, with one head there.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -27,11 +29,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .container import (DataError, atomic_write_text, load_container,
-                        read_json_object, save_container)
+                        read_json_object, save_container, typed_fields)
 
 __all__ = [
     "ModelConfig",
-    "HeadOutputs",
     "Model",
     "build_model",
     "build_single_head_model",
@@ -53,7 +54,6 @@ class ModelConfig:
     base_channels: int = 8
     channel_growth: int = 2
     input_size: tuple[int, int] = (32, 32)
-    head_hidden: int = 0
     seed: int = 0
 
     def validate(self) -> None:
@@ -63,8 +63,6 @@ class ModelConfig:
             raise ValueError(f"n_d must equal n_e - 1 (got n_d={self.n_d}, n_e={self.n_e})")
         if self.in_channels < 1 or self.base_channels < 1 or self.channel_growth < 1:
             raise ValueError("channel counts and growth must be positive")
-        if self.head_hidden < 0:
-            raise ValueError("head_hidden must be >= 0")
         h, w = self.input_size
         div = 1 << self.n_e
         if h % div or w % div:
@@ -78,12 +76,6 @@ def full_scale_config(in_channels: int = 3, seed: int = 0) -> ModelConfig:
     """Full-scale preset: six encoder levels, five heads, 256x256 inputs."""
     return ModelConfig(n_e=6, n_d=5, in_channels=in_channels, base_channels=8,
                        channel_growth=2, input_size=(256, 256), seed=seed)
-
-
-@dataclass
-class HeadOutputs:
-    """All head probability maps from one pass, full input resolution each."""
-    probs: list[Tensor]
 
 
 class Model:
@@ -101,7 +93,7 @@ class Model:
 
     @property
     def n_heads(self) -> int:
-        return self.config.n_d if self.kind == "multi_head" else 1
+        return len(_heads(self.config, self.kind))
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -113,23 +105,25 @@ class Model:
         return acc
 
 
-def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarray:
-    fan_in = cin * k * k
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, k, k))
+def _heads(config: ModelConfig, kind: str) -> dict[int, str]:
+    """Decoder level -> head name; the decoder runs up to the last head."""
+    if kind == "multi_head":
+        return {j: f"head{j}" for j in range(config.n_d)}
+    return {config.n_e - 1: "head0"}
 
 
-def _init_params(config: ModelConfig, kind: str) -> dict[str, Tensor]:
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+def _param_shapes(config: ModelConfig, kind: str) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in creation order (the order init draws)."""
     enc = config.encoder_channels()
-    params: dict[str, Tensor] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def conv(name: str, cin: int, cout: int, k: int) -> None:
-        params[f"{name}.w"] = Tensor(_he_conv(rng, cout, cin, k), requires_grad=True, name=f"{name}.w")
-        params[f"{name}.b"] = Tensor(np.zeros(cout), requires_grad=True, name=f"{name}.b")
+        shapes[f"{name}.w"] = (cout, cin, k, k)
+        shapes[f"{name}.b"] = (cout,)
 
     def norm(name: str, c: int) -> None:
-        params[f"{name}.gain"] = Tensor(np.ones(c), requires_grad=True, name=f"{name}.gain")
-        params[f"{name}.shift"] = Tensor(np.zeros(c), requires_grad=True, name=f"{name}.shift")
+        shapes[f"{name}.gain"] = (c,)
+        shapes[f"{name}.shift"] = (c,)
 
     cin = config.in_channels
     for i, cout in enumerate(enc):
@@ -138,27 +132,30 @@ def _init_params(config: ModelConfig, kind: str) -> dict[str, Tensor]:
         conv(f"enc{i}.down", cout, cout, 3)
         cin = cout
 
-    n_dec = config.n_d if kind == "multi_head" else config.n_e
-    prev = enc[-1]
-    for j in range(n_dec):
-        skip = enc[config.n_e - 1 - j]
-        cout = enc[max(config.n_e - 2 - j, 0)]
-        conv(f"dec{j}.conv", prev + skip, cout, 3)
-        norm(f"dec{j}.norm", cout)
-        prev = cout
+    heads = _heads(config, kind)
+    dec = []  # output channels per decoder level
+    for j in range(max(heads) + 1):
+        dec.append(enc[max(config.n_e - 2 - j, 0)])
+        conv(f"dec{j}.conv", cin + enc[config.n_e - 1 - j], dec[j], 3)
+        norm(f"dec{j}.norm", dec[j])
+        cin = dec[j]
+    for j, name in heads.items():
+        conv(f"{name}.out", dec[j], 1, 1)
+    return shapes
 
-    def head(name: str, cin_h: int) -> None:
-        if config.head_hidden > 0:
-            conv(f"{name}.hidden", cin_h, config.head_hidden, 1)
-            conv(f"{name}.out", config.head_hidden, 1, 1)
+
+def _init_params(config: ModelConfig, kind: str) -> dict[str, Tensor]:
+    """He-normal conv kernels, unit norm gains, zeros elsewhere."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    params: dict[str, Tensor] = {}
+    for name, shape in _param_shapes(config, kind).items():
+        if name.endswith(".w"):
+            data = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), size=shape)
+        elif name.endswith(".gain"):
+            data = np.ones(shape)
         else:
-            conv(f"{name}.out", cin_h, 1, 1)
-
-    if kind == "multi_head":
-        for j in range(config.n_d):
-            head(f"head{j}", enc[config.n_e - 2 - j])
-    else:
-        head("head0", enc[0])
+            data = np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True, name=name)
     return params
 
 
@@ -179,15 +176,13 @@ def _block(model: Model, name: str, x: Tensor, stride: int = 1, padding: int = 1
     return ad.conv2d(x, p[f"{name}.w"], p[f"{name}.b"], stride=stride, padding=padding)
 
 
-def _head_logits(model: Model, name: str, x: Tensor) -> Tensor:
+def _conv_norm_relu(model: Model, name: str, x: Tensor) -> Tensor:
     p = model.params
-    if model.config.head_hidden > 0:
-        h = ad.relu(ad.conv2d(x, p[f"{name}.hidden.w"], p[f"{name}.hidden.b"], padding=0))
-        return ad.conv2d(h, p[f"{name}.out.w"], p[f"{name}.out.b"], padding=0)
-    return ad.conv2d(x, p[f"{name}.out.w"], p[f"{name}.out.b"], padding=0)
+    return ad.relu(ad.channel_norm(_block(model, f"{name}.conv", x),
+                                   p[f"{name}.norm.gain"], p[f"{name}.norm.shift"]))
 
 
-def forward(model: Model, x: Tensor) -> HeadOutputs:
+def forward(model: Model, x: Tensor) -> list[Tensor]:
     """One trunk pass; every head map comes back at input resolution."""
     cfg = model.config
     b, c, h, w = x.data.shape
@@ -195,30 +190,26 @@ def forward(model: Model, x: Tensor) -> HeadOutputs:
         raise ad.ShapeError(f"forward: input shape {x.data.shape} does not match "
                             f"config (*, {cfg.in_channels}, {cfg.input_size[0]}, {cfg.input_size[1]})")
     model.trunk_passes += b
-    p = model.params
 
     skips: list[Tensor] = []
     cur = x
     for i in range(cfg.n_e):
-        a = ad.relu(ad.channel_norm(_block(model, f"enc{i}.conv", cur),
-                                    p[f"enc{i}.norm.gain"], p[f"enc{i}.norm.shift"]))
-        skips.append(a)
-        cur = _block(model, f"enc{i}.down", a, stride=2)
+        skips.append(_conv_norm_relu(model, f"enc{i}", cur))
+        cur = _block(model, f"enc{i}.down", skips[i], stride=2)
 
-    n_dec = cfg.n_d if model.kind == "multi_head" else cfg.n_e
+    heads = _heads(cfg, model.kind)
     probs: list[Tensor] = []
-    for j in range(n_dec):
+    for j in range(max(heads) + 1):
         up = ad.upsample_nearest(cur, 2)
-        cur = ad.concat_channels([up, skips[cfg.n_e - 1 - j]])
-        cur = ad.relu(ad.channel_norm(_block(model, f"dec{j}.conv", cur),
-                                      p[f"dec{j}.norm.gain"], p[f"dec{j}.norm.shift"]))
-        if model.kind == "multi_head":
+        cur = _conv_norm_relu(model, f"dec{j}",
+                              ad.concat_channels([up, skips[cfg.n_e - 1 - j]]))
+        if j in heads:
+            logits = _block(model, f"{heads[j]}.out", cur, padding=0)
             factor = 1 << (cfg.n_e - 1 - j)
-            probs.append(ad.sigmoid(ad.upsample_nearest(
-                _head_logits(model, f"head{j}", cur), factor)))
-    if model.kind != "multi_head":
-        probs.append(ad.sigmoid(_head_logits(model, "head0", cur)))
-    return HeadOutputs(probs=probs)
+            if factor > 1:
+                logits = ad.upsample_nearest(logits, factor)
+            probs.append(ad.sigmoid(logits))
+    return probs
 
 
 def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
@@ -241,7 +232,7 @@ def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
     chunks = []
     for start in range(0, len(images), step):
         x = Tensor(images[start:start + step])
-        maps = [p.data[:, 0] for m in models for p in forward(m, x).probs[head_skip:]]
+        maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
         if not maps:
             raise ValueError(f"prob_maps: no maps; the model list is empty or "
                              f"head_skip {head_skip} skips every head")
@@ -265,32 +256,7 @@ def aggregate_heads(probs) -> dict:
 
 def parameter_count(config: ModelConfig, kind: str = "multi_head") -> int:
     """Closed-form parameter count for a config, without building it."""
-    enc = config.encoder_channels()
-    total = 0
-    cin = config.in_channels
-    for cout in enc:
-        total += cout * cin * 9 + cout          # conv
-        total += 2 * cout                        # norm
-        total += cout * cout * 9 + cout          # downsample
-        cin = cout
-    n_dec = config.n_d if kind == "multi_head" else config.n_e
-    prev = enc[-1]
-    head_ins = []
-    for j in range(n_dec):
-        skip = enc[config.n_e - 1 - j]
-        cout = enc[max(config.n_e - 2 - j, 0)]
-        total += cout * (prev + skip) * 9 + cout
-        total += 2 * cout
-        prev = cout
-        head_ins.append(cout)
-    heads = head_ins if kind == "multi_head" else [prev]
-    for c in heads:
-        if config.head_hidden > 0:
-            total += config.head_hidden * c + config.head_hidden
-            total += config.head_hidden + 1
-        else:
-            total += c + 1
-    return total
+    return sum(math.prod(shape) for shape in _param_shapes(config, kind).values())
 
 
 def save_checkpoint(directory: str | Path, model: Model) -> None:
@@ -309,15 +275,16 @@ def load_checkpoint(directory: str | Path) -> Model:
     path = directory / "model.json"
     header = read_json_object(path)
     builders = {"multi_head": build_model, "single_head_full": build_single_head_model}
-    if header.get("kind") not in builders:
+    if not isinstance(header.get("kind"), str) or header["kind"] not in builders:
         raise DataError(f"{path}: key 'kind' must be one of {sorted(builders)}, "
                         f"got {header.get('kind')!r}")
     raw = header.get("config")
-    names = {f.name for f in fields(ModelConfig)}
-    if not isinstance(raw, dict) or set(raw) != names:
-        raise DataError(f"{path}: key 'config' must be an object with exactly "
-                        f"the keys {sorted(names)}")
-    config = ModelConfig(**{**raw, "input_size": tuple(raw["input_size"])})
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: key 'config' must be an object, got {raw!r}")
+    odd = sorted({f.name for f in fields(ModelConfig)} ^ set(raw))
+    if odd:
+        raise DataError(f"{path}: key 'config' has missing or unknown keys {odd}")
+    config = ModelConfig(**typed_fields(raw, ModelConfig, f"{path}: config", DataError))
     model = builders[header["kind"]](config)
     weights = load_container(directory / "weights.edt")
     if set(weights) != set(model.params):

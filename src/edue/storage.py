@@ -119,19 +119,29 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         raise DataError(f"no manifest.json in {directory}")
     manifest = read_json_object(manifest_path)
     if manifest.get("format") != DATASET_FORMAT:
-        raise DataError(f"unrecognized dataset format "
-                        f"{manifest.get('format')!r} in {manifest_path}")
-    structures = tuple(manifest.get("structures", ()))
-    if not structures:
-        raise DataError("manifest lists no structures")
+        raise DataError(f"{manifest_path}: key 'format' must be "
+                        f"{DATASET_FORMAT!r}, got {manifest.get('format')!r}")
+    structures = manifest.get("structures")
+    if (not isinstance(structures, list) or not structures
+            or not all(isinstance(name, str) for name in structures)):
+        raise DataError(f"{manifest_path}: key 'structures' must be a non-empty "
+                        f"list of names, got {structures!r}")
+    structures = tuple(structures)
     images = manifest.get("images", [])
+    if not isinstance(images, list) or not all(isinstance(e, dict) for e in images):
+        raise DataError(f"{manifest_path}: key 'images' must be a list of objects")
     if len(images) != manifest.get("n_images"):
-        raise DataError("manifest n_images disagrees with its images list")
+        raise DataError(f"{manifest_path}: key 'n_images' disagrees with "
+                        f"its images list")
     samples = []
     for entry in images:
-        for key in ("file", "delta_used"):
-            if key not in entry:
-                raise DataError(f"{manifest_path}: an images entry has no {key!r} key")
+        if not isinstance(entry.get("file"), str):
+            raise DataError(f"{manifest_path}: an images entry's 'file' must be "
+                            f"a file name, got {entry.get('file')!r}")
+        delta = entry.get("delta_used")
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+            raise DataError(f"{manifest_path}: an images entry's 'delta_used' "
+                            f"must be a number, got {delta!r}")
         path = directory / entry["file"]
         if not path.is_file():
             raise DataError(f"dataset file missing: {path}")
@@ -148,7 +158,7 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         samples.append(RaterSample(image=tensors["image"],
                                    masks=np.stack(masks, axis=0),
                                    true_mask=np.stack(true_masks, axis=0),
-                                   delta_used=float(entry["delta_used"]),
+                                   delta_used=float(delta),
                                    structure_names=structures))
     return samples, manifest
 
@@ -202,7 +212,7 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
         raise DataError(f"no train_meta.json in {directory}; not a checkpoint "
                         f"directory")
     meta = read_json_object(meta_path)
-    if meta.get("arm") not in ARMS:
+    if not isinstance(meta.get("arm"), str) or meta["arm"] not in ARMS:
         raise DataError(f"{meta_path}: key 'arm' must be one of {sorted(ARMS)}, "
                         f"got {meta.get('arm')!r}")
     n_models = meta.get("n_members")

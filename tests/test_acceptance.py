@@ -23,7 +23,6 @@ from edue.cli import main as cli_main
 from edue.config import from_dict, save_config
 from edue.container import load_container, save_container
 from edue.disagreement import (
-    HeadOutputs,
     LossWeights,
     binarize_majority,
     gt_heatmap,
@@ -107,7 +106,7 @@ def _single_rater_nll(model, samples, structure=0):
     vals = []
     for s in samples:
         out = forward(model, Tensor(np.asarray(s.image)[None]))
-        pred = out.probs[0].data[0, 0]
+        pred = out[0].data[0, 0]
         target = binarize_majority(soft_majority(s.masks[structure]))
         vals.append(nll(pred, target))
     return float(np.mean(vals))
@@ -237,7 +236,7 @@ def _two_head_loss(params, x, head_targets, h_gt, weights):
     h = ad.relu(ad.channel_norm(h, params["g1"], params["s1"]))
     logits = [ad.conv2d(h, params["hw0"], params["hb0"]),
               ad.conv2d(h, params["hw1"], params["hb1"])]
-    heads = HeadOutputs(probs=[ad.sigmoid(z) for z in logits])
+    heads = [ad.sigmoid(z) for z in logits]
     loss, _ = total_loss(heads, head_targets, h_gt, weights)
     return loss
 
@@ -363,8 +362,7 @@ def test_criterion_3_loss_algebra_is_exact(announce):
         w = LossWeights(alpha=float(rng.uniform(0.1, 2.0)),
                         beta=float(rng.uniform(0.1, 5.0)))
         tens = [Tensor(hd) for hd in heads]
-        _, parts = total_loss(HeadOutputs(probs=tens),
-                              targets, h_gt, w)
+        _, parts = total_loss(tens, targets, h_gt, w)
         f = ad.default_dtype()
         recomposed = f(f(parts["bce_sum"]) * f(w.alpha)) + f(f(parts["rmse"]) * f(w.beta))
         recompositions_exact &= (f(parts["total"]) == recomposed)
@@ -377,7 +375,7 @@ def test_criterion_3_loss_algebra_is_exact(announce):
         for _ in range(25):
             k = int(rng.integers(2, 5))
             probs = [rng.uniform(0.0, 1.0, (1, 1, 4, 4)) for _ in range(k)]
-            hm = model_heatmap(HeadOutputs(probs=[Tensor(pr) for pr in probs])).data
+            hm = model_heatmap([Tensor(pr) for pr in probs]).data
             loop = np.empty((1, 1, 4, 4))
             stacked = np.stack(probs)
             for i in range(4):

@@ -303,6 +303,28 @@ class TestMalformedFiles:
                                  lambda d: d["config"].update(batch_size=0)),
         "meta_batch_size_float": ("edue", "edue/train_meta.json", "batch_size",
                                   lambda d: d["config"].update(batch_size=4.0)),
+        "meta_head_skip_list": ("edue", "edue/train_meta.json", "head_skip",
+                                lambda d: d.update(head_skip=[1])),
+        "meta_structure_list": ("de", "de/train_meta.json", "structure",
+                                lambda d: d.update(structure=[1])),
+        "manifest_entry_number": ("edue", "data/manifest.json", "images",
+                                  lambda d: d["images"].__setitem__(1, 3)),
+        "manifest_images_number": ("edue", "data/manifest.json", "images",
+                                   lambda d: d.update(images=3)),
+        "manifest_structures_number": ("edue", "data/manifest.json", "structures",
+                                       lambda d: d.update(structures=3)),
+        "manifest_file_number": ("edue", "data/manifest.json", "file",
+                                 lambda d: d["images"][0].update(file=3)),
+        "manifest_delta_list": ("edue", "data/manifest.json", "delta_used",
+                                lambda d: d["images"][3].update(delta_used=[1])),
+        "model_input_size_number": ("edue", "edue/model.json", "input_size",
+                                    lambda d: d["config"].update(input_size=3)),
+        "model_n_e_string": ("edue", "edue/model.json", "n_e",
+                             lambda d: d["config"].update(n_e="4")),
+        "model_seed_list": ("edue", "edue/model.json", "seed",
+                            lambda d: d["config"].update(seed=[1])),
+        "member_head_hidden": ("de", "de/member_1/model.json", "head_hidden",
+                               lambda d: d["config"].update(head_hidden=0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -362,6 +384,27 @@ JSON_OBJECTS = [
 NON_OBJECTS = ([1], 3, "text")
 
 
+def _eval_edited_copy(tree, rel, edit):
+    """eval's exit code on a copy of tree whose JSON file rel is
+    rewritten as edit(its parsed content)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tree"
+        shutil.copytree(tree, root)
+        doc = edit(json.loads((root / rel).read_text()))
+        (root / rel).write_text(json.dumps(doc))
+        arm = rel.split("/")[0] if rel.split("/")[0] != "data" else "edue"
+        return main(["eval", "--model", str(root / arm), "--data",
+                     str(root / "data"), "--out", str(root / "r.json")])
+
+
+def _draw_key(data, doc, trail):
+    """The object at trail inside doc, and one of its keys."""
+    target = doc
+    for step in trail:
+        target = target[step]
+    return target, data.draw(st.sampled_from(sorted(target)))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -370,23 +413,32 @@ def test_deleting_any_json_key_exits_zero_or_two(trained_tree, data):
     level with a non-object; eval must exit 0 or 2, never 1."""
     rel, trail = data.draw(st.sampled_from(JSON_OBJECTS))
     replace_top = not trail and data.draw(st.booleans())
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp) / "tree"
-        shutil.copytree(trained_tree, root)
-        doc = json.loads((root / rel).read_text())
+
+    def edit(doc):
         if replace_top:
-            key = doc = data.draw(st.sampled_from(NON_OBJECTS))
-        else:
-            target = doc
-            for step in trail:
-                target = target[step]
-            key = data.draw(st.sampled_from(sorted(target)))
-            del target[key]
-        (root / rel).write_text(json.dumps(doc))
-        arm = rel.split("/")[0] if rel.split("/")[0] != "data" else "edue"
-        code = main(["eval", "--model", str(root / arm), "--data",
-                     str(root / "data"), "--out", str(root / "r.json")])
-    assert code in ((2,) if replace_top else (0, 2)), (rel, trail, key)
+            return data.draw(st.sampled_from(NON_OBJECTS))
+        target, key = _draw_key(data, doc, trail)
+        del target[key]
+        return doc
+
+    code = _eval_edited_copy(trained_tree, rel, edit)
+    assert code in ((2,) if replace_top else (0, 2)), (rel, trail)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replacing_any_json_value_exits_zero_or_two(trained_tree, data):
+    """Replace one value in a JSON object with a list, a number or a
+    string; eval must exit 0 or 2, never 1."""
+    rel, trail = data.draw(st.sampled_from(JSON_OBJECTS))
+
+    def edit(doc):
+        target, key = _draw_key(data, doc, trail)
+        target[key] = data.draw(st.sampled_from(NON_OBJECTS))
+        return doc
+
+    assert _eval_edited_copy(trained_tree, rel, edit) in (0, 2), (rel, trail)
 
 
 class TestQcAndOod:

@@ -79,6 +79,8 @@ class TestFromDict:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: epoch"):
             from_dict({"epoch": 3})
+        with pytest.raises(ConfigError, match="unknown config keys: head_hidden"):
+            from_dict({"head_hidden": 0})
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="'epochs' must be an integer"):
@@ -137,8 +139,6 @@ class TestDerivedConfigs:
         assert settings.beta == 3.5
         assert settings.de_members == 4
         assert settings.head_skip == 1
-        weights = cfg.loss_weights()
-        assert weights.alpha == 1.0 and weights.beta == 3.5
 
 
 class TestFileRoundTrip:

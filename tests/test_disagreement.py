@@ -24,7 +24,7 @@ from edue.disagreement import (
     total_loss,
     train,
 )
-from edue.model import HeadOutputs, ModelConfig, build_model
+from edue.model import ModelConfig, build_model
 
 
 @contextmanager
@@ -37,8 +37,7 @@ def dtype64():
 
 
 def heads_from(prob_arrays):
-    tensors = [Tensor(p) for p in prob_arrays]
-    return HeadOutputs(probs=tensors)
+    return [Tensor(p) for p in prob_arrays]
 
 
 def fd_grad(build_loss, leaf, h=1e-5):
@@ -136,11 +135,11 @@ class TestModelHeatmap:
                       for _ in range(3)]
 
             def variance_sum():
-                hm = model_heatmap(HeadOutputs(probs=leaves))
+                hm = model_heatmap(leaves)
                 return float(ad.scale(ad.mean_all(hm), hm.data.size).data)
 
             with Tape() as tape:
-                hm = model_heatmap(HeadOutputs(probs=leaves))
+                hm = model_heatmap(leaves)
                 tape.backward(ad.scale(ad.mean_all(hm), hm.data.size))
             mean = np.mean([l.data for l in leaves], axis=0)
             for leaf in leaves:
@@ -319,12 +318,12 @@ class TestTotalLoss:
 
             def build_loss():
                 probs = [ad.sigmoid(t) for t in z]
-                loss, _ = total_loss(HeadOutputs(probs=probs), targets, h_gt, w)
+                loss, _ = total_loss(probs, targets, h_gt, w)
                 return float(loss.data)
 
             with Tape() as tape:
                 probs = [ad.sigmoid(t) for t in z]
-                loss, _ = total_loss(HeadOutputs(probs=probs), targets, h_gt, w)
+                loss, _ = total_loss(probs, targets, h_gt, w)
                 tape.backward(loss)
             for leaf in z:
                 assert rel_err(leaf.grad, fd_grad(build_loss, leaf)) < 1e-5
@@ -346,7 +345,7 @@ class TestRmseOnlyConvergence:
         gap = None
         for _ in range(500):
             with Tape() as tape:
-                hm = model_heatmap(HeadOutputs(probs=[ad.sigmoid(z1), ad.sigmoid(z2)]))
+                hm = model_heatmap([ad.sigmoid(z1), ad.sigmoid(z2)])
                 tape.backward(rmse_loss(hm, Tensor(target)))
             opt.step()
             opt.zero_grad()

@@ -127,7 +127,7 @@ class TestEnsemblePredict:
         out = aggregate_heads(prob_maps(members, x.data)[0])
         np.testing.assert_array_equal(out["heatmap"], 0.0)
         assert out["sv"] == 0.0
-        single = forward(members[0], x).probs[0].data[0, 0]
+        single = forward(members[0], x)[0].data[0, 0]
         np.testing.assert_allclose(out["final_mask"], single, rtol=1e-6)
 
     def test_two_fixed_members_give_known_variance(self):
@@ -155,7 +155,7 @@ class TestEnsemblePredict:
         members = [build_single_head_model(tiny_config(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
         out = aggregate_heads(prob_maps(members, x.data)[0])
-        maps = [forward(m, x).probs[0].data[0, 0].astype(np.float64)
+        maps = [forward(m, x)[0].data[0, 0].astype(np.float64)
                 for m in members]
         expected = np.zeros((16, 16))
         for r in range(16):

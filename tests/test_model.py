@@ -1,12 +1,14 @@
 """Architecture tests: parameter accounting, shapes, determinism, heads."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from edue import autodiff as ad
 from edue.autodiff import Tensor
+from edue.config import PRESET_NAMES, preset
 from edue.model import (
-    HeadOutputs,
     ModelConfig,
     aggregate_heads,
     build_model,
@@ -20,6 +22,7 @@ from edue.model import (
 )
 
 DESK = ModelConfig()  # n_e=4, n_d=3, 1 channel in, base 8, growth 2, 32x32
+BUILDERS = {"multi_head": build_model, "single_head_full": build_single_head_model}
 
 
 def desk_input(batch=2, seed=0):
@@ -55,18 +58,33 @@ class TestParameterCount:
         assert member.parameter_count() == expected
         assert build_model(DESK).parameter_count() < member.parameter_count()
 
-    def test_count_matches_built_model_at_full_scale(self):
-        cfg = full_scale_config()
-        model = build_model(cfg)
-        assert model.parameter_count() == parameter_count(cfg)
-        assert model.n_heads == 5
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_count_matches_built_model_at_full_scale(self, name, kind):
+        cfg = preset(name).model_config()
+        model = BUILDERS[kind](cfg)
+        assert model.parameter_count() == parameter_count(cfg, kind)
+        assert model.n_heads == (cfg.n_d if kind == "multi_head" else 1)
 
-    def test_hidden_head_variant(self):
-        cfg = ModelConfig(head_hidden=4)
-        model = build_model(cfg)
-        assert model.parameter_count() == parameter_count(cfg)
-        # dec2 head: 4*8+4 hidden + 4+1 out = 41 instead of 9
-        assert "head2.hidden.w" in model.params
+
+class TestPinnedInit:
+    # (weights_hash, sha256 of the saved weights.edt) for desk ModelConfig()
+    # at seed 0, recorded with numpy 2.4.6 before init, forward and the
+    # parameter count were derived from one layer spec.  Any change to the
+    # parameter names, their order or the draw order moves these values.
+    PINNED = {
+        "multi_head": (2905942182, "7798bce48ca11f0338a5632135adee4c"
+                                   "8a4805694970c40ce28e039b322793e0"),
+        "single_head_full": (4186188105, "4a095bae52f5da16195fac9ea467eb42"
+                                         "1fe21be77ceaa370b407871c51032c6c"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_initial_weights_match_pinned_values(self, tmp_path, kind):
+        model = BUILDERS[kind](DESK)
+        save_checkpoint(tmp_path, model)
+        digest = hashlib.sha256((tmp_path / "weights.edt").read_bytes()).hexdigest()
+        assert (model.weights_hash(), digest) == self.PINNED[kind]
 
 
 class TestDeterminism:
@@ -84,8 +102,8 @@ class TestDeterminism:
 
     def test_forward_is_deterministic(self):
         x = desk_input()
-        pa = forward(build_model(DESK), x).probs
-        pb = forward(build_model(DESK), x).probs
+        pa = forward(build_model(DESK), x)
+        pb = forward(build_model(DESK), x)
         for ta, tb in zip(pa, pb):
             np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -94,9 +112,9 @@ class TestForward:
     def test_head_shapes_and_range(self):
         model = build_model(DESK)
         outs = forward(model, desk_input(batch=3))
-        assert isinstance(outs, HeadOutputs)
-        assert len(outs.probs) == 3
-        for pr in outs.probs:
+        assert isinstance(outs, list)
+        assert len(outs) == 3
+        for pr in outs:
             assert pr.data.shape == (3, 1, 32, 32)
             assert np.all(pr.data > 0.0) and np.all(pr.data < 1.0)
 
@@ -105,21 +123,21 @@ class TestForward:
         # must be constant on aligned 8x8 blocks; head2 on 2x2 blocks.
         outs = forward(build_model(DESK), desk_input())
         for head, block in ((0, 8), (2, 2)):
-            p = outs.probs[head].data
+            p = outs[head].data
             blocks = p.reshape(2, 1, 32 // block, block, 32 // block, block)
             anchor = np.broadcast_to(blocks[:, :, :, :1, :, :1], blocks.shape)
             np.testing.assert_array_equal(blocks, anchor)
 
     def test_heads_disagree_with_random_weights(self):
         outs = forward(build_model(DESK), desk_input())
-        assert np.abs(outs.probs[0].data - outs.probs[1].data).max() > 1e-4
+        assert np.abs(outs[0].data - outs[1].data).max() > 1e-4
 
     def test_zero_weights_give_half_everywhere(self):
         model = build_model(DESK)
         for p in model.params.values():
             p.data[...] = 0.0
         outs = forward(model, desk_input())
-        for pr in outs.probs:
+        for pr in outs:
             np.testing.assert_allclose(pr.data, 0.5, rtol=0, atol=1e-7)
 
     def test_shape_invariant_under_width_doubling(self):
@@ -127,7 +145,7 @@ class TestForward:
         # conv kernels quadruple; biases and norms only double
         assert wide.parameter_count() > 3.9 * build_model(DESK).parameter_count()
         outs = forward(wide, desk_input())
-        assert [p.data.shape for p in outs.probs] == [(2, 1, 32, 32)] * 3
+        assert [p.data.shape for p in outs] == [(2, 1, 32, 32)] * 3
 
     def test_rejects_wrong_input_shape(self):
         model = build_model(DESK)
@@ -139,10 +157,10 @@ class TestForward:
     def test_single_head_full_resolution(self):
         member = build_single_head_model(DESK)
         outs = forward(member, desk_input())
-        assert len(outs.probs) == 1
-        assert outs.probs[0].data.shape == (2, 1, 32, 32)
+        assert len(outs) == 1
+        assert outs[0].data.shape == (2, 1, 32, 32)
         # Full decoder ends at input resolution: adjacent pixels may differ.
-        p = outs.probs[0].data
+        p = outs[0].data
         assert np.abs(p[..., ::2, :] - p[..., 1::2, :]).max() > 1e-6
 
     def test_pass_counters(self):
@@ -155,10 +173,12 @@ class TestForward:
     def test_full_scale_forward_shapes(self):
         cfg = full_scale_config()
         model = build_model(cfg)
+        assert model.parameter_count() == parameter_count(cfg)
+        assert model.n_heads == 5
         rng = np.random.default_rng(0)
         outs = forward(model, Tensor(rng.normal(size=(1, 3, 256, 256))))
-        assert len(outs.probs) == 5
-        assert all(p.data.shape == (1, 1, 256, 256) for p in outs.probs)
+        assert len(outs) == 5
+        assert all(p.data.shape == (1, 1, 256, 256) for p in outs)
 
 
 class TestAggregation:
@@ -203,7 +223,7 @@ class TestAggregation:
         outs = forward(model, x)
         np.testing.assert_allclose(
             skipped["final_mask"],
-            np.stack([outs.probs[1].data, outs.probs[2].data]).mean(axis=0)[0, 0],
+            np.stack([outs[1].data, outs[2].data]).mean(axis=0)[0, 0],
             atol=1e-7,
         )
         assert not np.allclose(full["final_mask"], skipped["final_mask"])
