@@ -114,19 +114,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     structures = list(manifest["structures"])
     k = _structure_index(args, structures)
     items = to_train_items(samples, structure=k)
-    settings = config.arm_settings()
     arm = args.arm.replace("-", "_")
-    models, traces = train_arm(arm, config.model_config(), items, settings, seed)
+    models, traces = train_arm(arm, config, items, seed)
     meta = {
         "config": config.as_dict(),
         "seed": seed,
         "structure": k,
         "structure_name": structures[k],
-        "head_skip": ARMS[arm].skipped_heads(settings),
+        "head_skip": ARMS[arm].skipped_heads(config),
     }
     save_checkpoint_dir(args.out, arm, models, traces, meta)
     last = traces[-1][-1]
-    _note(f"trained {arm} ({len(models)} model(s), {settings.epochs} epochs); "
+    _note(f"trained {arm} ({len(models)} model(s), {config.epochs} epochs); "
           f"final mean loss {last.mean_total:.4f}; checkpoint in {args.out}")
     return 0
 
@@ -247,8 +246,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("--seeds must name at least one seed")
     train_samples, _ = load_dataset(args.train_data)
     test_samples, _ = load_dataset(args.test_data)
-    report = run_comparison(train_samples, test_samples, config.model_config(),
-                            config.arm_settings(), seeds=seeds)
+    report = run_comparison(train_samples, test_samples, config, seeds=seeds)
     report["preset"] = config.preset
     report["config"] = config.as_dict()
     out = Path(args.out)

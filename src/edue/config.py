@@ -1,10 +1,12 @@
 """Run configuration: one flat, hand-validated JSON document per run.
 
 A RunConfig bundles everything a run needs: model shape, loss weights,
-scene parameters for the generator, and the training schedule.  Three
-presets cover the supported regimes: "desk" (small, minutes on one
-core) and two full-scale presets ("riga-like", "hecktor-like") sized
-for fundus-style and tumor-style workloads.
+scene parameters for the generator, and the training schedule.  It is
+the only place that declares defaults; the model, scene and loss
+configs are built from it by field name.  Three presets cover the
+supported regimes: "desk" (small, minutes on one core) and two
+full-scale presets ("riga-like", "hecktor-like") sized for
+fundus-style and tumor-style workloads.
 
 A config file is a JSON object with an optional "preset" key plus any
 overrides.  Unknown keys are rejected rather than ignored: a typo in a
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .container import atomic_write_text, typed_fields
-from .harness import ArmSettings
+from .disagreement import LossWeights
 from .model import ModelConfig
 from .raters import SceneParams
 
@@ -43,8 +45,7 @@ class RunConfig:
     preset: str = "desk"
     seed: int = 0
     # model shape
-    n_e: int = 4
-    n_d: int = 3
+    n_e: int = 4  # encoder levels; the multi-head net has n_e - 1 heads
     in_channels: int = 1
     base_channels: int = 8
     channel_growth: int = 2
@@ -70,25 +71,18 @@ class RunConfig:
     n_train: int = 200
     n_test: int = 100
 
+    def _build(self, cls, seed: int | None, **renamed):
+        """cls from the fields of the same name, plus renamed ones."""
+        names = {f.name for f in fields(cls)} - set(renamed) - {"seed"}
+        return cls(**{name: getattr(self, name) for name in names}, **renamed,
+                   seed=self.seed if seed is None else seed)
+
     def model_config(self, seed: int | None = None) -> ModelConfig:
-        return ModelConfig(n_e=self.n_e, n_d=self.n_d, in_channels=self.in_channels,
-                           base_channels=self.base_channels,
-                           channel_growth=self.channel_growth,
-                           input_size=self.input_size,
-                           seed=self.seed if seed is None else seed)
+        return self._build(ModelConfig, seed)
 
     def scene_params(self, seed: int | None = None) -> SceneParams:
-        return SceneParams(image_size=self.input_size, n_raters=self.n_raters,
-                           delta_low=self.delta_low, delta_high=self.delta_high,
-                           ambiguity_mix=self.ambiguity_mix,
-                           texture_noise=self.texture_noise,
-                           structure=self.structure, channels=self.in_channels,
-                           seed=self.seed if seed is None else seed)
-
-    def arm_settings(self) -> ArmSettings:
-        return ArmSettings(epochs=self.epochs, batch_size=self.batch_size,
-                           lr=self.lr, alpha=self.alpha, beta=self.beta,
-                           de_members=self.de_members, head_skip=self.head_skip)
+        return self._build(SceneParams, seed, image_size=self.input_size,
+                           channels=self.in_channels)
 
     def validate(self) -> None:
         if self.preset not in PRESET_NAMES:
@@ -99,12 +93,20 @@ class RunConfig:
         try:
             self.model_config().validate()
             self.scene_params().validate()
-            self.arm_settings().validate()
+            LossWeights(alpha=self.alpha, beta=self.beta).validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.head_skip > self.n_d - 2:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
+        if self.de_members < 2:
+            raise ConfigError(f"deep ensemble needs >= 2 members, got {self.de_members}")
+        if self.head_skip < 0:
+            raise ConfigError("head_skip must be >= 0")
+        if self.head_skip > self.n_e - 3:  # the multi-head net has n_e - 1 heads
             raise ConfigError(f"head_skip {self.head_skip} must leave at least 2 of "
-                              f"the {self.n_d} heads (at most {self.n_d - 2})")
+                              f"the {self.n_e - 1} heads (at most {self.n_e - 3})")
 
     def as_dict(self) -> dict:
         doc = asdict(self)
@@ -119,13 +121,13 @@ class RunConfig:
 _PRESETS: dict[str, dict] = {
     "desk": {},
     "riga-like": dict(
-        n_e=6, n_d=5, in_channels=3, input_size=(256, 256),
+        n_e=6, in_channels=3, input_size=(256, 256),
         beta=5.0, n_raters=6, structure="nested",
         epochs=200, batch_size=16, lr=5e-5, de_members=5, head_skip=3,
         n_train=600, n_test=150,
     ),
     "hecktor-like": dict(
-        n_e=6, n_d=5, in_channels=2, input_size=(128, 128),
+        n_e=6, in_channels=2, input_size=(128, 128),
         beta=2.5, n_raters=3, structure="single_blob",
         epochs=120, batch_size=32, lr=5e-5, de_members=5, head_skip=3,
         n_train=400, n_test=100,
@@ -147,15 +149,15 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     """Build and validate a RunConfig from a JSON-shaped dict.
 
     Values start from the named preset (default "desk"); every other
-    key overrides one field.  Unknown keys and values of the wrong type
-    are errors; a type error names where the document came from and the key.
+    key overrides one field.  Unknown keys, values of the wrong type and
+    non-finite numbers are errors that name where the document came from.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"{where}: unknown config keys: {', '.join(unknown)}")
     overrides = typed_fields(doc, RunConfig, where, ConfigError)
     name = overrides.get("preset", "desk")
     if name not in _PRESETS:

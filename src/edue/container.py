@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import tempfile
 import typing
 import zlib
@@ -79,7 +80,10 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 def read_json_object(path: str | os.PathLike) -> dict:
     """Parse a JSON file whose top level must be an object."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # invalid JSON text or invalid UTF-8
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: top level must be a JSON object, "
                         f"got {type(doc).__name__}")
@@ -105,9 +109,10 @@ def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
     """doc's values checked against the field types of dataclass cls.
 
     Every key of doc must be a field of cls.  Integers never accept a
-    bool, number fields accept an integer and return a float, and pair
-    fields accept a JSON list.  A value of the wrong type raises error,
-    naming where and the key.
+    bool, number fields accept an integer and return a float but no
+    NaN, infinity or integer beyond the float range, and pair fields
+    accept a JSON list.  A value of the wrong type raises error, naming
+    where and the key.
     """
     hints = typing.get_type_hints(cls)
     out = {}
@@ -115,6 +120,8 @@ def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
         what, accepts, convert = _FIELD_TYPES[hints[key]]
         if not accepts(value):
             raise error(f"{where} key {key!r} must be {what}, got {value!r}")
+        if convert is float and not abs(value) <= sys.float_info.max:
+            raise error(f"{where} key {key!r} must be a finite number, got {value!r}")
         out[key] = convert(value)
     return out
 

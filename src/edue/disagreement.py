@@ -51,8 +51,8 @@ RMSE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha: float = 1.0
-    beta: float = 5.0
+    alpha: float
+    beta: float
 
     def validate(self) -> None:
         if self.alpha < 0 or self.beta < 0:

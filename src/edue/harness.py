@@ -23,11 +23,12 @@ agreement drops when inputs are distorted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .disagreement import (
     EpochStats,
     LossWeights,
@@ -49,7 +50,6 @@ from .model import (
 from .raters import RaterSample, binary_dice, distort
 
 __all__ = [
-    "ArmSettings",
     "Arm",
     "ARMS",
     "QcCurve",
@@ -65,40 +65,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ArmSettings:
-    """Shared training schedule for all arms of one comparison.
-
-    The defaults mirror the desk preset; beta is strong enough there
-    for the variance-matching term to reorder the summed variance by
-    rater disagreement within 30 epochs.
-    """
-    epochs: int = 30
-    batch_size: int = 8
-    lr: float = 1e-3
-    alpha: float = 1.0
-    beta: float = 10.0
-    de_members: int = 3
-    head_skip: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.de_members < 2:
-            raise ValueError(f"deep ensemble needs >= 2 members, got {self.de_members}")
-        if self.head_skip < 0:
-            raise ValueError("head_skip must be >= 0")
-        LossWeights(alpha=self.alpha, beta=self.beta).validate()
-
-
-@dataclass(frozen=True)
 class Arm:
     """How one arm is built, trained and scored.
 
     ``labels`` returns the label sampler.  ``disagreement`` keeps beta
     (else it is forced to 0); ``ensemble`` trains ``de_members`` models
-    seeded ``seed + 1000 * (i + 1)``; ``head_skip`` applies the settings'
+    seeded ``seed + 1000 * (i + 1)``; ``head_skip`` applies the run config's
     head skip; ``uncertainty`` scores the variance heatmap too, and only
     such arms support qc, ood and compare.
     """
@@ -109,8 +81,8 @@ class Arm:
     head_skip: bool = False
     uncertainty: bool = True
 
-    def skipped_heads(self, settings: ArmSettings) -> int:
-        return settings.head_skip if self.head_skip else 0
+    def skipped_heads(self, config: RunConfig) -> int:
+        return config.head_skip if self.head_skip else 0
 
 
 # Samplers are looked up when an arm trains, not when the table is built,
@@ -130,21 +102,21 @@ def to_train_items(samples: Sequence[RaterSample], structure: int = 0) -> list[T
     return [TrainItem(image=s.image, masks=s.masks[structure]) for s in samples]
 
 
-def train_arm(name: str, config: ModelConfig, items: Sequence[TrainItem],
-              settings: ArmSettings, seed: int
+def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: int
               ) -> tuple[list[Model], list[list[EpochStats]]]:
-    """Train one arm's models (one, or one per ensemble member) and
-    return them with their per-epoch loss traces."""
-    settings.validate()
+    """Train one arm's models (one, or one per ensemble member) on the
+    config's model shape and schedule, and return them with their
+    per-epoch loss traces."""
+    config.validate()
     arm = ARMS[name]
-    seeds = ([seed + 1000 * (i + 1) for i in range(settings.de_members)]
+    seeds = ([seed + 1000 * (i + 1) for i in range(config.de_members)]
              if arm.ensemble else [seed])
-    weights = LossWeights(settings.alpha, settings.beta if arm.disagreement else 0.0)
+    weights = LossWeights(config.alpha, config.beta if arm.disagreement else 0.0)
     models, traces = [], []
     for model_seed in seeds:
-        model, trace = train(arm.build(replace(config, seed=model_seed)), items,
-                             epochs=settings.epochs, batch_size=settings.batch_size,
-                             lr=settings.lr, weights=weights,
+        model, trace = train(arm.build(config.model_config(seed=model_seed)), items,
+                             epochs=config.epochs, batch_size=config.batch_size,
+                             lr=config.lr, weights=weights,
                              rng=np.random.default_rng(model_seed), sampler=arm.labels())
         models.append(model)
         traces.append(trace)
@@ -317,15 +289,15 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
 
 
 def run_comparison(train_samples: Sequence[RaterSample],
-                   test_samples: Sequence[RaterSample], config: ModelConfig,
-                   settings: ArmSettings, seeds: Sequence[int] = (1, 2, 3)) -> dict:
+                   test_samples: Sequence[RaterSample], config: RunConfig,
+                   seeds: Sequence[int] = (1, 2, 3)) -> dict:
     """Train and evaluate every uncertainty arm per seed and per structure.
 
     Returns a JSON-ready report: per-seed metric tables for each arm
     plus mean/std aggregation over seeds, forward-pass counts per
     prediction, and parameter counts.
     """
-    settings.validate()
+    config.validate()
     if not seeds:
         raise ValueError("run_comparison: need at least one seed")
     structures = list(train_samples[0].structure_names)
@@ -337,11 +309,11 @@ def run_comparison(train_samples: Sequence[RaterSample],
             row: dict = {"seed": seed, "structures": {}, "nll_values": []}
             for k, struct in enumerate(structures):
                 items = to_train_items(train_samples, structure=k)
-                models, _ = train_arm(name, config, items, settings, seed)
+                models, _ = train_arm(name, config, items, seed)
                 passes_before = sum(m.trunk_passes for m in models)
                 report = evaluate_arm(name, models, test_samples, structure=k,
-                                      head_skip=ARMS[name].skipped_heads(settings),
-                                      batch_size=settings.batch_size)
+                                      head_skip=ARMS[name].skipped_heads(config),
+                                      batch_size=config.batch_size)
                 passes_used = sum(m.trunk_passes for m in models) - passes_before
                 row["structures"][struct] = {
                     "sr": report.dataset["sr"],
@@ -371,9 +343,9 @@ def run_comparison(train_samples: Sequence[RaterSample],
         "seeds": list(seeds),
         "structures": structures,
         "settings": {
-            "epochs": settings.epochs, "batch_size": settings.batch_size,
-            "lr": settings.lr, "alpha": settings.alpha, "beta": settings.beta,
-            "de_members": settings.de_members, "head_skip": settings.head_skip,
+            "epochs": config.epochs, "batch_size": config.batch_size,
+            "lr": config.lr, "alpha": config.alpha, "beta": config.beta,
+            "de_members": config.de_members, "head_skip": config.head_skip,
         },
         "arms": arms,
     }

@@ -9,10 +9,14 @@ head variance is defined per input pixel.
 
 One layer spec serves both network kinds: ``_heads`` places the heads,
 and parameter init, the forward pass and the closed-form parameter count
-all read it.  The multi-head model has a head on each of its
-``n_d = n_e - 1`` levels.  The ensemble member (``build_single_head_model``),
-the one-output U-Net the deep-ensemble baseline trains copies of, decodes
-the same trunk one level further, to full resolution, with one head there.
+all read it.  The multi-head model has a head on each of its ``n_e - 1``
+decoder levels; the head count is derived, not configured.  The ensemble
+member (``build_single_head_model``), the one-output U-Net the
+deep-ensemble baseline trains copies of, decodes the same trunk one level
+further, to full resolution, with one head there.
+
+``ModelConfig`` has no defaults: it defines the ``model.json`` format, and
+runs build it from ``RunConfig.model_config``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "Model",
     "build_model",
     "build_single_head_model",
-    "full_scale_config",
     "forward",
     "prob_maps",
     "aggregate_heads",
@@ -48,34 +51,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n_e: int = 4
-    n_d: int = 3
-    in_channels: int = 1
-    base_channels: int = 8
-    channel_growth: int = 2
-    input_size: tuple[int, int] = (32, 32)
-    seed: int = 0
+    n_e: int
+    in_channels: int
+    base_channels: int
+    channel_growth: int
+    input_size: tuple[int, int]
+    seed: int
 
     def validate(self) -> None:
         if self.n_e < 2:
             raise ValueError(f"n_e must be >= 2, got {self.n_e}")
-        if self.n_d != self.n_e - 1:
-            raise ValueError(f"n_d must equal n_e - 1 (got n_d={self.n_d}, n_e={self.n_e})")
         if self.in_channels < 1 or self.base_channels < 1 or self.channel_growth < 1:
             raise ValueError("channel counts and growth must be positive")
-        h, w = self.input_size
-        div = 1 << self.n_e
-        if h % div or w % div:
-            raise ValueError(f"input size {self.input_size} must be divisible by 2^n_e = {div}")
+        # shifts rather than h % (1 << n_e), which builds a huge int for a huge n_e
+        if any(s >> self.n_e << self.n_e != s for s in self.input_size):
+            raise ValueError(f"input size {self.input_size} must be divisible by 2^{self.n_e}")
 
     def encoder_channels(self) -> list[int]:
         return [self.base_channels * self.channel_growth ** i for i in range(self.n_e)]
-
-
-def full_scale_config(in_channels: int = 3, seed: int = 0) -> ModelConfig:
-    """Full-scale preset: six encoder levels, five heads, 256x256 inputs."""
-    return ModelConfig(n_e=6, n_d=5, in_channels=in_channels, base_channels=8,
-                       channel_growth=2, input_size=(256, 256), seed=seed)
 
 
 class Model:
@@ -108,7 +101,7 @@ class Model:
 def _heads(config: ModelConfig, kind: str) -> dict[int, str]:
     """Decoder level -> head name; the decoder runs up to the last head."""
     if kind == "multi_head":
-        return {j: f"head{j}" for j in range(config.n_d)}
+        return {j: f"head{j}" for j in range(config.n_e - 1)}
     return {config.n_e - 1: "head0"}
 
 

@@ -44,15 +44,15 @@ class DegenerateSceneError(ValueError):
 
 @dataclass(frozen=True)
 class SceneParams:
-    image_size: tuple[int, int] = (32, 32)
-    n_raters: int = 4
-    delta_low: float = 0.5
-    delta_high: float = 3.0
-    ambiguity_mix: float = 0.5
-    texture_noise: float = 0.05
-    structure: str = "single_blob"
-    channels: int = 1
-    seed: int = 0
+    image_size: tuple[int, int]
+    n_raters: int
+    delta_low: float
+    delta_high: float
+    ambiguity_mix: float
+    texture_noise: float
+    structure: str
+    channels: int
+    seed: int
 
     def validate(self) -> None:
         h, w = self.image_size
@@ -63,7 +63,7 @@ class SceneParams:
         if not 0.0 <= self.delta_low <= self.delta_high:
             raise ValueError(f"need 0 <= delta_low <= delta_high, got "
                              f"{self.delta_low}, {self.delta_high}")
-        if self.delta_high >= min(h, w) / 4:
+        if 4 * self.delta_high >= min(h, w):
             raise ValueError(f"delta_high={self.delta_high} too large for {self.image_size}")
         if not 0.0 <= self.ambiguity_mix <= 1.0:
             raise ValueError(f"ambiguity_mix must be in [0, 1], got {self.ambiguity_mix}")
@@ -73,11 +73,6 @@ class SceneParams:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
-
-    @classmethod
-    def fixed_delta(cls, delta: float, **kwargs) -> "SceneParams":
-        """Every sample drawn at one disagreement level."""
-        return cls(delta_low=delta, delta_high=delta, **kwargs)
 
     def structure_names(self) -> tuple[str, ...]:
         return ("blob",) if self.structure == "single_blob" else ("disc", "cup")

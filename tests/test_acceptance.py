@@ -13,6 +13,7 @@ import filecmp
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 import edue.autodiff as ad
 from edue.autodiff import Tape, Tensor
 from edue.cli import main as cli_main
-from edue.config import from_dict, save_config
+from edue.config import from_dict, preset, save_config
 from edue.container import load_container, save_container
 from edue.disagreement import (
     LossWeights,
@@ -31,7 +32,6 @@ from edue.disagreement import (
     total_loss,
 )
 from edue.harness import (
-    ArmSettings,
     evaluate_arm,
     ood_experiment,
     quality_control,
@@ -46,17 +46,14 @@ from edue.metrics import (
     spearman,
 )
 from edue.model import (
-    ModelConfig,
     aggregate_heads,
     build_model,
     build_single_head_model,
     forward,
-    full_scale_config,
     parameter_count,
     prob_maps,
 )
 from edue.raters import (
-    SceneParams,
     generate_dataset,
     generate_sample,
     rater_agreement,
@@ -72,6 +69,12 @@ from test_metrics import (
 )
 
 SEEDS = (1, 2, 3)
+DESK = preset("desk")
+
+
+def _fixed_delta(delta):
+    """Desk scene params with every sample drawn at one disagreement level."""
+    return replace(DESK.scene_params(), delta_low=delta, delta_high=delta)
 
 
 @pytest.fixture
@@ -93,8 +96,7 @@ def announce(capsys):
 @pytest.fixture(scope="session")
 def desk_data():
     """200 train / 100 test images at the desk scale used by the gate."""
-    params = SceneParams(image_size=(32, 32), n_raters=4, delta_low=0.5,
-                         delta_high=3.0, ambiguity_mix=0.5, seed=101)
+    params = DESK.scene_params(seed=101)  # 32x32, 4 raters, delta 0.5 or 3.0
     train_samples, _ = generate_dataset(params, 200, np.random.default_rng(101))
     test_samples, _ = generate_dataset(params, 100, np.random.default_rng(202))
     return train_samples, test_samples
@@ -122,22 +124,20 @@ def desk_arms(desk_data):
     """
     train_samples, test_samples = desk_data
     items = to_train_items(train_samples)
-    config = ModelConfig()
-    settings = ArmSettings()
     arms = {"edue": [], "le": [], "single": []}
     reports = {"edue": [], "le": [], "single": []}
     t0 = time.perf_counter()
     for seed in SEEDS:
-        edue_models, _ = train_arm("edue", config, items, settings, seed)
-        le_models, _ = train_arm("le", config, items, settings, seed)
-        (single_model,), _ = train_arm("single_rater", config, items, settings, seed)
+        edue_models, _ = train_arm("edue", DESK, items, seed)
+        le_models, _ = train_arm("le", DESK, items, seed)
+        (single_model,), _ = train_arm("single_rater", DESK, items, seed)
         arms["edue"].append(edue_models)
         arms["le"].append(le_models)
         arms["single"].append(single_model)
         reports["edue"].append(evaluate_arm("edue", edue_models, test_samples,
-                                            batch_size=settings.batch_size))
+                                            batch_size=DESK.batch_size))
         reports["le"].append(evaluate_arm("le", le_models, test_samples,
-                                          batch_size=settings.batch_size))
+                                          batch_size=DESK.batch_size))
         reports["single"].append(_single_rater_nll(single_model, test_samples))
     elapsed = time.perf_counter() - t0
     return arms, reports, elapsed
@@ -148,9 +148,7 @@ def desk_ensembles(desk_data):
     """Three-member deep ensembles over the same three seeds."""
     train_samples, _ = desk_data
     items = to_train_items(train_samples)
-    config = ModelConfig()
-    settings = ArmSettings()
-    return [train_arm("de", config, items, settings, seed)[0] for seed in SEEDS]
+    return [train_arm("de", DESK, items, seed)[0] for seed in SEEDS]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def test_criterion_4_directional_ordering(announce, desk_arms):
 
 
 def test_criterion_5_single_pass_and_parameter_ratio(announce):
-    config = ModelConfig()
+    config = DESK.model_config()
     model = build_model(config)
     image = np.zeros((1, config.in_channels, *config.input_size), dtype=np.float32)
     aggregate_heads(prob_maps([model], image)[0])
@@ -432,13 +430,13 @@ def test_criterion_5_single_pass_and_parameter_ratio(announce):
     edue_passes = model.trunk_passes
 
     m = 3
-    members = [build_single_head_model(ModelConfig(seed=i)) for i in range(m)]
+    members = [build_single_head_model(DESK.model_config(seed=i)) for i in range(m)]
     aggregate_heads(prob_maps(members, image)[0])
     de_passes = sum(mm.trunk_passes for mm in members)
 
     desk_multi = parameter_count(config, "multi_head")
     desk_single = parameter_count(config, "single_head_full")
-    full = full_scale_config()
+    full = preset("riga-like").model_config()
     full_multi = parameter_count(full, "multi_head")
     full_single = parameter_count(full, "single_head_full")
 
@@ -510,7 +508,7 @@ def test_criterion_7_ood_agreement_drops(announce, desk_data, desk_arms, desk_en
             report = ood_experiment(predictor, test_samples, "gauss_noise", 0.3,
                                     rng=np.random.default_rng(900 + i),
                                     fractions=(0.0, 1.0),
-                                    batch_size=ArmSettings().batch_size)
+                                    batch_size=DESK.batch_size)
             clean.extend(report.per_fraction[0]["scores"])
             noisy.extend(report.per_fraction[1]["scores"])
         med0 = float(np.median(clean))
@@ -531,7 +529,7 @@ def test_criterion_8_generator_validity(announce):
     means = []
     for delta in (0.5, 1.0, 2.0, 4.0):
         rng = np.random.default_rng(23)
-        params = SceneParams.fixed_delta(delta)
+        params = _fixed_delta(delta)
         scores = [rater_agreement(generate_sample(params, rng).masks[0])
                   ["mean_pairwise_dice"] for _ in range(200)]
         means.append(float(np.mean(scores)))
@@ -540,7 +538,7 @@ def test_criterion_8_generator_validity(announce):
     rng = np.random.default_rng(29)
     zero_ok = True
     for _ in range(20):
-        s = generate_sample(SceneParams.fixed_delta(0.0), rng)
+        s = generate_sample(_fixed_delta(0.0), rng)
         zero_ok &= all(np.array_equal(s.masks[0, 0], s.masks[0, j])
                        for j in range(1, s.masks.shape[1]))
         zero_ok &= float(gt_heatmap(s.masks[0]).max()) == 0.0

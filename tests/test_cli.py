@@ -325,6 +325,8 @@ class TestMalformedFiles:
                             lambda d: d["config"].update(seed=[1])),
         "member_head_hidden": ("de", "de/member_1/model.json", "head_hidden",
                                lambda d: d["config"].update(head_hidden=0)),
+        "member_n_d": ("de", "de/member_1/model.json", "n_d",
+                       lambda d: d["config"].update(n_d=2)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -341,21 +343,36 @@ class TestMalformedFiles:
         assert err.startswith("data error: ")
         assert str(tmp_path / rel) in err and repr(key) in err
 
-    @pytest.mark.parametrize("rel", ["data/manifest.json", "edue/model.json",
-                                     "edue/train_meta.json",
-                                     "de/member_1/model.json"])
-    def test_non_object_top_level_exits_two_naming_file(self, tmp_path, cfg_path,
-                                                        dataset, capsys, rel):
+    JSON_FILES = ["data/manifest.json", "edue/model.json", "edue/train_meta.json",
+                  "de/member_1/model.json"]
+
+    def eval_with_text(self, tmp_path, cfg_path, dataset, capsys, rel, text):
+        """(exit code, stderr) of eval after rel's text is replaced."""
         _train_edue_and_de(tmp_path, cfg_path, dataset)
-        (tmp_path / rel).write_text("[1]")
+        (tmp_path / rel).write_text(text)
         capsys.readouterr()
         arm = "de" if rel.startswith("de/") else "edue"
         code = main(["eval", "--model", str(tmp_path / arm), "--data",
                      str(dataset), "--out", str(tmp_path / "r.json")])
-        err = capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel", JSON_FILES)
+    def test_non_object_top_level_exits_two_naming_file(self, tmp_path, cfg_path,
+                                                        dataset, capsys, rel):
+        code, err = self.eval_with_text(tmp_path, cfg_path, dataset, capsys,
+                                        rel, "[1]")
         assert code == 2
         assert err.startswith("data error: ")
         assert str(tmp_path / rel) in err and "JSON object" in err
+
+    @pytest.mark.parametrize("rel", JSON_FILES)
+    def test_invalid_json_text_exits_two_naming_file(self, tmp_path, cfg_path,
+                                                     dataset, capsys, rel):
+        code, err = self.eval_with_text(tmp_path, cfg_path, dataset, capsys,
+                                        rel, "{not json")
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert str(tmp_path / rel) in err and "not valid JSON" in err
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +572,24 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n_d": 3}', "n_d"),
+        ('{"bogus": 1}', "bogus"),
+        ('{"lr": NaN, "epochs": 1}', "lr"),
+        ('{"beta": Infinity}', "beta"),
+        ('{"texture_noise": 1e999}', "texture_noise"),
+    ])
+    def test_config_file_error_names_file_and_key(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["gen-data", "--config", str(bad), "--n", "2",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert str(bad) in err and key in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestDatasetValidation:

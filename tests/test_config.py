@@ -1,8 +1,12 @@
 """Tests for run configuration: presets, overrides, hand validation."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edue.config import (
     ConfigError,
@@ -13,6 +17,10 @@ from edue.config import (
     preset,
     save_config,
 )
+from edue.harness import ARMS
+from edue.model import build_model
+
+FLOAT_KEYS = sorted(f.name for f in fields(RunConfig) if f.type == "float")
 
 
 class TestPresets:
@@ -23,7 +31,8 @@ class TestPresets:
         cfg = preset("desk")
         cfg.validate()
         assert cfg.input_size == (32, 32)
-        assert cfg.n_e == 4 and cfg.n_d == 3
+        assert cfg.n_e == 4
+        assert build_model(cfg.model_config()).n_heads == 3
         assert cfg.epochs == 30
         assert cfg.n_train == 200 and cfg.n_test == 100
         assert cfg.de_members == 3
@@ -32,7 +41,8 @@ class TestPresets:
     def test_riga_like_preset_constants(self):
         cfg = preset("riga-like")
         cfg.validate()
-        assert cfg.n_e == 6 and cfg.n_d == 5
+        assert cfg.n_e == 6
+        assert build_model(cfg.model_config()).n_heads == 5
         assert cfg.input_size == (256, 256)
         assert cfg.in_channels == 3
         assert cfg.epochs == 200 and cfg.batch_size == 16
@@ -52,7 +62,7 @@ class TestPresets:
     def test_every_preset_leaves_two_heads(self, name):
         cfg = preset(name)
         cfg.validate()
-        assert cfg.n_d - cfg.head_skip >= 2
+        assert cfg.n_e - 1 - cfg.head_skip >= 2
 
     def test_head_skip_must_leave_two_heads(self):
         from_dict({"head_skip": 1})  # desk: three heads, two kept
@@ -81,6 +91,15 @@ class TestFromDict:
             from_dict({"epoch": 3})
         with pytest.raises(ConfigError, match="unknown config keys: head_hidden"):
             from_dict({"head_hidden": 0})
+        with pytest.raises(ConfigError, match="unknown config keys: n_d"):
+            from_dict({"n_d": 3})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+    def test_non_finite_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"run.json: config key '{key}' "
+                                              f"must be a finite number"):
+            from_dict({key: value}, where="run.json: config")
 
     def test_type_errors(self):
         with pytest.raises(ConfigError, match="'epochs' must be an integer"):
@@ -133,12 +152,12 @@ class TestDerivedConfigs:
         assert sp.channels == 2
         assert sp.image_size == cfg.input_size
 
-    def test_arm_settings_and_loss_weights(self):
+    def test_arms_read_schedule_fields(self):
         cfg = from_dict({"beta": 3.5, "de_members": 4, "head_skip": 1})
-        settings = cfg.arm_settings()
-        assert settings.beta == 3.5
-        assert settings.de_members == 4
-        assert settings.head_skip == 1
+        assert cfg.beta == 3.5
+        assert cfg.de_members == 4
+        assert ARMS["edue"].skipped_heads(cfg) == 1
+        assert ARMS["de"].skipped_heads(cfg) == 0
 
 
 class TestFileRoundTrip:
@@ -171,3 +190,34 @@ class TestFileRoundTrip:
         doc = preset("desk").as_dict()
         assert doc["input_size"] == [32, 32]
         assert from_dict(doc) == preset("desk")
+
+
+# A few keys per document, each with a value of its own type or any JSON
+# value, so documents reach validation past the type check too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+SMALL_INTS = st.integers() | st.integers(0, 8)
+TYPED = {
+    "int": SMALL_INTS,
+    "float": (st.floats() | st.floats(0.0, 1.0) | st.integers()
+              | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])),
+    "str": st.sampled_from(PRESET_NAMES + ("single_blob", "nested", "x")),
+    "tuple[int, int]": st.lists(SMALL_INTS | st.sampled_from([16, 32, 64]),
+                                min_size=2, max_size=2),
+}
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+CONFIG_DOCS = st.lists(st.sampled_from(sorted(FIELD_TYPES)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: TYPED[FIELD_TYPES[key]] | JSON_VALUES for key in keys}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_DOCS)
+def test_from_dict_returns_valid_config_or_config_error(doc):
+    try:
+        cfg = from_dict(doc)
+    except ConfigError:
+        return
+    cfg.validate()
+    assert all(math.isfinite(getattr(cfg, key)) for key in FLOAT_KEYS)

@@ -4,8 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edue.config import preset
 from edue.container import ContainerError, entry_table, load_container, save_container
+from edue.model import build_model, save_checkpoint
 
 
 def test_roundtrip_is_bitwise_stable(tmp_path):
@@ -92,3 +96,25 @@ def test_entry_table(tmp_path):
     save_container(path, {"a": np.zeros((2, 3), dtype=np.float32), "b": np.zeros(5, dtype=np.float32)})
     table = entry_table(path)
     assert ("a", (2, 3), 24) in table and ("b", (5,), 20) in table
+
+
+@pytest.fixture(scope="module")
+def weights_file(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(directory, build_model(preset("desk").model_config()))
+    return directory / "weights.edt"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupt_weights_file_raises_container_error(weights_file, data):
+    blob = bytearray(weights_file.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    broken = weights_file.with_name("broken.edt")
+    broken.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError):
+        load_container(broken)

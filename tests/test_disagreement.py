@@ -24,7 +24,8 @@ from edue.disagreement import (
     total_loss,
     train,
 )
-from edue.model import ModelConfig, build_model
+from edue.config import preset
+from edue.model import build_model
 
 
 @contextmanager
@@ -305,7 +306,7 @@ class TestTotalLoss:
     def test_target_count_mismatch(self):
         probs = [np.full((1, 1, 2, 2), 0.5)] * 2
         with pytest.raises(ValueError, match="targets"):
-            total_loss(heads_from(probs), [probs[0]], None, LossWeights(beta=0.0))
+            total_loss(heads_from(probs), [probs[0]], None, LossWeights(alpha=1.0, beta=0.0))
 
     def test_gradient_wrt_head_logits_fd(self):
         with dtype64():
@@ -332,7 +333,7 @@ class TestTotalLoss:
         probs = [np.full((1, 1, 2, 2), np.nan)] * 2
         targets = [np.zeros((1, 1, 2, 2))] * 2
         with pytest.raises(FloatingPointError, match="non-finite"):
-            total_loss(heads_from(probs), targets, None, LossWeights(beta=0.0))
+            total_loss(heads_from(probs), targets, None, LossWeights(alpha=1.0, beta=0.0))
 
 
 class TestRmseOnlyConvergence:
@@ -356,11 +357,11 @@ class TestRmseOnlyConvergence:
 
 
 class TestTrain:
-    CONFIG = ModelConfig()  # desk scale
+    CONFIG = preset("desk").model_config()
 
     def run(self, items, seed=0, sampler=sample_labels, beta=1.0, epochs=3,
             batch_size=4, lr=1e-3):
-        model = build_model(ModelConfig(seed=seed))
+        model = build_model(preset("desk").model_config(seed=seed))
         return train(model, items, epochs=epochs, batch_size=batch_size, lr=lr,
                      weights=LossWeights(alpha=1.0, beta=beta),
                      rng=np.random.default_rng(seed), sampler=sampler)
@@ -400,7 +401,7 @@ class TestTrain:
         model = build_model(self.CONFIG)
         with pytest.raises(ValueError, match="empty"):
             train(model, [], epochs=1, batch_size=2, lr=1e-3,
-                  weights=LossWeights(), rng=np.random.default_rng(0))
+                  weights=LossWeights(alpha=1.0, beta=5.0), rng=np.random.default_rng(0))
 
     def test_nan_aborts_with_batch_index(self):
         items = toy_items(4)

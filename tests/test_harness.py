@@ -13,9 +13,9 @@ import pytest
 from edue import harness
 from edue import model as model_module
 from edue.autodiff import ShapeError, Tensor
+from edue.config import RunConfig
 from edue.harness import (
     ARMS,
-    ArmSettings,
     agreement_score,
     ood_experiment,
     quality_control,
@@ -24,33 +24,30 @@ from edue.harness import (
     train_arm,
 )
 from edue.model import (
-    ModelConfig,
     aggregate_heads,
     build_model,
     build_single_head_model,
     forward,
     prob_maps,
 )
-from edue.raters import SceneParams, distort, generate_dataset
+from edue.raters import distort, generate_dataset
 
 
 def tiny_config(**kwargs):
-    base = dict(n_e=4, n_d=3, in_channels=1, base_channels=4, channel_growth=2,
-                input_size=(16, 16), seed=0)
+    """A 16x16 run: the model shape and the training schedule."""
+    base = dict(n_e=4, in_channels=1, base_channels=4, channel_growth=2,
+                input_size=(16, 16), seed=0, epochs=2, batch_size=4, lr=1e-3,
+                alpha=1.0, beta=1.0, de_members=2, head_skip=0)
     base.update(kwargs)
-    return ModelConfig(**base)
+    return RunConfig(**base)
 
 
-def tiny_settings(**kwargs):
-    base = dict(epochs=2, batch_size=4, lr=1e-3, alpha=1.0, beta=1.0,
-                de_members=2, head_skip=0)
-    base.update(kwargs)
-    return ArmSettings(**base)
+def tiny_model(seed=0):
+    return tiny_config(seed=seed).model_config()
 
 
 def make_samples(n, seed=0, structure="single_blob"):
-    params = SceneParams(image_size=(16, 16), n_raters=3, structure=structure,
-                         seed=seed)
+    params = tiny_config(n_raters=3, structure=structure, seed=seed).scene_params()
     samples, _ = generate_dataset(params, n, np.random.default_rng(seed))
     return samples
 
@@ -68,9 +65,8 @@ def fixed_output_member(config, prob):
 class TestTrainingArms:
     def test_le_baseline_same_architecture_no_disagreement_term(self):
         items = to_train_items(make_samples(6))
-        settings = tiny_settings()
-        (le,), (trace,) = train_arm("le", tiny_config(), items, settings, seed=3)
-        (ed,), _ = train_arm("edue", tiny_config(), items, settings, seed=3)
+        (le,), (trace,) = train_arm("le", tiny_config(), items, seed=3)
+        (ed,), _ = train_arm("edue", tiny_config(), items, seed=3)
         assert le.kind == "multi_head"
         assert le.parameter_count() == ed.parameter_count()
         for stats in trace:
@@ -79,8 +75,7 @@ class TestTrainingArms:
 
     def test_single_rater_baseline_is_single_head(self):
         items = to_train_items(make_samples(6))
-        (model,), (trace,) = train_arm("single_rater", tiny_config(), items,
-                                       tiny_settings(), seed=1)
+        (model,), (trace,) = train_arm("single_rater", tiny_config(), items, seed=1)
         assert model.kind == "single_head_full"
         assert model.n_heads == 1
         assert len(trace) == 2
@@ -88,8 +83,7 @@ class TestTrainingArms:
 
     def test_deep_ensemble_members_are_distinct(self):
         items = to_train_items(make_samples(6))
-        members, traces = train_arm("de", tiny_config(), items,
-                                    tiny_settings(de_members=3), seed=5)
+        members, traces = train_arm("de", tiny_config(de_members=3), items, seed=5)
         assert len(members) == 3 and len(traces) == 3
         hashes = {m.weights_hash() for m in members}
         assert len(hashes) == 3
@@ -98,31 +92,30 @@ class TestTrainingArms:
     def test_deep_ensemble_rejects_fewer_than_two_members(self):
         items = to_train_items(make_samples(4))
         with pytest.raises(ValueError, match=">= 2 members"):
-            train_arm("de", tiny_config(), items, tiny_settings(de_members=1),
-                      seed=0)
+            train_arm("de", tiny_config(de_members=1), items, seed=0)
 
     def test_training_is_deterministic_across_calls(self):
         items = to_train_items(make_samples(6))
-        (a,), _ = train_arm("edue", tiny_config(), items, tiny_settings(), seed=7)
-        (b,), _ = train_arm("edue", tiny_config(), items, tiny_settings(), seed=7)
+        (a,), _ = train_arm("edue", tiny_config(), items, seed=7)
+        (b,), _ = train_arm("edue", tiny_config(), items, seed=7)
         assert a.weights_hash() == b.weights_hash()
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            tiny_settings(epochs=0).validate()
+            tiny_config(epochs=0).validate()
         with pytest.raises(ValueError):
-            tiny_settings(lr=0.0).validate()
+            tiny_config(lr=0.0).validate()
         with pytest.raises(ValueError):
-            tiny_settings(de_members=1).validate()
+            tiny_config(de_members=1).validate()
         with pytest.raises(ValueError):
-            tiny_settings(head_skip=-1).validate()
+            tiny_config(head_skip=-1).validate()
         with pytest.raises(ValueError):
-            tiny_settings(alpha=-0.5).validate()
+            tiny_config(alpha=-0.5).validate()
 
 
 class TestEnsemblePredict:
     def test_identical_members_give_zero_heatmap(self):
-        members = [build_single_head_model(tiny_config(seed=4)) for _ in range(3)]
+        members = [build_single_head_model(tiny_model(seed=4)) for _ in range(3)]
         x = Tensor(np.random.default_rng(0).random((1, 1, 16, 16)))
         out = aggregate_heads(prob_maps(members, x.data)[0])
         np.testing.assert_array_equal(out["heatmap"], 0.0)
@@ -131,8 +124,8 @@ class TestEnsemblePredict:
         np.testing.assert_allclose(out["final_mask"], single, rtol=1e-6)
 
     def test_two_fixed_members_give_known_variance(self):
-        members = [fixed_output_member(tiny_config(), 0.2),
-                   fixed_output_member(tiny_config(), 0.8)]
+        members = [fixed_output_member(tiny_model(), 0.2),
+                   fixed_output_member(tiny_model(), 0.8)]
         x = Tensor(np.random.default_rng(1).random((1, 1, 16, 16)))
         out = aggregate_heads(prob_maps(members, x.data)[0])
         np.testing.assert_allclose(out["final_mask"], 0.5, atol=1e-6)
@@ -140,7 +133,7 @@ class TestEnsemblePredict:
         np.testing.assert_allclose(out["sv"], 0.09 * 16 * 16, rtol=1e-5)
 
     def test_each_member_runs_exactly_once_per_image(self):
-        members = [build_single_head_model(tiny_config(seed=s)) for s in range(3)]
+        members = [build_single_head_model(tiny_model(seed=s)) for s in range(3)]
         images = np.random.default_rng(2).random((4, 1, 1, 16, 16))
         before = sum(m.trunk_passes for m in members)
         for img in images:
@@ -152,7 +145,7 @@ class TestEnsemblePredict:
             prob_maps([], np.zeros((1, 1, 16, 16)))
 
     def test_heatmap_matches_per_pixel_variance_loop(self):
-        members = [build_single_head_model(tiny_config(seed=s)) for s in range(3)]
+        members = [build_single_head_model(tiny_model(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
         out = aggregate_heads(prob_maps(members, x.data)[0])
         maps = [forward(m, x)[0].data[0, 0].astype(np.float64)
@@ -168,14 +161,14 @@ class TestEnsemblePredict:
 
 class TestProbabilityMaps:
     def test_head_maps_shape_and_count(self):
-        model = build_model(tiny_config(seed=2))
+        model = build_model(tiny_model(seed=2))
         image = np.random.default_rng(3).random((1, 1, 16, 16))
         (maps,) = prob_maps([model], image)
         assert len(maps) == 3
         assert all(m.shape == (16, 16) for m in maps)
 
     def test_head_skip_drops_coarse_heads(self):
-        model = build_model(tiny_config(seed=2))
+        model = build_model(tiny_model(seed=2))
         image = np.random.default_rng(3).random((1, 1, 16, 16))
         (full,) = prob_maps([model], image)
         (skipped,) = prob_maps([model], image, head_skip=1)
@@ -185,7 +178,7 @@ class TestProbabilityMaps:
             aggregate_heads(prob_maps([model], image, head_skip=2)[0])
 
     def test_member_maps(self):
-        members = [build_single_head_model(tiny_config(seed=s)) for s in range(2)]
+        members = [build_single_head_model(tiny_model(seed=s)) for s in range(2)]
         image = np.random.default_rng(4).random((1, 1, 16, 16))
         (maps,) = prob_maps(members, image)
         assert len(maps) == 2 and maps[0].shape == (16, 16)
@@ -196,7 +189,7 @@ class TestProbabilityMaps:
 def untrained_arm(name, members=2):
     """An arm's untrained models: one, or `members` for an ensemble."""
     arm = ARMS[name]
-    return [arm.build(tiny_config(seed=11 + i))
+    return [arm.build(tiny_model(seed=11 + i))
             for i in range(members if arm.ensemble else 1)]
 
 
@@ -205,7 +198,7 @@ class TestBatchedPrediction:
     @pytest.mark.parametrize("head_skip", [0, 1])
     def test_batched_equals_one_image_batches(self, name, head_skip):
         models = untrained_arm(name)
-        skip = ARMS[name].skipped_heads(tiny_settings(head_skip=head_skip))
+        skip = ARMS[name].skipped_heads(tiny_config(head_skip=head_skip))
         images = np.random.default_rng(6).random((7, 1, 16, 16))
         single = np.concatenate([prob_maps(models, images[i:i + 1], skip)
                                  for i in range(len(images))])
@@ -226,7 +219,7 @@ class TestBatchedPrediction:
             return real(model, x)
 
         monkeypatch.setattr(model_module, "forward", spy)
-        model = build_model(tiny_config())
+        model = build_model(tiny_model())
         for n, batch_size, chunks in ((7, 3, [3, 3, 1]), (2, 8, [2]),
                                       (6, 3, [3, 3]), (4, None, [4])):
             sizes.clear()
@@ -243,7 +236,7 @@ class TestBatchedPrediction:
             assert [m.trunk_passes for m in members] == [expected] * 3
 
     def test_rejects_bad_image_sets_and_batch_sizes(self):
-        model = build_model(tiny_config())
+        model = build_model(tiny_model())
         with pytest.raises(ShapeError, match="N, C, H, W"):
             prob_maps([model], np.zeros((1, 16, 16)))
         with pytest.raises(ShapeError, match="non-empty"):
@@ -252,7 +245,7 @@ class TestBatchedPrediction:
             prob_maps([model], np.zeros((2, 1, 16, 16)), batch_size=0)
 
     def test_ood_draws_distortions_in_per_image_order(self, monkeypatch):
-        model = build_model(tiny_config(seed=9))
+        model = build_model(tiny_model(seed=9))
         samples = make_samples(5, seed=21)
         seen = []
         real = harness.prob_maps
@@ -446,7 +439,7 @@ class TestAgreementScore:
 
 @pytest.fixture(scope="module")
 def setup():
-    model = build_model(tiny_config(seed=9))
+    model = build_model(tiny_model(seed=9))
     samples = make_samples(5, seed=21)
     return model, samples
 
@@ -491,7 +484,7 @@ class TestOodExperiment:
 
     def test_works_with_ensembles(self, setup):
         _, samples = setup
-        members = [build_single_head_model(tiny_config(seed=s)) for s in range(2)]
+        members = [build_single_head_model(tiny_model(seed=s)) for s in range(2)]
         report = ood_experiment(members, samples, "gauss_noise", 0.3,
                                 rng=np.random.default_rng(3))
         assert len(report.per_fraction) == 3
@@ -511,7 +504,7 @@ class TestRunComparison:
         train_samples = make_samples(8, seed=31)
         test_samples = make_samples(6, seed=32)
         report = run_comparison(train_samples, test_samples, tiny_config(),
-                                tiny_settings(), seeds=(0, 1))
+                                seeds=(0, 1))
         assert set(report["arms"]) == {"edue", "le", "de"}
         assert report["structures"] == ["blob"]
         for arm in report["arms"].values():
@@ -526,22 +519,22 @@ class TestRunComparison:
         train_samples = make_samples(8, seed=33)
         test_samples = make_samples(6, seed=34)
         report = run_comparison(train_samples, test_samples, tiny_config(),
-                                tiny_settings(), seeds=(0,))
+                                seeds=(0,))
         edue_row = report["arms"]["edue"]["per_seed"][0]
         le_row = report["arms"]["le"]["per_seed"][0]
         de_row = report["arms"]["de"]["per_seed"][0]
         assert edue_row["passes_per_image"] == 1.0
         assert le_row["passes_per_image"] == 1.0
         assert de_row["passes_per_image"] == 2.0
-        member_count = build_single_head_model(tiny_config()).parameter_count()
+        member_count = build_single_head_model(tiny_model()).parameter_count()
         assert de_row["parameter_count"] == 2 * member_count
         assert edue_row["parameter_count"] < de_row["parameter_count"] / 2
 
     def test_nested_structures_make_nine_column_groups(self):
         train_samples = make_samples(6, seed=35, structure="nested")
         test_samples = make_samples(5, seed=36, structure="nested")
-        report = run_comparison(train_samples, test_samples, tiny_config(),
-                                tiny_settings(epochs=1), seeds=(0,))
+        report = run_comparison(train_samples, test_samples,
+                                tiny_config(epochs=1), seeds=(0,))
         summary = report["arms"]["edue"]["summary"]
         expected = {f"{s}.{m}" for s in ("disc", "cup")
                     for m in ("sr", "dc", "ncc", "dice")} | {"nll"}
@@ -551,4 +544,4 @@ class TestRunComparison:
     def test_requires_a_seed(self):
         with pytest.raises(ValueError, match="seed"):
             run_comparison(make_samples(4), make_samples(4), tiny_config(),
-                           tiny_settings(), seeds=())
+                           seeds=())

@@ -1,6 +1,7 @@
 """Architecture tests: parameter accounting, shapes, determinism, heads."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,19 +10,17 @@ from edue import autodiff as ad
 from edue.autodiff import Tensor
 from edue.config import PRESET_NAMES, preset
 from edue.model import (
-    ModelConfig,
     aggregate_heads,
     build_model,
     build_single_head_model,
     forward,
     load_checkpoint,
-    full_scale_config,
     parameter_count,
     prob_maps,
     save_checkpoint,
 )
 
-DESK = ModelConfig()  # n_e=4, n_d=3, 1 channel in, base 8, growth 2, 32x32
+DESK = preset("desk").model_config()  # n_e=4, 1 channel in, base 8, growth 2, 32x32
 BUILDERS = {"multi_head": build_model, "single_head_full": build_single_head_model}
 
 
@@ -64,11 +63,11 @@ class TestParameterCount:
         cfg = preset(name).model_config()
         model = BUILDERS[kind](cfg)
         assert model.parameter_count() == parameter_count(cfg, kind)
-        assert model.n_heads == (cfg.n_d if kind == "multi_head" else 1)
+        assert model.n_heads == (cfg.n_e - 1 if kind == "multi_head" else 1)
 
 
 class TestPinnedInit:
-    # (weights_hash, sha256 of the saved weights.edt) for desk ModelConfig()
+    # (weights_hash, sha256 of the saved weights.edt) for the desk model config
     # at seed 0, recorded with numpy 2.4.6 before init, forward and the
     # parameter count were derived from one layer spec.  Any change to the
     # parameter names, their order or the draw order moves these values.
@@ -97,7 +96,7 @@ class TestDeterminism:
 
     def test_different_seed_different_weights(self):
         a = build_model(DESK)
-        b = build_model(ModelConfig(seed=1))
+        b = build_model(replace(DESK, seed=1))
         assert a.weights_hash() != b.weights_hash()
 
     def test_forward_is_deterministic(self):
@@ -141,7 +140,7 @@ class TestForward:
             np.testing.assert_allclose(pr.data, 0.5, rtol=0, atol=1e-7)
 
     def test_shape_invariant_under_width_doubling(self):
-        wide = build_model(ModelConfig(base_channels=16))
+        wide = build_model(replace(DESK, base_channels=16))
         # conv kernels quadruple; biases and norms only double
         assert wide.parameter_count() > 3.9 * build_model(DESK).parameter_count()
         outs = forward(wide, desk_input())
@@ -171,7 +170,7 @@ class TestForward:
         assert model.trunk_passes == 3
 
     def test_full_scale_forward_shapes(self):
-        cfg = full_scale_config()
+        cfg = preset("riga-like").model_config()
         model = build_model(cfg)
         assert model.parameter_count() == parameter_count(cfg)
         assert model.n_heads == 5
@@ -232,22 +231,24 @@ class TestAggregation:
 
 
 class TestConfigValidation:
-    def test_depth_mismatch(self):
-        with pytest.raises(ValueError, match="n_d"):
-            build_model(ModelConfig(n_e=4, n_d=2))
+    @pytest.mark.parametrize("n_e", [2, 3, 5])
+    def test_head_count_is_n_e_minus_one(self, n_e):
+        model = build_model(replace(DESK, n_e=n_e))
+        assert model.n_heads == n_e - 1
+        assert len(forward(model, desk_input(batch=1))) == n_e - 1
 
     def test_indivisible_input(self):
         with pytest.raises(ValueError, match="divisible"):
-            build_model(ModelConfig(input_size=(36, 36)))
+            build_model(replace(DESK, input_size=(36, 36)))
 
     def test_too_shallow(self):
         with pytest.raises(ValueError, match="n_e"):
-            build_model(ModelConfig(n_e=1, n_d=0))
+            build_model(replace(DESK, n_e=1))
 
 
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
-        model = build_model(ModelConfig(seed=3))
+        model = build_model(replace(DESK, seed=3))
         images = desk_input(batch=1).data
         before = aggregate_heads(prob_maps([model], images)[0])
         save_checkpoint(tmp_path / "ckpt", model)

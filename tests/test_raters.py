@@ -1,24 +1,32 @@
 """Generator distribution checks, distortion bank, and agreement scores."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from edue import raters
+from edue.config import preset
 from edue.disagreement import gt_heatmap
 from edue.raters import (
     DISTORTION_KINDS,
     DegenerateSceneError,
     RaterSample,
-    SceneParams,
     binary_dice,
     distort,
     generate_dataset,
     generate_sample,
     rater_agreement,
 )
+
+DESK = preset("desk").scene_params()
+
+
+def fixed_delta(delta, **kwargs):
+    """Desk scene params with every sample drawn at one disagreement level."""
+    return replace(DESK, delta_low=delta, delta_high=delta, **kwargs)
 
 
 def boundary_distance_map(true_mask):
@@ -30,14 +38,14 @@ def boundary_distance_map(true_mask):
 
 class TestGenerateSample:
     def test_zero_delta_all_raters_identical(self):
-        params = SceneParams.fixed_delta(0.0, texture_noise=0.0)
+        params = fixed_delta(0.0, texture_noise=0.0)
         sample = generate_sample(params, np.random.default_rng(0))
         for j in range(params.n_raters):
             np.testing.assert_array_equal(sample.masks[0, j], sample.true_mask[0])
         np.testing.assert_array_equal(gt_heatmap(sample.masks[0]), 0.0)
 
     def test_deterministic_given_seed(self):
-        params = SceneParams()
+        params = DESK
         a = generate_sample(params, np.random.default_rng(42))
         b = generate_sample(params, np.random.default_rng(42))
         np.testing.assert_array_equal(a.image, b.image)
@@ -45,7 +53,7 @@ class TestGenerateSample:
         assert a.delta_used == b.delta_used
 
     def test_shapes_and_ranges(self):
-        sample = generate_sample(SceneParams(), np.random.default_rng(1))
+        sample = generate_sample(DESK, np.random.default_rng(1))
         assert sample.image.shape == (1, 32, 32)
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
         assert sample.masks.shape == (1, 4, 32, 32)
@@ -53,11 +61,11 @@ class TestGenerateSample:
         assert sample.delta_used in (0.5, 3.0)
 
     def test_three_channel_images(self):
-        sample = generate_sample(SceneParams(channels=3), np.random.default_rng(2))
+        sample = generate_sample(replace(DESK, channels=3), np.random.default_rng(2))
         assert sample.image.shape == (3, 32, 32)
 
     def test_masks_are_single_components(self):
-        params = SceneParams.fixed_delta(2.0)
+        params = fixed_delta(2.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             sample = generate_sample(params, rng)
@@ -70,7 +78,7 @@ class TestGenerateSample:
         means = []
         for delta in (0.5, 1.0, 2.0, 4.0):
             rng = np.random.default_rng(17)
-            params = SceneParams.fixed_delta(delta)
+            params = fixed_delta(delta)
             scores = [rater_agreement(generate_sample(params, rng).masks[0])
                       ["mean_pairwise_dice"] for _ in range(200)]
             means.append(np.mean(scores))
@@ -81,7 +89,7 @@ class TestGenerateSample:
         # Rater deviations from the latent mask should concentrate within
         # a 4*delta + 2 band of the latent boundary.
         delta = 2.0
-        params = SceneParams.fixed_delta(delta)
+        params = fixed_delta(delta)
         rng = np.random.default_rng(5)
         inside = total = 0
         band_mass = full_mass = 0.0
@@ -102,10 +110,10 @@ class TestGenerateSample:
     def test_degenerate_blob_aborts(self, monkeypatch):
         monkeypatch.setattr(raters, "MIN_BLOB_AREA", 10 ** 6)
         with pytest.raises(DegenerateSceneError, match="degenerate"):
-            generate_sample(SceneParams(), np.random.default_rng(0))
+            generate_sample(DESK, np.random.default_rng(0))
 
     def test_nested_structures(self):
-        params = SceneParams(structure="nested")
+        params = replace(DESK, structure="nested")
         sample = generate_sample(params, np.random.default_rng(7))
         assert sample.structure_names == ("disc", "cup")
         assert sample.masks.shape == (2, 4, 32, 32)
@@ -116,14 +124,14 @@ class TestGenerateSample:
 
     def test_validation_errors(self):
         bad = [
-            SceneParams(n_raters=1),
-            SceneParams(n_raters=17),
-            SceneParams(delta_low=3.0, delta_high=1.0),
-            SceneParams(delta_high=8.0),
-            SceneParams(ambiguity_mix=1.5),
-            SceneParams(structure="donut"),
-            SceneParams(image_size=(8, 8)),
-            SceneParams(channels=0),
+            replace(DESK, n_raters=1),
+            replace(DESK, n_raters=17),
+            replace(DESK, delta_low=3.0, delta_high=1.0),
+            replace(DESK, delta_high=8.0),
+            replace(DESK, ambiguity_mix=1.5),
+            replace(DESK, structure="donut"),
+            replace(DESK, image_size=(8, 8)),
+            replace(DESK, channels=0),
         ]
         for params in bad:
             with pytest.raises(ValueError):
@@ -132,7 +140,7 @@ class TestGenerateSample:
 
 class TestGenerateDataset:
     def test_mix_is_binomial(self):
-        params = SceneParams(delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
+        params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
         samples, manifest = generate_dataset(params, 100, np.random.default_rng(11))
         high = sum(1 for s in samples if s.delta_used == 3.0)
         assert 35 <= high <= 65  # 3 sigma around 50
@@ -141,17 +149,17 @@ class TestGenerateDataset:
         assert manifest["images"][0]["n_raters"] == 4
 
     def test_disagreement_varies_across_images(self):
-        params = SceneParams(delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
+        params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
         samples, _ = generate_dataset(params, 30, np.random.default_rng(2))
         sv = [gt_heatmap(s.masks[0]).sum() for s in samples]
         assert np.var(sv) > 0.0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="n_images"):
-            generate_dataset(SceneParams(), 0, np.random.default_rng(0))
+            generate_dataset(DESK, 0, np.random.default_rng(0))
 
     def test_generation_speed(self):
-        params = SceneParams()
+        params = DESK
         rng = np.random.default_rng(0)
         start = time.perf_counter()
         generate_dataset(params, 1000, rng)
