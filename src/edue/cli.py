@@ -8,11 +8,11 @@
     edue compare  --train-data d/ --test-data t/ --out cmp.json --seeds 1,2,3
     edue inspect  d/img_0000.edt
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error.  All
-diagnostics go to stderr; machine-readable output goes to files (every
-report is written as sorted-key JSON plus a CSV a plotting tool can
-consume directly).  Reports are byte-identical across reruns with the
-same inputs and seed.
+Exit codes: 0 success, 1 usage error, 2 data or validation error or
+running out of memory.  All diagnostics go to stderr; machine-readable
+output goes to files (every report is written as strict, sorted-key
+JSON plus a CSV a plotting tool can consume directly).  Reports are
+byte-identical across reruns with the same inputs and seed.
 
 Seed precedence: --seed flag, then the EDUE_SEED environment variable,
 then the config's seed field.
@@ -21,15 +21,17 @@ then the config's seed field.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ShapeError
 from .config import ConfigError, PRESET_NAMES, RunConfig, load_config, preset
-from .container import ContainerError, entry_table
+from .container import ContainerError, entry_table, write_json
 from .harness import (
     ARMS,
     evaluate_arm,
@@ -47,7 +49,6 @@ from .storage import (
     save_checkpoint_dir,
     save_dataset,
     write_csv,
-    write_json,
 )
 
 __all__ = ["main", "build_parser"]
@@ -130,12 +131,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _meta_index(args: argparse.Namespace, meta: dict, key: str) -> int:
-    """A train_meta.json value that must be a non-negative integer; 0 if absent."""
-    value = meta.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DataError(f"{Path(args.model) / 'train_meta.json'}: key {key!r} "
-                        f"must be a non-negative integer, got {value!r}")
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value}")
     return value
 
 
@@ -148,8 +146,7 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool = False):
     if uncertainty and not ARMS[arm].uncertainty:
         raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
                         f"predicts one map and has no uncertainty")
-    k = _meta_index(args, meta, "structure")
-    head_skip = _meta_index(args, meta, "head_skip")
+    k, head_skip = meta.get("structure", 0), meta.get("head_skip", 0)
     samples, manifest = load_dataset(args.data)
     structures = list(manifest["structures"])
     if k >= len(structures):
@@ -178,25 +175,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
+    threshold = _finite("--dice-threshold", args.dice_threshold)
     arm, models, meta, samples, k, head_skip = _load_predictor(args, uncertainty=True)
     report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip,
                           batch_size=meta["config"]["batch_size"])
     dice = [rec["soft_dice"] for rec in report.per_image]
     sv = [rec["sv_model"] for rec in report.per_image]
-    curve = quality_control(dice, sv, args.dice_threshold)
+    curve = quality_control(dice, sv, threshold)
     out = Path(args.out)
     write_json(out, {
         "arm": arm,
         "structure": meta.get("structure_name"),
-        "dice_threshold": args.dice_threshold,
+        "dice_threshold": threshold,
         "train_meta": meta,
-        **curve.as_dict(),
+        **asdict(curve),
     })
     write_csv(out.with_suffix(".csv"),
               ["quantile", "remaining_fraction", "ideal_fraction"],
               list(zip(curve.quantiles, curve.remaining_fraction,
                        curve.ideal_fraction)))
-    _note(f"d_auc {curve.d_auc:.4f} at dice threshold {args.dice_threshold}; "
+    _note(f"d_auc {curve.d_auc:.4f} at dice threshold {threshold}; "
           f"report in {out}")
     return 0
 
@@ -213,9 +211,10 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
+    level = _finite("--level", args.level)
     arm, models, meta, samples, _, head_skip = _load_predictor(args, uncertainty=True)
-    seed = _resolve_seed(args, _meta_index(args, meta, "seed"))
-    report = ood_experiment(models, samples, args.kind, args.level,
+    seed = _resolve_seed(args, meta.get("seed", 0))
+    report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
                             fractions=_parse_fractions(args.fractions),
                             head_skip=head_skip, batch_size=meta["config"]["batch_size"])
@@ -224,7 +223,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
         "arm": arm,
         "seed": seed,
         "train_meta": meta,
-        **report.as_dict(),
+        **asdict(report),
     })
     stats = ["min", "q1", "median", "q3", "max", "mean"]
     write_csv(out.with_suffix(".csv"), ["fraction", "n_distorted"] + stats,
@@ -377,6 +376,8 @@ def main(argv=None) -> int:
         return _fail("missing file", exc)
     except FloatingPointError as exc:
         return _fail("training error", exc)
+    except MemoryError as exc:
+        return _fail("out of memory", exc)
     except (ValueError, ShapeError, OSError) as exc:
         return _fail("data error", exc)
 

@@ -15,12 +15,10 @@ config must fail loudly, not silently fall back to a default.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
-from .container import atomic_write_text, typed_fields
+from .container import read_json_object, typed_fields, write_json
 from .disagreement import LossWeights
 from .model import ModelConfig
 from .raters import SceneParams
@@ -67,9 +65,7 @@ class RunConfig:
     lr: float = 1e-3
     de_members: int = 3
     head_skip: int = 0
-    # dataset sizes
-    n_train: int = 200
-    n_test: int = 100
+    n_train: int = 200  # dataset size when gen-data has no --n
 
     def _build(self, cls, seed: int | None, **renamed):
         """cls from the fields of the same name, plus renamed ones."""
@@ -88,8 +84,8 @@ class RunConfig:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}; "
                               f"expected one of {sorted(PRESET_NAMES)}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("n_train and n_test must be >= 1")
+        if self.n_train < 1:
+            raise ConfigError("n_train must be >= 1")
         try:
             self.model_config().validate()
             self.scene_params().validate()
@@ -116,7 +112,7 @@ class RunConfig:
 
 # The full-scale presets pin the full-run constants (epochs, batch
 # size, learning rate, beta, ensemble size, head skip) on top of the
-# six-level architecture; dataset sizes are stand-ins for generator
+# six-level architecture; n_train is a stand-in for generator
 # runs at that scale.
 _PRESETS: dict[str, dict] = {
     "desk": {},
@@ -124,25 +120,20 @@ _PRESETS: dict[str, dict] = {
         n_e=6, in_channels=3, input_size=(256, 256),
         beta=5.0, n_raters=6, structure="nested",
         epochs=200, batch_size=16, lr=5e-5, de_members=5, head_skip=3,
-        n_train=600, n_test=150,
+        n_train=600,
     ),
     "hecktor-like": dict(
         n_e=6, in_channels=2, input_size=(128, 128),
         beta=2.5, n_raters=3, structure="single_blob",
         epochs=120, batch_size=32, lr=5e-5, de_members=5, head_skip=3,
-        n_train=400, n_test=100,
+        n_train=400,
     ),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
 def preset(name: str) -> RunConfig:
     """The named preset with no overrides."""
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; "
-                          f"expected one of {sorted(_PRESETS)}")
-    config = RunConfig(preset=name, **_PRESETS[name])
-    config.validate()
-    return config
+    return from_dict({"preset": name})
 
 
 def from_dict(doc: dict, where: str = "config") -> RunConfig:
@@ -159,27 +150,17 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     if unknown:
         raise ConfigError(f"{where}: unknown config keys: {', '.join(unknown)}")
     overrides = typed_fields(doc, RunConfig, where, ConfigError)
-    name = overrides.get("preset", "desk")
-    if name not in _PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; "
-                          f"expected one of {sorted(_PRESETS)}")
-    config = RunConfig(**{**_PRESETS[name], **overrides})
+    # a preset name that is not in the table adds nothing; validate refuses it
+    config = RunConfig(**{**_PRESETS.get(overrides.get("preset", "desk"), {}),
+                          **overrides})
     config.validate()
     return config
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return from_dict(doc, where=f"{path}: config")
+    return from_dict(read_json_object(path, ConfigError), where=f"{path}: config")
 
 
 def save_config(path: str | os.PathLike, config: RunConfig) -> None:
     """Write the config as sorted-key JSON, atomically."""
-    text = json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n"
-    atomic_write_text(path, text)
+    write_json(path, config.as_dict())

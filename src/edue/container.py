@@ -1,12 +1,17 @@
-"""EDT1 tensor container: a CRC-guarded binary file of named float arrays.
+"""File formats: the EDT1 tensor container, and JSON.
 
-Layout, all integers unsigned 32-bit little-endian:
+EDT1 is a CRC-guarded binary file of named float arrays.  Layout, all
+integers unsigned 32-bit little-endian:
 
     magic  "EDT1"
     count  u32
     entry* { name_len u32, name utf-8, rank u32, extents u32 * rank,
              payload float32-le * prod(extents) }
     crc32  u32 over every preceding byte
+
+JSON files are strict (no NaN or infinity), sorted-key and end in a
+newline, so the same content gives the same bytes; readers check them
+with ``read_json_object`` and ``json_value``.
 
 Writes go to a temp file in the target directory and are renamed into
 place, so readers never observe a partial file.
@@ -27,7 +32,7 @@ import numpy as np
 
 __all__ = ["ContainerError", "DataError", "save_container", "load_container",
            "entry_table", "atomic_write_bytes", "atomic_write_text",
-           "read_json_object", "typed_fields"]
+           "write_json", "read_json_object", "json_value", "typed_fields"]
 
 MAGIC = b"EDT1"
 _U32 = struct.Struct("<I")
@@ -78,15 +83,28 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_json_object(path: str | os.PathLike) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+def write_json(path: str | os.PathLike, obj) -> None:
+    """Strict, sorted-key JSON, byte-stable given obj; numpy scalars and
+    arrays are written as their Python values.  A NaN or infinite number
+    raises ValueError."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=lambda value: value.tolist())
+    atomic_write_text(path, text + "\n")
+
+
+def read_json_object(path: str | os.PathLike,
+                     error: type[Exception] = DataError) -> dict:
+    """Parse a JSON file whose top level must be an object; a missing
+    file, invalid JSON or another top level raises error naming path."""
     try:
         doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise error(f"{path}: file not found") from None
     except ValueError as exc:  # invalid JSON text or invalid UTF-8
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        raise error(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: top level must be a JSON object, "
-                        f"got {type(doc).__name__}")
+        raise error(f"{path}: top level must be a JSON object, "
+                    f"got {type(doc).__name__}")
     return doc
 
 
@@ -94,36 +112,44 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# field type -> (description, accepts the JSON value, converts it)
+# value kind -> (description, accepts the JSON value, converts it)
 _FIELD_TYPES = {
     int: ("an integer", _is_int, int),
     float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
     str: ("a string", lambda v: isinstance(v, str), str),
+    dict: ("an object", lambda v: isinstance(v, dict), dict),
     tuple[int, int]: ("a pair of integers",
                       lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                       and all(map(_is_int, v)), tuple),
 }
 
 
-def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
-    """doc's values checked against the field types of dataclass cls.
+def json_value(value, kind, where: str, key: str,
+               error: type[Exception] = DataError, minimum: int | None = None):
+    """value, a JSON value found under key, checked as kind and converted.
 
-    Every key of doc must be a field of cls.  Integers never accept a
-    bool, number fields accept an integer and return a float but no
-    NaN, infinity or integer beyond the float range, and pair fields
-    accept a JSON list.  A value of the wrong type raises error, naming
-    where and the key.
+    kind is int, float, str, dict or tuple[int, int].  Integers never accept a
+    bool, numbers accept an integer and return a float but no NaN,
+    infinity or integer beyond the float range, and pairs accept a JSON
+    list.  With minimum, a smaller value is refused too.  A refused
+    value raises error, naming where and the key.
     """
+    what, accepts, convert = _FIELD_TYPES[kind]
+    if minimum is not None:
+        what = f"{what} >= {minimum}"
+    if not accepts(value) or (minimum is not None and value < minimum):
+        raise error(f"{where} key {key!r} must be {what}, got {value!r}")
+    if convert is float and not abs(value) <= sys.float_info.max:
+        raise error(f"{where} key {key!r} must be a finite number, got {value!r}")
+    return convert(value)
+
+
+def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
+    """doc's values checked by json_value against the field types of
+    dataclass cls; every key of doc must be a field of cls."""
     hints = typing.get_type_hints(cls)
-    out = {}
-    for key, value in doc.items():
-        what, accepts, convert = _FIELD_TYPES[hints[key]]
-        if not accepts(value):
-            raise error(f"{where} key {key!r} must be {what}, got {value!r}")
-        if convert is float and not abs(value) <= sys.float_info.max:
-            raise error(f"{where} key {key!r} must be a finite number, got {value!r}")
-        out[key] = convert(value)
-    return out
+    return {key: json_value(value, hints[key], where, key, error)
+            for key, value in doc.items()}
 
 
 def save_container(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:

@@ -156,10 +156,6 @@ class QcCurve:
     ideal_fraction: list[float]
     d_auc: float
 
-    def as_dict(self) -> dict:
-        return {"quantiles": self.quantiles, "remaining_fraction": self.remaining_fraction,
-                "ideal_fraction": self.ideal_fraction, "d_auc": self.d_auc}
-
 
 def _remaining_poor_curve(sv: np.ndarray, poor: np.ndarray,
                           quantiles: np.ndarray) -> list[float]:
@@ -235,9 +231,6 @@ class OodReport:
     kind: str
     level: float
     per_fraction: list[dict]
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "level": self.level, "per_fraction": self.per_fraction}
 
 
 def _summary(scores: np.ndarray) -> dict:

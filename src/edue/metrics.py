@@ -154,9 +154,6 @@ class MetricReport:
     per_image: list[dict]
     dataset: dict
 
-    def as_dict(self) -> dict:
-        return {"per_image": self.per_image, "dataset": self.dataset}
-
 
 def _plane(arr: np.ndarray) -> np.ndarray:
     a = np.asarray(arr, dtype=np.float64)

@@ -21,7 +21,6 @@ runs build it from ``RunConfig.model_config``.
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -32,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import (DataError, atomic_write_text, load_container,
-                        read_json_object, save_container, typed_fields)
+from .container import (DataError, json_value, load_container, read_json_object,
+                        save_container, typed_fields, write_json)
 
 __all__ = [
     "ModelConfig",
@@ -258,9 +257,8 @@ def save_checkpoint(directory: str | Path, model: Model) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     save_container(directory / "weights.edt",
                    {name: p.data for name, p in model.params.items()})
-    header = {"kind": model.kind, "config": asdict(model.config)}
-    atomic_write_text(directory / "model.json",
-                      json.dumps(header, indent=2, sort_keys=True) + "\n")
+    write_json(directory / "model.json",
+               {"kind": model.kind, "config": asdict(model.config)})
 
 
 def load_checkpoint(directory: str | Path) -> Model:
@@ -271,9 +269,7 @@ def load_checkpoint(directory: str | Path) -> Model:
     if not isinstance(header.get("kind"), str) or header["kind"] not in builders:
         raise DataError(f"{path}: key 'kind' must be one of {sorted(builders)}, "
                         f"got {header.get('kind')!r}")
-    raw = header.get("config")
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: key 'config' must be an object, got {raw!r}")
+    raw = json_value(header.get("config"), dict, f"{path}:", "config")
     odd = sorted({f.name for f in fields(ModelConfig)} ^ set(raw))
     if odd:
         raise DataError(f"{path}: key 'config' has missing or unknown keys {odd}")

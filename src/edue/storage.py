@@ -8,21 +8,21 @@ CSV, and a train_meta.json that makes it self-describing: eval needs
 no flags beyond the two paths.
 
 All writes are atomic (write to a temporary file, then rename), and
-all JSON is sorted-key with a trailing newline so a rerun with the
-same seed reproduces every file byte for byte.
+all JSON goes through ``container.write_json`` (strict, sorted keys,
+trailing newline), so a rerun with the same seed reproduces every file
+byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .container import (DataError, atomic_write_text, load_container,
-                        read_json_object, save_container)
+from .container import (DataError, atomic_write_text, json_value, load_container,
+                        read_json_object, save_container, write_json)
 from .disagreement import EpochStats
 from .harness import ARMS
 from .model import Model, load_checkpoint, save_checkpoint
@@ -30,7 +30,6 @@ from .raters import RaterSample
 
 __all__ = [
     "DataError",
-    "write_json",
     "write_csv",
     "save_dataset",
     "load_dataset",
@@ -39,28 +38,6 @@ __all__ = [
 ]
 
 DATASET_FORMAT = "edue-dataset-v1"
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
-def write_json(path: str | os.PathLike, obj) -> None:
-    """Sorted-key JSON with native scalars only; byte-stable given obj."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-    atomic_write_text(path, text)
 
 
 def _cell(value) -> str:
@@ -115,8 +92,6 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
     """Rebuild samples from a dataset directory, validating its layout."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"no manifest.json in {directory}")
     manifest = read_json_object(manifest_path)
     if manifest.get("format") != DATASET_FORMAT:
         raise DataError(f"{manifest_path}: key 'format' must be "
@@ -134,15 +109,10 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         raise DataError(f"{manifest_path}: key 'n_images' disagrees with "
                         f"its images list")
     samples = []
+    where = f"{manifest_path}: an images entry"
     for entry in images:
-        if not isinstance(entry.get("file"), str):
-            raise DataError(f"{manifest_path}: an images entry's 'file' must be "
-                            f"a file name, got {entry.get('file')!r}")
-        delta = entry.get("delta_used")
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-            raise DataError(f"{manifest_path}: an images entry's 'delta_used' "
-                            f"must be a number, got {delta!r}")
-        path = directory / entry["file"]
+        path = directory / json_value(entry.get("file"), str, where, "file")
+        delta = json_value(entry.get("delta_used"), float, where, "delta_used")
         if not path.is_file():
             raise DataError(f"dataset file missing: {path}")
         tensors = load_container(path)
@@ -158,7 +128,7 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         samples.append(RaterSample(image=tensors["image"],
                                    masks=np.stack(masks, axis=0),
                                    true_mask=np.stack(true_masks, axis=0),
-                                   delta_used=float(delta),
+                                   delta_used=delta,
                                    structure_names=structures))
     return samples, manifest
 
@@ -200,29 +170,27 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     write_json(directory / "train_meta.json", doc)
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:
-    """Returns (models, train_meta dict); one model unless an ensemble."""
+    """Returns (models, train_meta dict); one model unless an ensemble.
+    Checks every train_meta.json key eval, qc and ood read; head_skip
+    must leave 2 maps, or 1 for an arm without uncertainty."""
     directory = Path(directory)
     meta_path = directory / "train_meta.json"
-    if not meta_path.is_file():
-        raise DataError(f"no train_meta.json in {directory}; not a checkpoint "
-                        f"directory")
     meta = read_json_object(meta_path)
+    where = f"{meta_path}:"
     if not isinstance(meta.get("arm"), str) or meta["arm"] not in ARMS:
-        raise DataError(f"{meta_path}: key 'arm' must be one of {sorted(ARMS)}, "
+        raise DataError(f"{where} key 'arm' must be one of {sorted(ARMS)}, "
                         f"got {meta.get('arm')!r}")
-    n_models = meta.get("n_members")
-    if not _positive_int(n_models):
-        raise DataError(f"{meta_path}: key 'n_members' must be a positive "
-                        f"integer, got {n_models!r}")
-    # eval, qc and ood predict in chunks of the run's training batch size
-    config = meta.get("config")
-    batch = config.get("batch_size") if isinstance(config, dict) else None
-    if not _positive_int(batch):
-        raise DataError(f"{meta_path}: key 'config' must hold a positive "
-                        f"integer 'batch_size', got {batch!r}")
-    return [load_checkpoint(d) for d in _model_dirs(directory, n_models)], meta
+    n_models = json_value(meta.get("n_members"), int, where, "n_members", minimum=1)
+    config = json_value(meta.get("config"), dict, where, "config")
+    json_value(config.get("batch_size"), int, f"{where} config", "batch_size", minimum=1)
+    for key in ("structure", "head_skip", "seed"):
+        json_value(meta.get(key, 0), int, where, key, minimum=0)
+    models = [load_checkpoint(d) for d in _model_dirs(directory, n_models)]
+    head_skip = meta.get("head_skip", 0)
+    need = 2 if ARMS[meta["arm"]].uncertainty else 1
+    n_maps = sum(max(m.n_heads - head_skip, 0) for m in models)
+    if n_maps < need:
+        raise DataError(f"{where} key 'head_skip' {head_skip} leaves {n_maps} "
+                        f"map(s); arm {meta['arm']!r} needs at least {need}")
+    return models, meta

@@ -590,7 +590,7 @@ def test_criterion_9_io_round_trips(announce, tmp_path):
     # report byte for byte.
     cfg = from_dict({"input_size": [16, 16], "base_channels": 4,
                      "epochs": 2, "batch_size": 4, "n_raters": 3,
-                     "de_members": 2, "n_train": 6, "n_test": 5,
+                     "de_members": 2, "n_train": 6,
                      "seed": 17})
     cfg_path = tmp_path / "config.json"
     save_config(cfg_path, cfg)

@@ -27,7 +27,6 @@ TINY = {
     "n_raters": 3,
     "de_members": 2,
     "n_train": 6,
-    "n_test": 5,
     "seed": 9,
 }
 
@@ -327,6 +326,8 @@ class TestMalformedFiles:
                                lambda d: d["config"].update(head_hidden=0)),
         "member_n_d": ("de", "de/member_1/model.json", "n_d",
                        lambda d: d["config"].update(n_d=2)),
+        "meta_head_skip_too_big": ("edue", "edue/train_meta.json", "head_skip",
+                                   lambda d: d.update(head_skip=2)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -446,13 +447,13 @@ def test_deleting_any_json_key_exits_zero_or_two(trained_tree, data):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_replacing_any_json_value_exits_zero_or_two(trained_tree, data):
-    """Replace one value in a JSON object with a list, a number or a
-    string; eval must exit 0 or 2, never 1."""
+    """Replace one value in a JSON object with a list, a number, a
+    string, a bool or null; eval must exit 0 or 2, never 1."""
     rel, trail = data.draw(st.sampled_from(JSON_OBJECTS))
 
     def edit(doc):
         target, key = _draw_key(data, doc, trail)
-        target[key] = data.draw(st.sampled_from(NON_OBJECTS))
+        target[key] = data.draw(st.sampled_from(NON_OBJECTS + (True, None, -1)))
         return doc
 
     assert _eval_edited_copy(trained_tree, rel, edit) in (0, 2), (rel, trail)
@@ -554,6 +555,30 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("qc", "--dice-threshold", "nan"),
+        ("qc", "--dice-threshold", "inf"),
+        ("ood", "--level", "nan"),
+        ("ood", "--level", "inf"),
+    ])
+    def test_non_finite_flag(self, tmp_path, capsys, command, flag, value):
+        code = main([command, "--model", str(tmp_path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "r.json"), flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: {flag} must be a "
+                                           f"finite number, got {value}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+        monkeypatch.setattr("edue.cli.generate_dataset", exhausted)
+        code = main(["gen-data", "--preset", "desk", "--n", "2",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == ("out of memory: Unable to allocate "
+                                           "32.0 GiB for an array\n")
 
     def test_structure_too_big_for_input_size(self, tmp_path, capsys):
         cfg = tmp_path / "nested16.json"

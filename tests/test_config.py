@@ -34,7 +34,7 @@ class TestPresets:
         assert cfg.n_e == 4
         assert build_model(cfg.model_config()).n_heads == 3
         assert cfg.epochs == 30
-        assert cfg.n_train == 200 and cfg.n_test == 100
+        assert cfg.n_train == 200
         assert cfg.de_members == 3
         assert cfg.head_skip == 0
 
@@ -93,6 +93,8 @@ class TestFromDict:
             from_dict({"head_hidden": 0})
         with pytest.raises(ConfigError, match="unknown config keys: n_d"):
             from_dict({"n_d": 3})
+        with pytest.raises(ConfigError, match="unknown config keys: n_test"):
+            from_dict({"n_test": 100})
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])

@@ -1,5 +1,6 @@
 """EDT1 container round trips and corruption handling."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edue.config import preset
-from edue.container import ContainerError, entry_table, load_container, save_container
+from edue.config import ConfigError
+from edue.container import (ContainerError, DataError, entry_table, json_value,
+                            load_container, read_json_object, save_container)
 from edue.model import build_model, save_checkpoint
 
 
@@ -118,3 +121,49 @@ def test_corrupt_weights_file_raises_container_error(weights_file, data):
     broken.write_bytes(bytes(blob))
     with pytest.raises(ContainerError):
         load_container(broken)
+
+
+@pytest.mark.parametrize("value, kind, minimum, what", [
+    (True, int, None, "an integer"),
+    (1.0, int, None, "an integer"),
+    ("3", int, None, "an integer"),
+    (0, int, 1, "an integer >= 1"),
+    (-1, int, 0, "an integer >= 0"),
+    (math.nan, float, None, "a finite number"),
+    (math.inf, float, None, "a finite number"),
+    (-math.inf, float, None, "a finite number"),
+    (10 ** 400, float, None, "a finite number"),
+    (False, float, None, "a number"),
+    (3, str, None, "a string"),
+    ([1], dict, None, "an object"),
+    ([32], tuple[int, int], None, "a pair of integers"),
+    ([32, 32.0], tuple[int, int], None, "a pair of integers"),
+    ([32, True], tuple[int, int], None, "a pair of integers"),
+])
+def test_json_value_refuses_naming_where_and_key(value, kind, minimum, what):
+    with pytest.raises(DataError) as info:
+        json_value(value, kind, "f.json: config", "size", minimum=minimum)
+    assert str(info.value) == f"f.json: config key 'size' must be {what}, got {value!r}"
+
+
+@pytest.mark.parametrize("value, kind, minimum, expected", [
+    (0, int, 0, 0),
+    (2, float, None, 2.0),
+    ([16, 32], tuple[int, int], None, (16, 32)),
+    ({"a": 1}, dict, None, {"a": 1}),
+])
+def test_json_value_converts(value, kind, minimum, expected):
+    got = json_value(value, kind, "f.json:", "k", minimum=minimum)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_json_value_raises_the_passed_error():
+    with pytest.raises(ConfigError, match="'k' must be a string"):
+        json_value(1, str, "where", "k", ConfigError)
+
+
+@pytest.mark.parametrize("error", [DataError, ConfigError])
+def test_read_json_object_missing_file_raises_passed_error(tmp_path, error):
+    path = tmp_path / "absent.json"
+    with pytest.raises(error, match="absent.json: file not found"):
+        read_json_object(path, error)

@@ -460,7 +460,7 @@ class TestOodExperiment:
                            rng=np.random.default_rng(42))
         b = ood_experiment([model], samples, "gauss_noise", 0.3,
                            rng=np.random.default_rng(42))
-        assert a.as_dict() == b.as_dict()
+        assert a == b
 
     def test_clean_fraction_matches_direct_agreement(self, setup):
         model, samples = setup
