@@ -38,7 +38,6 @@ __all__ = [
     "channel_norm",
     "concat_channels",
     "stack_first",
-    "select_rows",
     "variance_along_first_axis",
     "bce_loss",
 ]
@@ -309,21 +308,6 @@ def stack_first(parts: Sequence[Tensor]) -> Tensor:
             _accum(p, g[i])
 
     return _finish(np.stack([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
-def select_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("select_rows: need a non-empty 1-D index list")
-    if idx.min() < 0 or idx.max() >= a.data.shape[0]:
-        raise ShapeError(f"select_rows: index out of range for first extent {a.data.shape[0]}")
-
-    def backward(g):
-        if a.requires_grad:
-            a.ensure_grad()
-            np.add.at(a.grad, idx, g)
-
-    return _finish(a.data[idx], (a,), backward)
 
 
 def variance_along_first_axis(stacked: Tensor) -> Tensor:

@@ -62,21 +62,21 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return preset(getattr(args, "preset", None) or "desk")
 
 
-def _seed_from_env() -> int | None:
-    raw = os.environ.get("EDUE_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"EDUE_SEED must be an integer, got {raw!r}") from None
-
-
 def _resolve_seed(args: argparse.Namespace, config_seed: int) -> int:
+    """The --seed flag, else EDUE_SEED, else the (validated) config seed."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = _seed_from_env()
-    return env if env is not None else config_seed
+        source, raw = "--seed", args.seed
+    elif "EDUE_SEED" in os.environ:
+        source, raw = "EDUE_SEED", os.environ["EDUE_SEED"]
+    else:
+        return config_seed
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _note(message: str) -> None:
@@ -239,10 +239,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, "
-                          f"got {args.seeds!r}") from None
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
+        seeds = ()
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"--seeds must be comma-separated non-negative "
+                          f"integers, got {args.seeds!r}")
     train_samples, _ = load_dataset(args.train_data)
     test_samples, _ = load_dataset(args.test_data)
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)

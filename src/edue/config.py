@@ -86,6 +86,8 @@ class RunConfig:
                               f"expected one of {sorted(PRESET_NAMES)}")
         if self.n_train < 1:
             raise ConfigError("n_train must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             self.model_config().validate()
             self.scene_params().validate()
@@ -140,8 +142,8 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     """Build and validate a RunConfig from a JSON-shaped dict.
 
     Values start from the named preset (default "desk"); every other
-    key overrides one field.  Unknown keys, values of the wrong type and
-    non-finite numbers are errors that name where the document came from.
+    key overrides one field.  Unknown keys and wrongly typed, non-finite or
+    out-of-range values are errors that name where the document came from.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
@@ -153,7 +155,10 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     # a preset name that is not in the table adds nothing; validate refuses it
     config = RunConfig(**{**_PRESETS.get(overrides.get("preset", "desk"), {}),
                           **overrides})
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return config
 
 

@@ -10,9 +10,16 @@ rater masks by an RMSE penalty:
 
     loss = alpha * sum_i BCE(head_i, target_i) + beta * RMSE(Hhat, H)
 
+The rater contract: an image's annotations are a (Y, H, W) stack of
+Y >= 2 binary masks (one annotation carries no disagreement signal),
+checked by ``rater_masks`` where a dataset is loaded.  ``train`` builds
+each image's ``label_stack`` (the Y masks, then their soft vote) once; a
+sampler ``(rng, Y, n_heads) -> indices`` then picks one per head, each
+epoch, where index Y is the vote.
+
 Baselines reuse the same loop through the ``sampler`` hook: majority
-labels on every head with beta=0 give the label-ensemble arm, and a fixed
-single rater gives the one-annotator arm.
+labels on every head with beta=0 give the label-ensemble arm, and rater
+0 on every head gives the one-annotator arm.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ from .model import Model, forward
 __all__ = [
     "RMSE_EPS",
     "LossWeights",
-    "HeadTargets",
     "TrainItem",
     "EpochStats",
+    "rater_masks",
+    "label_stack",
     "gt_heatmap",
     "model_heatmap",
     "rmse_loss",
@@ -61,13 +69,6 @@ class LossWeights:
             raise ValueError("alpha and beta cannot both be zero")
 
 
-@dataclass
-class HeadTargets:
-    """One target map per head plus the rater draws behind them (audit)."""
-    targets: list[np.ndarray]
-    rater_indices: list[int]
-
-
 @dataclass(frozen=True)
 class TrainItem:
     """One training image with its stack of rater masks (Y, H, W)."""
@@ -83,25 +84,29 @@ class EpochStats:
     mean_rmse: float
 
 
-def _as_mask_stack(masks, min_raters: int = 1) -> np.ndarray:
+def rater_masks(masks) -> np.ndarray:
+    """The rater contract: a (Y, H, W) stack of Y >= 2 binary masks, as
+    float64.  Raises ValueError otherwise."""
     m = np.asarray(masks, dtype=np.float64)
     if m.ndim != 3:
         raise ValueError(f"expected a (raters, H, W) mask stack, got shape {m.shape}")
-    if m.shape[0] < min_raters:
-        raise ValueError(f"need at least {min_raters} rater masks, got {m.shape[0]}")
+    if m.shape[0] < 2:
+        raise ValueError(f"need at least 2 rater masks, got {m.shape[0]}")
     if not np.isin(m, (0.0, 1.0)).all():
         raise ValueError("rater masks must be binary")
     return m
 
 
-def gt_heatmap(masks) -> np.ndarray:
-    """Per-pixel population variance across the rater masks.
+def label_stack(masks) -> np.ndarray:
+    """(Y + 1, H, W): the Y rater masks, then their soft majority vote.
+    Sampler index Y picks the vote."""
+    m = rater_masks(masks)
+    return np.concatenate([m, m.mean(axis=0)[None]])
 
-    Needs two or more raters; a single annotation carries no
-    disagreement signal.
-    """
-    m = _as_mask_stack(masks, min_raters=2)
-    return m.var(axis=0)
+
+def gt_heatmap(masks) -> np.ndarray:
+    """Per-pixel population variance across the rater masks."""
+    return rater_masks(masks).var(axis=0)
 
 
 def model_heatmap(heads: Sequence[Tensor]) -> Tensor:
@@ -118,7 +123,7 @@ def rmse_loss(h_model: Tensor, h_gt: Tensor) -> Tensor:
 
 def soft_majority(masks) -> np.ndarray:
     """Per-pixel mean of the rater masks, in [0, 1]."""
-    return _as_mask_stack(masks).mean(axis=0)
+    return rater_masks(masks).mean(axis=0)
 
 
 def binarize_majority(soft: np.ndarray) -> np.ndarray:
@@ -126,43 +131,29 @@ def binarize_majority(soft: np.ndarray) -> np.ndarray:
     return (np.asarray(soft) >= 0.5).astype(np.float64)
 
 
-def sample_labels(rng: np.random.Generator, masks, n_heads: int) -> HeadTargets:
+def sample_labels(rng: np.random.Generator, n_raters: int, n_heads: int) -> list[int]:
     """Draw one rater per non-last head (uniform, with replacement); the
     last head always gets the soft majority vote."""
-    m = _as_mask_stack(masks)
-    if n_heads < 1:
-        raise ValueError(f"n_heads must be >= 1, got {n_heads}")
-    idx = [int(i) for i in rng.integers(0, m.shape[0], size=n_heads - 1)]
-    targets = [m[i].copy() for i in idx]
-    targets.append(soft_majority(m))
-    return HeadTargets(targets=targets, rater_indices=idx)
+    return [int(i) for i in rng.integers(0, n_raters, size=n_heads - 1)] + [n_raters]
 
 
-def majority_labels(rng: np.random.Generator, masks, n_heads: int) -> HeadTargets:
+def majority_labels(rng: np.random.Generator, n_raters: int, n_heads: int) -> list[int]:
     """Every head gets the soft majority vote (label-ensemble baseline)."""
-    vote = soft_majority(masks)
-    return HeadTargets(targets=[vote.copy() for _ in range(n_heads)], rater_indices=[])
+    return [n_raters] * n_heads
 
 
-def single_rater_labels(rater: int = 0) -> Callable:
-    """Sampler where every head trains on one fixed rater's annotation."""
-    def sampler(rng: np.random.Generator, masks, n_heads: int) -> HeadTargets:
-        m = _as_mask_stack(masks)
-        r = min(rater, m.shape[0] - 1)
-        return HeadTargets(targets=[m[r].copy() for _ in range(n_heads)],
-                           rater_indices=[r] * n_heads)
-    return sampler
+def single_rater_labels(rng: np.random.Generator, n_raters: int, n_heads: int) -> list[int]:
+    """Every head trains on rater 0's annotation (one-annotator baseline)."""
+    return [0] * n_heads
 
 
 def total_loss(heads: Sequence[Tensor], head_targets: Sequence[np.ndarray],
-               h_gt: np.ndarray | None, weights: LossWeights,
-               rmse_rows: Sequence[int] | None = None) -> tuple[Tensor, dict]:
+               h_gt: np.ndarray | None, weights: LossWeights) -> tuple[Tensor, dict]:
     """Combined loss for one batch; returns the scalar and its parts.
 
     head_targets[i] must match head i's output shape (batch, 1, H, W).
-    h_gt holds the rater-variance heatmaps for the batch rows listed in
-    rmse_rows (None meaning all rows); pass h_gt=None to skip the
-    disagreement term, as for rows with a single rater.
+    h_gt holds the batch's rater-variance heatmaps; it is read only when
+    beta > 0.
     """
     weights.validate()
     if len(head_targets) != len(heads):
@@ -174,11 +165,7 @@ def total_loss(heads: Sequence[Tensor], head_targets: Sequence[np.ndarray],
         bce_per_head.append(float(term.data))
         bce_sum = term if bce_sum is None else ad.add(bce_sum, term)
 
-    rmse = None
-    if weights.beta > 0 and h_gt is not None:
-        hm = model_heatmap(heads)
-        sel = hm if rmse_rows is None else ad.select_rows(hm, rmse_rows)
-        rmse = rmse_loss(sel, Tensor(h_gt))
+    rmse = rmse_loss(model_heatmap(heads), Tensor(h_gt)) if weights.beta > 0 else None
 
     loss = ad.scale(bce_sum, weights.alpha)
     if rmse is not None:
@@ -199,7 +186,7 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
           sampler: Callable = sample_labels) -> tuple[Model, list[EpochStats]]:
     """Mini-batch Adam training; labels are resampled every epoch.
 
-    Images with a single rater contribute only their BCE terms.  A
+    Every item must meet the rater contract (see ``rater_masks``).  A
     non-finite loss aborts with the epoch and batch index.  Returns the
     (mutated in place) model and the per-epoch mean loss trace.
     """
@@ -210,37 +197,32 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
         raise ValueError(f"epochs and batch_size must be >= 1, got {epochs}, {batch_size}")
     weights.validate()
     n_heads = model.n_heads
-    if weights.beta > 0 and n_heads < 2:
-        raise ValueError("beta > 0 needs >= 2 heads to form a variance heatmap")
 
     dtype = ad.default_dtype()
     images = [np.asarray(it.image, dtype=dtype) for it in items]
-    mask_stacks = [np.asarray(it.masks) for it in items]
-    # Rater variance is fixed per image, so compute it once up front.
-    heatmaps = [gt_heatmap(m)[None] if m.shape[0] >= 2 else None for m in mask_stacks]
+    # Labels and rater variance are fixed per image, so build them once.
+    labels = [label_stack(it.masks) for it in items]
+    heatmaps = [gt_heatmap(it.masks)[None] for it in items]
 
     opt = ad.Adam(model.params, lr=lr)
     trace: list[EpochStats] = []
     for epoch in range(epochs):
-        per_image = [sampler(rng, m, n_heads) for m in mask_stacks]
+        # Draw in index order, then permute: the rng stream is independent
+        # of the batch order.
+        picks = [sampler(rng, len(stack) - 1, n_heads) for stack in labels]
         order = rng.permutation(len(items))
         sums = {"total": 0.0, "bce": 0.0, "rmse": 0.0}
         n_batches = 0
         for start in range(0, len(items), batch_size):
             rows = order[start:start + batch_size]
             x = Tensor(np.stack([images[r] for r in rows]))
-            head_targets = [
-                np.stack([per_image[r].targets[i][None] for r in rows])
-                for i in range(n_heads)
-            ]
-            sel = [k for k, r in enumerate(rows) if heatmaps[r] is not None]
-            h_gt = np.stack([heatmaps[r] for r in rows if heatmaps[r] is not None]) if sel else None
-            rmse_rows = None if len(sel) == len(rows) else sel
+            head_targets = [np.stack([labels[r][picks[r][i]][None] for r in rows])
+                            for i in range(n_heads)]
+            h_gt = np.stack([heatmaps[r] for r in rows])
             try:
                 with Tape() as tape:
                     outs = forward(model, x)
-                    loss, parts = total_loss(outs, head_targets, h_gt, weights,
-                                             rmse_rows=rmse_rows)
+                    loss, parts = total_loss(outs, head_targets, h_gt, weights)
                     tape.backward(loss)
                 opt.step()
             except FloatingPointError as exc:

@@ -92,7 +92,7 @@ ARMS: dict[str, Arm] = {
     "edue": Arm(build_model, lambda: sample_labels, disagreement=True, head_skip=True),
     "le": Arm(build_model, lambda: majority_labels, head_skip=True),
     "de": Arm(build_single_head_model, lambda: majority_labels, ensemble=True),
-    "single_rater": Arm(build_single_head_model, lambda: single_rater_labels(0),
+    "single_rater": Arm(build_single_head_model, lambda: single_rater_labels,
                         uncertainty=False),
 }
 

@@ -1,8 +1,11 @@
 """Dataset directories, checkpoint directories, and report files.
 
 A dataset directory holds one tensor container per image (the image,
-every structure's rater masks, the rater-variance heatmap, and the
-clean reference mask) plus a manifest.json describing the whole set.
+every structure's rater masks, and the clean reference mask) plus a
+manifest.json describing the whole set.  Loading checks every
+``masks/<structure>`` entry once: two or more binary masks (the rater
+contract, ``disagreement.rater_masks``), each the size of the image.
+Entries no structure names, such as an old ``heatmap/*``, are ignored.
 A checkpoint directory holds the weights container(s), a loss-trace
 CSV, and a train_meta.json that makes it self-describing: eval needs
 no flags beyond the two paths.
@@ -23,7 +26,7 @@ import numpy as np
 
 from .container import (DataError, atomic_write_text, json_value, load_container,
                         read_json_object, save_container, write_json)
-from .disagreement import EpochStats
+from .disagreement import EpochStats, rater_masks
 from .harness import ARMS
 from .model import Model, load_checkpoint, save_checkpoint
 from .raters import RaterSample
@@ -61,9 +64,7 @@ def write_csv(path: str | os.PathLike, header: Sequence[str],
 def _image_entries(sample: RaterSample) -> dict[str, np.ndarray]:
     entries = {"image": np.asarray(sample.image)}
     for k, name in enumerate(sample.structure_names):
-        masks = np.asarray(sample.masks[k], dtype=np.float64)
-        entries[f"masks/{name}"] = masks
-        entries[f"heatmap/{name}"] = masks.var(axis=0)
+        entries[f"masks/{name}"] = np.asarray(sample.masks[k], dtype=np.float64)
         entries[f"true/{name}"] = np.asarray(sample.true_mask[k])
     return entries
 
@@ -116,20 +117,23 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
         if not path.is_file():
             raise DataError(f"dataset file missing: {path}")
         tensors = load_container(path)
-        if "image" not in tensors:
-            raise DataError(f"{path} has no 'image' entry")
-        masks, true_masks = [], []
+        for key in ["image"] + [f"{kind}/{name}" for name in structures
+                                for kind in ("masks", "true")]:
+            if key not in tensors:
+                raise DataError(f"{path} has no {key!r} entry")
         for name in structures:
-            for key in (f"masks/{name}", f"true/{name}"):
-                if key not in tensors:
-                    raise DataError(f"{path} has no {key!r} entry")
-            masks.append(tensors[f"masks/{name}"])
-            true_masks.append(tensors[f"true/{name}"])
-        samples.append(RaterSample(image=tensors["image"],
-                                   masks=np.stack(masks, axis=0),
-                                   true_mask=np.stack(true_masks, axis=0),
-                                   delta_used=delta,
-                                   structure_names=structures))
+            key = f"masks/{name}"
+            try:
+                size = rater_masks(tensors[key]).shape[1:]
+                if size != tensors["image"].shape[-2:]:
+                    raise ValueError(f"masks {size} differ from image {tensors['image'].shape[-2:]}")
+            except ValueError as exc:
+                raise DataError(f"{path}: entry {key!r}: {exc}") from None
+        samples.append(RaterSample(
+            image=tensors["image"],
+            masks=np.stack([tensors[f"masks/{name}"] for name in structures]),
+            true_mask=np.stack([tensors[f"true/{name}"] for name in structures]),
+            delta_used=delta, structure_names=structures))
     return samples, manifest
 
 

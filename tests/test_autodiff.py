@@ -24,7 +24,6 @@ from edue.autodiff import (
     mean_all,
     relu,
     scale,
-    select_rows,
     sigmoid,
     sqrt,
     square,
@@ -390,17 +389,6 @@ def test_stack_first_roundtrips_gradient():
         tape.backward(mean_all(out))
     for p in parts:
         np.testing.assert_allclose(p.grad, 1.0 / 12.0, rtol=1e-6)
-
-
-def test_select_rows_scatters_gradient():
-    x = Tensor(np.arange(6.0).reshape(3, 1, 1, 2), requires_grad=True)
-    with Tape() as tape:
-        out = select_rows(x, [0, 2])
-        np.testing.assert_array_equal(out.data, x.data[[0, 2]])
-        tape.backward(mean_all(out))
-    np.testing.assert_allclose(x.grad[0], 0.25)
-    np.testing.assert_allclose(x.grad[1], 0.0)
-    np.testing.assert_allclose(x.grad[2], 0.25)
 
 
 def test_two_consumer_node_accumulates_both_paths():

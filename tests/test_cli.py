@@ -124,6 +124,20 @@ class TestSeedPrecedence:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env, argv, source", [
+        (None, ["--seed", "-1"], "--seed"),
+        ("-5", [], "EDUE_SEED"),
+    ])
+    def test_negative_seed_names_its_source(self, tmp_path, cfg_path, monkeypatch,
+                                            capsys, env, argv, source):
+        if env is not None:
+            monkeypatch.setenv("EDUE_SEED", env)
+        code = main(["gen-data", "--config", cfg_path, "--n", "1",
+                     "--out", str(tmp_path / "x")] + argv)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {source} must be")
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_checkpoint_layout(self, checkpoint):
@@ -517,6 +531,11 @@ class TestCompare:
                      "--out", str(tmp_path / "c.json"), "--seeds", "one"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        code = main(["compare", "--config", cfg_path,
+                     "--train-data", str(dataset), "--test-data", str(dataset),
+                     "--out", str(tmp_path / "c.json"), "--seeds", "1,-2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --seeds must be")
 
 
 class TestInspect:
@@ -604,6 +623,8 @@ class TestUsageErrors:
         ('{"lr": NaN, "epochs": 1}', "lr"),
         ('{"beta": Infinity}', "beta"),
         ('{"texture_noise": 1e999}', "texture_noise"),
+        ('{"epochs": 0}', "epochs"),
+        ('{"seed": -1}', "seed"),
     ])
     def test_config_file_error_names_file_and_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.json"
@@ -639,10 +660,43 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="'true/blob'"):
             load_dataset(dataset)
 
-    def test_heatmap_entry_matches_mask_variance(self, dataset):
-        from edue.container import load_container
+    def test_old_dataset_with_heatmap_entry_loads(self, dataset):
+        from edue.container import load_container, save_container
 
-        tensors = load_container(dataset / "img_0000.edt")
-        expected = tensors["masks/blob"].astype(np.float64).var(axis=0)
-        np.testing.assert_allclose(tensors["heatmap/blob"],
-                                   expected.astype(np.float32), atol=1e-7)
+        before, _ = load_dataset(dataset)
+        for path in sorted(dataset.glob("*.edt")):
+            tensors = load_container(path)
+            assert "heatmap/blob" not in tensors
+            tensors["heatmap/blob"] = tensors["masks/blob"].var(axis=0)
+            save_container(path, tensors)
+        after, _ = load_dataset(dataset)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a.masks, b.masks)
+            np.testing.assert_array_equal(a.image, b.image)
+
+    MASK_EDITS = {
+        "one_rater": (lambda m: m[:1], "need at least 2 rater masks, got 1"),
+        "half_pixel": (lambda m: np.where(np.indices(m.shape).sum(axis=0) == 0, 0.5, m),
+                       "rater masks must be binary"),  # m[0, 0, 0] only
+        "wrong_size": (lambda m: m[:, :-1, :], "differ from image"),
+        "rank_two": (lambda m: m[0], "mask stack"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MASK_EDITS))
+    def test_bad_mask_entry_exits_two_naming_file_and_entry(self, tmp_path, cfg_path,
+                                                            dataset, capsys, case):
+        from edue.container import load_container, save_container
+
+        edit, message = self.MASK_EDITS[case]
+        path = dataset / "img_0002.edt"
+        tensors = load_container(path)
+        tensors["masks/blob"] = edit(tensors["masks/blob"])
+        save_container(path, tensors)
+        capsys.readouterr()
+        code = main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {path}: entry 'masks/blob': ")
+        assert message in err
+        assert not (tmp_path / "m").exists()

@@ -10,11 +10,11 @@ from edue import autodiff as ad
 from edue.autodiff import Tape, Tensor
 from edue.disagreement import (
     EpochStats,
-    HeadTargets,
     LossWeights,
     TrainItem,
     binarize_majority,
     gt_heatmap,
+    label_stack,
     majority_labels,
     model_heatmap,
     rmse_loss,
@@ -107,12 +107,14 @@ class TestGtHeatmap:
             assert gt_heatmap(m).min() >= 0.0
 
     def test_single_rater_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            gt_heatmap(np.zeros((1, 4, 4)))
+        for check in (gt_heatmap, label_stack):
+            with pytest.raises(ValueError, match="at least 2"):
+                check(np.zeros((1, 4, 4)))
 
     def test_non_binary_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            gt_heatmap(np.full((2, 4, 4), 0.5))
+        for check in (gt_heatmap, label_stack):
+            with pytest.raises(ValueError, match="binary"):
+                check(np.full((2, 4, 4), 0.5))
 
 
 class TestModelHeatmap:
@@ -194,58 +196,68 @@ class TestSampleLabels:
         rng = np.random.default_rng(seed)
         return (rng.uniform(size=(y, 4, 4)) < 0.5).astype(np.float64)
 
+    def draw(self, sampler, rng, m, n_heads):
+        """A sampler's indices and the head targets they pick from m's label stack."""
+        idx = sampler(rng, len(m), n_heads)
+        return idx, label_stack(m)[idx]
+
+    def test_label_stack_is_masks_then_vote(self):
+        m = self.masks()
+        stack = label_stack(m)
+        assert stack.shape == (5, 4, 4)
+        np.testing.assert_array_equal(stack[:4], m)
+        np.testing.assert_array_equal(stack[4], soft_majority(m))
+
     def test_last_head_is_soft_majority(self):
         m = self.masks()
-        t = sample_labels(np.random.default_rng(1), m, n_heads=3)
-        np.testing.assert_array_equal(t.targets[-1], m.mean(axis=0))
-        assert len(t.targets) == 3
-        assert len(t.rater_indices) == 2
+        idx, targets = self.draw(sample_labels, np.random.default_rng(1), m, 3)
+        np.testing.assert_array_equal(targets[-1], m.mean(axis=0))
+        assert len(targets) == 3
+        assert idx[-1] == len(m)
+        assert len(idx[:-1]) == 2 and all(0 <= i < len(m) for i in idx[:-1])
 
     def test_non_last_targets_are_real_masks(self):
         m = self.masks()
         for seed in range(10):
-            t = sample_labels(np.random.default_rng(seed), m, n_heads=4)
-            for target, idx in zip(t.targets[:-1], t.rater_indices):
-                np.testing.assert_array_equal(target, m[idx])
+            idx, targets = self.draw(sample_labels, np.random.default_rng(seed), m, 4)
+            for target, i in zip(targets[:-1], idx[:-1]):
+                np.testing.assert_array_equal(target, m[i])
 
     def test_single_rater_degenerate(self):
+        # One mask carries no disagreement: it has no label stack to pick from.
         m = self.masks(y=1)
-        t = sample_labels(np.random.default_rng(0), m, n_heads=3)
-        for target in t.targets:
-            np.testing.assert_array_equal(target, m[0])
+        with pytest.raises(ValueError, match="at least 2 rater masks, got 1"):
+            self.draw(sample_labels, np.random.default_rng(0), m, 3)
 
     def test_deterministic_given_seed(self):
         m = self.masks()
-        a = sample_labels(np.random.default_rng(7), m, n_heads=5)
-        b = sample_labels(np.random.default_rng(7), m, n_heads=5)
-        assert a.rater_indices == b.rater_indices
+        a, _ = self.draw(sample_labels, np.random.default_rng(7), m, 5)
+        b, _ = self.draw(sample_labels, np.random.default_rng(7), m, 5)
+        assert a == b
 
     def test_draws_are_uniform(self):
-        m = self.masks(y=4)
         rng = np.random.default_rng(11)
         counts = np.zeros((2, 4))
         for _ in range(10_000):
-            t = sample_labels(rng, m, n_heads=3)
-            for head, idx in enumerate(t.rater_indices):
-                counts[head, idx] += 1
+            idx = sample_labels(rng, 4, n_heads=3)
+            for head, i in enumerate(idx[:-1]):
+                counts[head, i] += 1
         freq = counts / 10_000
         assert np.all(np.abs(freq - 0.25) < 0.04)
 
     def test_majority_labels_everywhere(self):
         m = self.masks()
-        t = majority_labels(np.random.default_rng(0), m, n_heads=3)
-        for target in t.targets:
+        idx, targets = self.draw(majority_labels, np.random.default_rng(0), m, 3)
+        for target in targets:
             np.testing.assert_array_equal(target, m.mean(axis=0))
-        assert t.rater_indices == []
+        assert idx == [len(m)] * 3  # no rater is drawn
 
     def test_single_rater_sampler(self):
         m = self.masks(y=3)
-        t = single_rater_labels(rater=1)(np.random.default_rng(0), m, n_heads=3)
-        for target in t.targets:
-            np.testing.assert_array_equal(target, m[1])
-        # Rater index beyond the stack clamps to the last rater.
-        t = single_rater_labels(rater=9)(np.random.default_rng(0), m, n_heads=2)
-        np.testing.assert_array_equal(t.targets[0], m[2])
+        idx, targets = self.draw(single_rater_labels, np.random.default_rng(0), m, 3)
+        assert idx == [0, 0, 0]
+        for target in targets:
+            np.testing.assert_array_equal(target, m[0])
 
 
 class TestTotalLoss:
@@ -383,14 +395,21 @@ class TestTrain:
         assert trace[-1].mean_total < trace[0].mean_total * 1.5
 
     def test_single_rater_rows_skip_rmse_only(self):
-        items = toy_items(6, raters=3)
-        lone = toy_items(2, raters=1, seed=9)
-        _, trace = self.run(items + lone, epochs=1, batch_size=4)
-        assert trace[0].mean_rmse > 0.0
+        # A one-rater item among valid ones is rejected before any step.
+        items = toy_items(6, raters=3) + toy_items(2, raters=1, seed=9)
+        model = build_model(self.CONFIG)
+        before = model.weights_hash()
+        for sampler in (sample_labels, majority_labels, single_rater_labels):
+            with pytest.raises(ValueError, match="at least 2 rater masks, got 1"):
+                train(model, items, epochs=1, batch_size=4, lr=1e-3,
+                      weights=LossWeights(alpha=1.0, beta=1.0),
+                      rng=np.random.default_rng(0), sampler=sampler)
+        assert model.weights_hash() == before
 
     def test_all_single_rater_dataset(self):
-        _, trace = self.run(toy_items(4, raters=1), epochs=1)
-        assert trace[0].mean_rmse == 0.0
+        for sampler in (sample_labels, majority_labels, single_rater_labels):
+            with pytest.raises(ValueError, match="at least 2 rater masks, got 1"):
+                self.run(toy_items(4, raters=1), sampler=sampler, beta=0.0, epochs=1)
 
     def test_deterministic_given_seed(self):
         m1, _ = self.run(toy_items(6), seed=3, epochs=2)

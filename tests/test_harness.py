@@ -111,6 +111,34 @@ class TestTrainingArms:
             tiny_config(head_skip=-1).validate()
         with pytest.raises(ValueError):
             tiny_config(alpha=-0.5).validate()
+        with pytest.raises(ValueError, match="seed"):
+            tiny_config(seed=-1).validate()
+
+    # Every EpochStats field of each model, two epochs on a fixed toy set.
+    # 1e-4 relative absorbs BLAS reordering; a changed rater draw, target or
+    # rng stream moves the losses far more.
+    PINNED = {
+        "edue": [[(0, 3.100324273109436, 3.0222238302230835, 0.07810040935873985),
+                  (1, 2.7079159021377563, 2.63388729095459, 0.07402864843606949)]],
+        "le": [[(0, 3.0553109645843506, 3.0553109645843506, 0.0),
+                (1, 2.6813822984695435, 2.6813822984695435, 0.0)]],
+        "de": [[(0, 0.921128123998642, 0.921128123998642, 0.0),
+                (1, 0.8174943327903748, 0.8174943327903748, 0.0)],
+               [(0, 1.2968839406967163, 1.2968839406967163, 0.0),
+                (1, 1.2150227427482605, 1.2150227427482605, 0.0)]],
+        "single_rater": [[(0, 0.6473524570465088, 0.6473524570465088, 0.0),
+                          (1, 0.5778357684612274, 0.5778357684612274, 0.0)]],
+    }
+
+    @pytest.mark.parametrize("arm", sorted(PINNED))
+    def test_epoch_stats_pinned(self, arm):
+        items = to_train_items(make_samples(8))
+        _, traces = train_arm(arm, tiny_config(), items, seed=3)
+        got = [[(s.epoch, s.mean_total, s.mean_bce, s.mean_rmse) for s in trace]
+               for trace in traces]
+        assert [[row[0] for row in t] for t in got] == [[0, 1]] * len(self.PINNED[arm])
+        np.testing.assert_allclose(np.array(got, dtype=float),
+                                   np.array(self.PINNED[arm], dtype=float), rtol=1e-4)
 
 
 class TestEnsemblePredict:
