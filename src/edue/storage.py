@@ -4,7 +4,9 @@ A dataset directory holds one tensor container per image (the image,
 every structure's rater masks, and the clean reference mask) plus a
 manifest.json describing the whole set.  Loading checks every
 ``masks/<structure>`` entry once: two or more binary masks (the rater
-contract, ``disagreement.rater_masks``), each the size of the image.
+contract, ``disagreement.rater_masks``), each the size of the image,
+and the same rater count for every structure; each ``true/<structure>``
+must be the size of the image too.
 Entries no structure names, such as an old ``heatmap/*``, are ignored.
 A checkpoint directory holds the weights container(s), a loss-trace
 CSV, and a train_meta.json that makes it self-describing: eval needs
@@ -121,12 +123,20 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
                                 for kind in ("masks", "true")]:
             if key not in tensors:
                 raise DataError(f"{path} has no {key!r} entry")
+        size = tensors["image"].shape[-2:]
+        first = f"masks/{structures[0]}"
         for name in structures:
             key = f"masks/{name}"
             try:
-                size = rater_masks(tensors[key]).shape[1:]
-                if size != tensors["image"].shape[-2:]:
-                    raise ValueError(f"masks {size} differ from image {tensors['image'].shape[-2:]}")
+                masks = rater_masks(tensors[key])
+                if masks.shape[1:] != size:
+                    raise ValueError(f"masks {masks.shape[1:]} differ from image {size}")
+                if len(masks) != len(tensors[first]):
+                    raise ValueError(f"{len(masks)} raters differ from the "
+                                     f"{len(tensors[first])} of {first!r}")
+                key = f"true/{name}"
+                if tensors[key].shape != size:
+                    raise ValueError(f"shape {tensors[key].shape} differs from image {size}")
             except ValueError as exc:
                 raise DataError(f"{path}: entry {key!r}: {exc}") from None
         samples.append(RaterSample(

@@ -1,16 +1,20 @@
 """Tests for the reverse-mode tensor engine.
 
 The oracles live at the top of this file and are deliberately naive:
-a six-nested-loop convolution and a central finite-difference gradient,
-both independent of the engine's vectorized paths.
+a six-nested-loop convolution and its gradients, and a central
+finite-difference gradient, all independent of the engine's vectorized
+paths.  Beside them sits an NCHW im2col conv2d, the arithmetic conv2d
+must reproduce bit for bit.
 """
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
 
 from edue import autodiff as ad
+from edue import model as model_module
 from edue.autodiff import (
     Adam,
     ShapeError,
@@ -32,6 +36,7 @@ from edue.autodiff import (
     upsample_nearest,
     variance_along_first_axis,
 )
+from edue.config import preset
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +62,73 @@ def naive_conv2d(x, w, b, stride=1, padding=0):
                                 acc += xp[n, c, i * stride + u, j * stride + v] * w[o, c, u, v]
                     out[n, o, i, j] = acc + b[o]
     return out
+
+
+def naive_conv2d_grads(x, w, g, stride=1, padding=0):
+    """Loop gradients of naive_conv2d given the output gradient g, in
+    float64: (dx, dw, db)."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = np.zeros(cout)
+    for n in range(bsz):
+        for o in range(cout):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gij = g[n, o, i, j]
+                    db[o] += gij
+                    for c in range(cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                dw[o, c, u, v] += gij * xp[n, c, i * stride + u, j * stride + v]
+                                dxp[n, c, i * stride + u, j * stride + v] += gij * w[o, c, u, v]
+    return dxp[:, :, padding:padding + h, padding:padding + wd], dw, db
+
+
+def nchw_im2col_conv2d(x, w, b, g, stride, padding):
+    """conv2d's arithmetic as an NCHW unrolling: an as_strided window
+    gather and a per-tap scatter of dx.  Returns (out, dx, dw, db) for
+    output gradient g, each gradient accumulated onto zeros the way the
+    engine accumulates onto a fresh grad buffer."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sb, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (bsz, cin, ho, wo, kh, kw), (sb, sc, sh * stride, sw * stride, sh, sw))
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * ho * wo, cin * kh * kw)
+    w2 = w.reshape(cout, cin * kh * kw)
+    out = (cols @ w2.T + b).reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, cout)
+    db = np.zeros_like(b)
+    db += g2.sum(axis=0)
+    dw = np.zeros_like(w)
+    dw += (g2.T @ cols).reshape(w.shape)
+    dcols = (g2 @ w2).reshape(bsz, ho, wo, cin, kh, kw)
+    dxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
+                dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
+    dx = np.zeros_like(x)
+    dx += dxp[:, :, padding:padding + h, padding:padding + wd]
+    return np.ascontiguousarray(out), dx, dw, db
+
+
+def engine_conv2d(x, w, b, g, stride, padding):
+    """conv2d's output and the gradients its backward rule gives for
+    output gradient g, at the engine's current default dtype."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape() as tape:
+        out = conv2d(*leaves, stride=stride, padding=padding)
+    (_, backward), = tape.records
+    backward(np.asarray(g, dtype=out.data.dtype))
+    return (out.data,) + tuple(leaf.grad for leaf in leaves)
 
 
 def numerical_grad(f, arrays, h):
@@ -148,6 +220,76 @@ def test_conv2d_matches_naive_loops(stride, padding):
     ref = naive_conv2d(x.astype(np.float64), w.astype(np.float64), b.astype(np.float64),
                        stride=stride, padding=padding)
     np.testing.assert_allclose(out.data, ref, atol=1e-5)
+
+
+@pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (1, 0, 1)])
+def test_conv2d_gradients_match_naive_loops(stride, padding, k):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3, 6, 7))
+    w = rng.standard_normal((4, 3, k, k))
+    b = rng.standard_normal(4)
+    ho = (6 + 2 * padding - k) // stride + 1
+    wo = (7 + 2 * padding - k) // stride + 1
+    g = rng.standard_normal((2, 4, ho, wo))
+    with dtype64():
+        _, dx, dw, db = engine_conv2d(x, w, b, g, stride, padding)
+    for got, ref in zip((dx, dw, db), naive_conv2d_grads(x, w, g, stride, padding)):
+        np.testing.assert_allclose(got, ref, atol=1e-5)
+
+
+def _assert_conv2d_matches_nchw_im2col(rng, x_shape, w_shape, stride, padding, dtype,
+                                       monkeypatch, block_rows=(None,)):
+    """conv2d equals the NCHW unrolling bit for bit, with its default row
+    blocks and with blocks of each of block_rows output rows."""
+    x = rng.standard_normal(x_shape).astype(dtype)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = rng.standard_normal(w_shape[0]).astype(dtype)
+    ho, wo = ((n + 2 * padding - w_shape[2]) // stride + 1 for n in x_shape[2:])
+    g = rng.standard_normal((x_shape[0], w_shape[0], ho, wo)).astype(dtype)
+    expected = nchw_im2col_conv2d(x, w, b, g, stride, padding)
+    row_bytes = x_shape[0] * wo * int(np.prod(w_shape[1:])) * np.dtype(dtype).itemsize
+    for rows in block_rows:
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", rows * row_bytes if rows else 1 << 20)
+        with dtype64() if dtype == np.float64 else contextlib.nullcontext():
+            got = engine_conv2d(x, w, b, g, stride, padding)
+        case = (f"x {x_shape}, kernel {w_shape}, stride {stride}, padding {padding}, "
+                f"{np.dtype(dtype)}, block rows {rows or 'default'}")
+        for name, a, e in zip(("out", "x.grad", "kernel.grad", "bias.grad"), got, expected):
+            assert a.dtype == e.dtype and np.array_equal(a, e), f"{name} differs for {case}"
+
+
+@pytest.mark.parametrize("dtype,k,stride,padding",
+                         list(itertools.product((np.float32, np.float64), (1, 3, 4), (1, 2), (0, 1))))
+def test_conv2d_bit_identical_to_nchw_im2col(dtype, k, stride, padding, monkeypatch):
+    """The channels-last gather and scatter must add the same terms in the
+    same order as the NCHW unrolling, however the rows are blocked: equal
+    bits, not a tolerance."""
+    rng = np.random.default_rng(5)
+    for bsz, cin, size in itertools.product((1, 3), (1, 3, 16), ((7, 6), (8, 8))):
+        _assert_conv2d_matches_nchw_im2col(rng, (bsz, cin, *size), (4, cin, k, k),
+                                           stride, padding, dtype, monkeypatch,
+                                           block_rows=(None, 1, 2, 3))
+
+
+@pytest.mark.parametrize("build", [model_module.build_model, model_module.build_single_head_model])
+def test_conv2d_bit_identical_on_desk_forward_shapes(build, monkeypatch):
+    model = build(preset("desk").model_config())
+    cfg = model.config
+    shapes = []
+    real_conv2d = ad.conv2d
+
+    def recording_conv2d(x, kernel, bias, stride=1, padding=0):
+        shapes.append((x.data.shape, kernel.data.shape, stride, padding))
+        return real_conv2d(x, kernel, bias, stride=stride, padding=padding)
+
+    monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+    model_module.forward(model, Tensor(np.zeros((8, cfg.in_channels, *cfg.input_size))))
+    monkeypatch.undo()
+    assert {stride for _, _, stride, _ in shapes} == {1, 2}
+    rng = np.random.default_rng(6)
+    for x_shape, w_shape, stride, padding in shapes:
+        _assert_conv2d_matches_nchw_im2col(rng, x_shape, w_shape, stride, padding, np.float32,
+                                           monkeypatch)
 
 
 def test_conv2d_gradients_fd_32bit():

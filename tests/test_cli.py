@@ -700,3 +700,30 @@ class TestDatasetValidation:
         assert err.startswith(f"data error: {path}: entry 'masks/blob': ")
         assert message in err
         assert not (tmp_path / "m").exists()
+
+    NESTED_EDITS = {
+        "cup_two_raters": ("masks/cup", lambda m: m[:2], "2 raters differ from the 3 of 'masks/disc'"),
+        "true_disc_wrong_size": ("true/disc", lambda m: m[:-1], "differs from image (32, 32)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NESTED_EDITS))
+    def test_bad_nested_entry_exits_two_naming_file_and_entry(self, tmp_path, capsys, case):
+        from edue.container import load_container, save_container
+
+        cfg = tmp_path / "nested.json"
+        cfg.write_text(json.dumps({**TINY, "structure": "nested", "input_size": [32, 32]}))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--n", "3", "--out", str(data)]) == 0
+        key, edit, message = self.NESTED_EDITS[case]
+        path = data / "img_0001.edt"
+        tensors = load_container(path)
+        tensors[key] = edit(tensors[key])
+        save_container(path, tensors)
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {path}: entry '{key}': ")
+        assert message in err
+        assert not (tmp_path / "m").exists()
