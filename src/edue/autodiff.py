@@ -24,7 +24,6 @@ __all__ = [
     "Adam",
     "set_default_dtype",
     "default_dtype",
-    "set_debug_checks",
     "add",
     "sub",
     "scale",
@@ -57,7 +56,6 @@ def _tape_stack() -> list:
 
 
 _DTYPE = np.float32
-_DEBUG_FINITE = False
 
 
 def set_default_dtype(dtype) -> None:
@@ -75,12 +73,6 @@ def set_default_dtype(dtype) -> None:
 
 def default_dtype():
     return _DTYPE
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finiteness assertions on every op output (slow; test use)."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -166,8 +158,6 @@ class Tape:
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, recording its backward rule if a tape is active."""
-    if _DEBUG_FINITE and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("non-finite values in op output")
     tape = Tape.active()
     needs = tape is not None and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError
-from .config import ConfigError, PRESET_NAMES, RunConfig, load_config, preset
+from .config import ConfigError, MAX_IMAGES, PRESET_NAMES, RunConfig, load_config, preset
 from .container import ContainerError, entry_table, write_json
 from .harness import (
     ARMS,
@@ -91,6 +91,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config.seed)
     n = args.n if args.n is not None else config.n_train
+    if not 1 <= n <= MAX_IMAGES:
+        raise ConfigError(f"--n must be in [1, {MAX_IMAGES}], got {n}")
     params = config.scene_params(seed=seed)
     samples, manifest = generate_dataset(params, n, np.random.default_rng(seed))
     manifest["seed"] = seed
@@ -137,63 +139,60 @@ def _finite(flag: str, value: float) -> float:
     return value
 
 
-def _load_predictor(args: argparse.Namespace, uncertainty: bool = False):
-    """(arm, models, train_meta, samples, structure index, head skip) for a
-    checkpoint and a dataset; uncertainty=True refuses arms that predict
-    one map."""
+def _load_predictor(args: argparse.Namespace, uncertainty: bool):
+    """(arm, models, train_meta, samples) for a checkpoint and a dataset;
+    uncertainty=True refuses arms that predict one map."""
     models, meta = load_checkpoint_dir(args.model)
     arm = meta["arm"]
     if uncertainty and not ARMS[arm].uncertainty:
         raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
                         f"predicts one map and has no uncertainty")
-    k, head_skip = meta.get("structure", 0), meta.get("head_skip", 0)
+    k = meta.get("structure", 0)
     samples, manifest = load_dataset(args.data)
     structures = list(manifest["structures"])
     if k >= len(structures):
         raise DataError(f"checkpoint was trained on structure index {k}, but "
                         f"the dataset has only {structures}")
-    return arm, models, meta, samples, k, head_skip
+    return arm, models, meta, samples
+
+
+def _evaluate(args: argparse.Namespace, uncertainty: bool):
+    """The one scoring call behind eval and qc: the report keys naming the
+    predictor (arm, structure, train_meta), and the MetricReport."""
+    arm, models, meta, samples = _load_predictor(args, uncertainty)
+    report = evaluate_arm(arm, models, samples, structure=meta.get("structure", 0),
+                          head_skip=meta.get("head_skip", 0),
+                          batch_size=meta["config"]["batch_size"])
+    return {"arm": arm, "structure": meta.get("structure_name"), "train_meta": meta}, report
+
+
+def _write_report(out: str, doc: dict, header: list, rows: list) -> Path:
+    """The JSON report at out, and its CSV beside it."""
+    out = Path(out)
+    write_json(out, doc)
+    write_csv(out.with_suffix(".csv"), header, rows)
+    return out
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    arm, models, meta, samples, k, head_skip = _load_predictor(args)
-    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip,
-                          batch_size=meta["config"]["batch_size"])
-    out = Path(args.out)
-    write_json(out, {
-        "arm": arm,
-        "structure": meta.get("structure_name"),
-        "train_meta": meta,
-        "per_image": report.per_image,
-        "dataset": report.dataset,
-    })
+    doc, report = _evaluate(args, uncertainty=False)
     columns = list(report.per_image[0])  # id, mask metrics, then any variance metrics
-    write_csv(out.with_suffix(".csv"), columns,
-              [[rec[c] for c in columns] for rec in report.per_image])
+    out = _write_report(args.out, {**doc, "per_image": report.per_image,
+                                   "dataset": report.dataset},
+                        columns, [[rec[c] for c in columns] for rec in report.per_image])
     _note(f"evaluated {len(report.per_image)} images; report in {out}")
     return 0
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
     threshold = _finite("--dice-threshold", args.dice_threshold)
-    arm, models, meta, samples, k, head_skip = _load_predictor(args, uncertainty=True)
-    report = evaluate_arm(arm, models, samples, structure=k, head_skip=head_skip,
-                          batch_size=meta["config"]["batch_size"])
-    dice = [rec["soft_dice"] for rec in report.per_image]
-    sv = [rec["sv_model"] for rec in report.per_image]
-    curve = quality_control(dice, sv, threshold)
-    out = Path(args.out)
-    write_json(out, {
-        "arm": arm,
-        "structure": meta.get("structure_name"),
-        "dice_threshold": threshold,
-        "train_meta": meta,
-        **asdict(curve),
-    })
-    write_csv(out.with_suffix(".csv"),
-              ["quantile", "remaining_fraction", "ideal_fraction"],
-              list(zip(curve.quantiles, curve.remaining_fraction,
-                       curve.ideal_fraction)))
+    doc, report = _evaluate(args, uncertainty=True)
+    curve = quality_control([rec["soft_dice"] for rec in report.per_image],
+                            [rec["sv_model"] for rec in report.per_image], threshold)
+    out = _write_report(args.out, {**doc, "dice_threshold": threshold, **asdict(curve)},
+                        ["quantile", "remaining_fraction", "ideal_fraction"],
+                        list(zip(curve.quantiles, curve.remaining_fraction,
+                                 curve.ideal_fraction)))
     _note(f"d_auc {curve.d_auc:.4f} at dice threshold {threshold}; "
           f"report in {out}")
     return 0
@@ -212,24 +211,20 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 def cmd_ood(args: argparse.Namespace) -> int:
     level = _finite("--level", args.level)
-    arm, models, meta, samples, _, head_skip = _load_predictor(args, uncertainty=True)
+    arm, models, meta, samples = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, meta.get("seed", 0))
     report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
                             fractions=_parse_fractions(args.fractions),
-                            head_skip=head_skip, batch_size=meta["config"]["batch_size"])
-    out = Path(args.out)
-    write_json(out, {
-        "arm": arm,
-        "seed": seed,
-        "train_meta": meta,
-        **asdict(report),
-    })
+                            head_skip=meta.get("head_skip", 0),
+                            batch_size=meta["config"]["batch_size"])
     stats = ["min", "q1", "median", "q3", "max", "mean"]
-    write_csv(out.with_suffix(".csv"), ["fraction", "n_distorted"] + stats,
-              [[row["fraction"], row["n_distorted"]]
-               + [row["summary"][s] for s in stats]
-               for row in report.per_fraction])
+    out = _write_report(args.out, {"arm": arm, "seed": seed, "train_meta": meta,
+                                   **asdict(report)},
+                        ["fraction", "n_distorted"] + stats,
+                        [[row["fraction"], row["n_distorted"]]
+                         + [row["summary"][s] for s in stats]
+                         for row in report.per_fraction])
     _note(f"ood report over fractions {args.fractions} in {out}")
     return 0
 
@@ -248,15 +243,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)
     report["preset"] = config.preset
     report["config"] = config.as_dict()
-    out = Path(args.out)
-    write_json(out, report)
-    rows = []
-    for arm in sorted(report["arms"]):
-        summary = report["arms"][arm]["summary"]
-        for metric in sorted(summary):
-            rows.append([arm, metric, summary[metric]["mean"],
-                         summary[metric]["std"]])
-    write_csv(out.with_suffix(".csv"), ["arm", "metric", "mean", "std"], rows)
+    rows = [[arm, metric, stats["mean"], stats["std"]]
+            for arm in sorted(report["arms"])
+            for metric, stats in sorted(report["arms"][arm]["summary"].items())]
+    out = _write_report(args.out, report, ["arm", "metric", "mean", "std"], rows)
     _note(f"compared {sorted(report['arms'])} over seeds {list(seeds)}; "
           f"report in {out}")
     return 0

@@ -38,6 +38,13 @@ class ConfigError(ValueError):
     """Invalid, unknown, or ill-typed configuration content."""
 
 
+# Upper bounds, so a config too big to run fails here, naming its key,
+# not deep inside numpy.
+MAX_INPUT_SIDE = 4096  # one float32 map channel at 4096 x 4096 is 64 MiB
+MAX_CHANNELS = 4096  # a 4096-channel 3x3 conv kernel alone is 604 MB
+MAX_IMAGES = 100_000  # gen-data holds every scene in memory before writing
+
+
 @dataclass(frozen=True)
 class RunConfig:
     preset: str = "desk"
@@ -84,8 +91,8 @@ class RunConfig:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}; "
                               f"expected one of {sorted(PRESET_NAMES)}")
-        if self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
+        if not 1 <= self.n_train <= MAX_IMAGES:
+            raise ConfigError(f"n_train must be in [1, {MAX_IMAGES}], got {self.n_train}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -94,6 +101,14 @@ class RunConfig:
             LossWeights(alpha=self.alpha, beta=self.beta).validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if max(self.input_size) > MAX_INPUT_SIDE:
+            raise ConfigError(f"input_size sides must be at most {MAX_INPUT_SIDE}, "
+                              f"got {list(self.input_size)}")
+        # sides of 16 to 4096 divisible by 2^n_e keep n_e <= 12 here
+        widest = self.base_channels * self.channel_growth ** (self.n_e - 1)
+        if widest > MAX_CHANNELS:
+            raise ConfigError(f"base_channels * channel_growth ** (n_e - 1), the widest "
+                              f"layer, must be at most {MAX_CHANNELS}, got {widest}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.lr <= 0:

@@ -11,8 +11,8 @@ mask alone.
 
 Every predictor is a list of models, and one path serves them all:
 ``prob_maps`` gives every image's kept head (or member) maps, predicting
-the whole set in chunks of the run's batch size, and ``aggregate_heads``
-reduces one image's maps to a mean mask and a variance heatmap.
+the whole set in chunks of the run's batch size, and
+``metrics.evaluate_predictions`` reduces and scores them.
 
 Downstream tasks consume per-image scalars: quality control ranks
 images by summed variance and reports how fast poor segmentations are
@@ -38,11 +38,10 @@ from .disagreement import (
     single_rater_labels,
     train,
 )
-from .metrics import MetricReport, PredictionRecord, evaluate_predictions
+from .metrics import MetricReport, evaluate_predictions
 from .model import (
     Model,
     ModelConfig,
-    aggregate_heads,
     build_model,
     build_single_head_model,
     prob_maps,
@@ -129,20 +128,9 @@ def evaluate_arm(name: str, models: Sequence[Model], samples: Sequence[RaterSamp
     """Score one arm's predictor under the arm's eval contract: the mean
     mask and the variance heatmap, or the mask alone for a one-map arm.
     Images go through the models batch_size at a time (see prob_maps)."""
-    uncertainty = ARMS[name].uncertainty
-    all_maps = prob_maps(models, np.stack([s.image for s in samples]),
-                         head_skip, batch_size)
-    records = []
-    for i, (s, maps) in enumerate(zip(samples, all_maps)):
-        if uncertainty:
-            out = aggregate_heads(maps)
-            mask, heatmap = out["final_mask"], out["heatmap"]
-        else:
-            mask, heatmap = maps[0], None
-        records.append(PredictionRecord(ident=f"img{i:04d}", final_mask=mask,
-                                        heatmap=heatmap,
-                                        rater_masks=s.masks[structure]))
-    return evaluate_predictions(records, variance=uncertainty)
+    maps = prob_maps(models, np.stack([s.image for s in samples]), head_skip, batch_size)
+    return evaluate_predictions(maps, [s.masks[structure] for s in samples],
+                                variance=ARMS[name].uncertainty)
 
 
 # ---------------------------------------------------------------------------

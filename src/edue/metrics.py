@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .disagreement import binarize_majority, gt_heatmap, soft_majority
+from .model import aggregate_heads
 
 __all__ = [
     "spearman",
@@ -25,7 +26,6 @@ __all__ = [
     "nll",
     "soft_dice",
     "image_level_correlation",
-    "PredictionRecord",
     "MetricReport",
     "evaluate_predictions",
 ]
@@ -140,55 +140,43 @@ def image_level_correlation(sv_model, sv_gt) -> dict:
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """One test image's prediction plus its rater masks (Y >= 2, H, W);
-    heatmap is None for a predictor without uncertainty."""
-    ident: str
-    final_mask: np.ndarray
-    heatmap: np.ndarray | None
-    rater_masks: np.ndarray
-
-
-@dataclass(frozen=True)
 class MetricReport:
     per_image: list[dict]
     dataset: dict
 
 
-def _plane(arr: np.ndarray) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
-    if a.ndim == 3 and a.shape[0] == 1:
-        return a[0]
-    if a.ndim != 2:
-        raise ValueError(f"expected an (H, W) or (1, H, W) map, got shape {a.shape}")
-    return a
-
-
-def evaluate_predictions(records: Sequence[PredictionRecord],
+def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray],
                          variance: bool = True) -> MetricReport:
     """Per-image metrics plus the dataset-level summary.
 
+    ``maps[i]`` holds image i's maps (a row of ``prob_maps``' output) and
+    ``rater_masks[i]`` its (Y >= 2, H, W) stack.  This is the one place
+    maps become a mask and a heatmap: with variance, their mean and
+    variance (``aggregate_heads``); without it, the first map alone.
     The reference for Dice is the soft majority vote; for NLL it is that
     vote binarized at 0.5.  With variance, NCC and the variance sums are
-    added against the rater variance heatmap, and the dataset summary
-    gains their correlations; without it, records' heatmaps are ignored.
+    scored against the rater variance heatmap, and the dataset summary
+    gains their correlations.
     """
-    records = list(records)
+    if len(maps) != len(rater_masks):
+        raise ValueError(f"{len(maps)} map sets but {len(rater_masks)} rater stacks")
     n_min = 4 if variance else 1  # the correlations need four images
-    if len(records) < n_min:
-        raise ValueError(f"need at least {n_min} images, got {len(records)}")
+    if len(maps) < n_min:
+        raise ValueError(f"need at least {n_min} images, got {len(maps)}")
     per_image = []
-    for rec in records:
-        pred = _plane(rec.final_mask)
-        soft = soft_majority(rec.rater_masks)
+    for i, (image_maps, masks) in enumerate(zip(maps, rater_masks)):
+        if variance:
+            pred, heat = aggregate_heads(image_maps)
+        else:
+            pred = np.asarray(image_maps[0], dtype=np.float64)
+        soft = soft_majority(masks)
         row = {
-            "id": rec.ident,
+            "id": f"img{i:04d}",
             "soft_dice": soft_dice(pred, soft),
             "nll": nll(pred, binarize_majority(soft)),
         }
         if variance:
-            heat = _plane(rec.heatmap)
-            gt_heat = gt_heatmap(rec.rater_masks)
+            gt_heat = gt_heatmap(masks)
             row.update(sv_model=float(heat.sum()), sv_gt=float(gt_heat.sum()),
                        ncc=ncc(heat, gt_heat))
         per_image.append(row)
@@ -197,8 +185,7 @@ def evaluate_predictions(records: Sequence[PredictionRecord],
         "mean_nll": float(np.mean([r["nll"] for r in per_image])),
     }
     if variance:
-        corr = image_level_correlation([r["sv_model"] for r in per_image],
-                                       [r["sv_gt"] for r in per_image])
-        dataset.update(sr=corr["sr"], dc=corr["dc"],
+        dataset.update(image_level_correlation([r["sv_model"] for r in per_image],
+                                               [r["sv_gt"] for r in per_image]),
                        mean_ncc=float(np.mean([r["ncc"] for r in per_image])))
     return MetricReport(per_image=per_image, dataset=dataset)

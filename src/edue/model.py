@@ -8,7 +8,7 @@ decoder level, nearest-upsampled to input resolution before the sigmoid, so
 head variance is defined per input pixel.
 
 One layer spec serves both network kinds: ``_heads`` places the heads,
-and parameter init, the forward pass and the closed-form parameter count
+and init, checkpoint loading, the forward pass and the parameter count
 all read it.  The multi-head model has a head on each of its ``n_e - 1``
 decoder levels; the head count is derived, not configured.  The ensemble
 member (``build_single_head_model``), the one-output U-Net the
@@ -232,8 +232,8 @@ def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
     return np.concatenate(chunks)
 
 
-def aggregate_heads(probs) -> dict:
-    """Mean map, per-pixel population variance heatmap, and its sum.
+def aggregate_heads(probs) -> tuple[np.ndarray, np.ndarray]:
+    """Mean map and per-pixel population variance heatmap.
 
     Accumulates in float64 so identical maps give an exactly zero
     heatmap even when the inputs are float32.
@@ -241,9 +241,7 @@ def aggregate_heads(probs) -> dict:
     stacked = np.asarray(probs, dtype=np.float64)
     if len(stacked) < 2:
         raise ValueError(f"aggregate_heads: need >= 2 maps, got {len(stacked)}")
-    final = stacked.mean(axis=0)
-    heatmap = stacked.var(axis=0)
-    return {"final_mask": final, "heatmap": heatmap, "sv": float(heatmap.sum())}
+    return stacked.mean(axis=0), stacked.var(axis=0)
 
 
 def parameter_count(config: ModelConfig, kind: str = "multi_head") -> int:
@@ -262,26 +260,29 @@ def save_checkpoint(directory: str | Path, model: Model) -> None:
 
 
 def load_checkpoint(directory: str | Path) -> Model:
+    """A model straight from weights.edt, checked against its layer spec."""
     directory = Path(directory)
     path = directory / "model.json"
     header = read_json_object(path)
-    builders = {"multi_head": build_model, "single_head_full": build_single_head_model}
-    if not isinstance(header.get("kind"), str) or header["kind"] not in builders:
-        raise DataError(f"{path}: key 'kind' must be one of {sorted(builders)}, "
+    kinds = ["multi_head", "single_head_full"]
+    if not isinstance(header.get("kind"), str) or header["kind"] not in kinds:
+        raise DataError(f"{path}: key 'kind' must be one of {kinds}, "
                         f"got {header.get('kind')!r}")
     raw = json_value(header.get("config"), dict, f"{path}:", "config")
     odd = sorted({f.name for f in fields(ModelConfig)} ^ set(raw))
     if odd:
         raise DataError(f"{path}: key 'config' has missing or unknown keys {odd}")
     config = ModelConfig(**typed_fields(raw, ModelConfig, f"{path}: config", DataError))
-    model = builders[header["kind"]](config)
+    config.validate()
+    shapes = _param_shapes(config, header["kind"])
     weights = load_container(directory / "weights.edt")
-    if set(weights) != set(model.params):
-        missing = set(model.params) ^ set(weights)
-        raise ValueError(f"checkpoint does not match config; mismatched entries: {sorted(missing)}")
+    if set(weights) != set(shapes):
+        raise ValueError(f"checkpoint does not match config; mismatched entries: "
+                         f"{sorted(set(shapes) ^ set(weights))}")
     for name, arr in weights.items():
-        if arr.shape != model.params[name].data.shape:
+        if arr.shape != shapes[name]:
             raise ValueError(f"checkpoint entry {name!r} has shape {arr.shape}, "
-                             f"expected {model.params[name].data.shape}")
-        model.params[name].data = arr.astype(ad.default_dtype())
-    return model
+                             f"expected {shapes[name]}")
+    return Model(config, header["kind"],
+                 {name: Tensor(weights[name], requires_grad=True, name=name)
+                  for name in shapes})

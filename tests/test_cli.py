@@ -599,6 +599,15 @@ class TestUsageErrors:
         assert capsys.readouterr().err == ("out of memory: Unable to allocate "
                                            "32.0 GiB for an array\n")
 
+    @pytest.mark.parametrize("n", ["0", "-3", "100001"])
+    def test_image_count_out_of_range_names_the_flag(self, tmp_path, capsys, n):
+        code = main(["gen-data", "--preset", "desk", "--n", n,
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: --n must be in "
+                                           f"[1, 100000], got {n}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_structure_too_big_for_input_size(self, tmp_path, capsys):
         cfg = tmp_path / "nested16.json"
         cfg.write_text(json.dumps({**TINY, "structure": "nested"}))
@@ -625,6 +634,9 @@ class TestUsageErrors:
         ('{"texture_noise": 1e999}', "texture_noise"),
         ('{"epochs": 0}', "epochs"),
         ('{"seed": -1}', "seed"),
+        ('{"input_size": [1099511627776, 1099511627776]}', "input_size"),
+        ('{"base_channels": 100000000}', "base_channels"),
+        ('{"n_train": 100001}', "n_train"),
     ])
     def test_config_file_error_names_file_and_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -131,6 +132,23 @@ class TestFromDict:
             from_dict({"structure": "spiral"})
         with pytest.raises(ConfigError):
             from_dict({"input_size": [30, 30]})  # not divisible by 2^n_e
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"input_size": [2 ** 40, 2 ** 40]}, "input_size sides must be at most 4096"),
+        ({"input_size": [8192, 32]}, "input_size sides must be at most 4096"),
+        ({"base_channels": 100_000_000}, "base_channels * channel_growth ** (n_e - 1)"),
+        ({"channel_growth": 20}, "base_channels * channel_growth ** (n_e - 1), the "
+                                 "widest layer, must be at most 4096, got 64000"),
+        ({"n_train": 100_001}, "n_train must be in [1, 100000], got 100001"),
+    ])
+    def test_oversized_values_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(f"big.json: config: {message}")):
+            from_dict(doc, where="big.json: config")
+
+    def test_bounds_are_inclusive(self):
+        from_dict({"input_size": [4096, 4096]})
+        from_dict({"base_channels": 512})  # 512 * 2 ** 3 = 4096 channels
+        from_dict({"n_train": 100_000})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):

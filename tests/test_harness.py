@@ -145,20 +145,19 @@ class TestEnsemblePredict:
     def test_identical_members_give_zero_heatmap(self):
         members = [build_single_head_model(tiny_model(seed=4)) for _ in range(3)]
         x = Tensor(np.random.default_rng(0).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data)[0])
-        np.testing.assert_array_equal(out["heatmap"], 0.0)
-        assert out["sv"] == 0.0
+        final, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
+        np.testing.assert_array_equal(heatmap, 0.0)
         single = forward(members[0], x)[0].data[0, 0]
-        np.testing.assert_allclose(out["final_mask"], single, rtol=1e-6)
+        np.testing.assert_allclose(final, single, rtol=1e-6)
 
     def test_two_fixed_members_give_known_variance(self):
         members = [fixed_output_member(tiny_model(), 0.2),
                    fixed_output_member(tiny_model(), 0.8)]
         x = Tensor(np.random.default_rng(1).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data)[0])
-        np.testing.assert_allclose(out["final_mask"], 0.5, atol=1e-6)
-        np.testing.assert_allclose(out["heatmap"], 0.09, atol=1e-6)
-        np.testing.assert_allclose(out["sv"], 0.09 * 16 * 16, rtol=1e-5)
+        final, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
+        np.testing.assert_allclose(final, 0.5, atol=1e-6)
+        np.testing.assert_allclose(heatmap, 0.09, atol=1e-6)
+        np.testing.assert_allclose(heatmap.sum(), 0.09 * 16 * 16, rtol=1e-5)
 
     def test_each_member_runs_exactly_once_per_image(self):
         members = [build_single_head_model(tiny_model(seed=s)) for s in range(3)]
@@ -175,7 +174,7 @@ class TestEnsemblePredict:
     def test_heatmap_matches_per_pixel_variance_loop(self):
         members = [build_single_head_model(tiny_model(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
-        out = aggregate_heads(prob_maps(members, x.data)[0])
+        _, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
         maps = [forward(m, x)[0].data[0, 0].astype(np.float64)
                 for m in members]
         expected = np.zeros((16, 16))
@@ -184,7 +183,7 @@ class TestEnsemblePredict:
                 vals = [m[r, c] for m in maps]
                 mu = sum(vals) / len(vals)
                 expected[r, c] = sum((v - mu) ** 2 for v in vals) / len(vals)
-        np.testing.assert_allclose(out["heatmap"], expected, atol=1e-12)
+        np.testing.assert_allclose(heatmap, expected, atol=1e-12)
 
 
 class TestProbabilityMaps:

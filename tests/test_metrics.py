@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from edue.disagreement import binarize_majority, gt_heatmap, soft_majority
 from edue.metrics import (
     MetricReport,
-    PredictionRecord,
     distance_correlation,
     evaluate_predictions,
     image_level_correlation,
@@ -335,48 +335,91 @@ class TestImageLevelCorrelation:
             image_level_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
+def reference_evaluate(maps, rater_masks, variance):
+    """The per-image scoring path evaluate_predictions replaced: reduce
+    each image's maps to a mask and a heatmap, then make the per-record
+    metric calls.  Returns (per_image, dataset)."""
+    per_image = []
+    for i, (image_maps, masks) in enumerate(zip(maps, rater_masks)):
+        if variance:
+            stacked = np.asarray(image_maps, dtype=np.float64)
+            mask, heatmap = stacked.mean(axis=0), stacked.var(axis=0)
+        else:
+            mask, heatmap = image_maps[0], None
+        pred = np.asarray(mask, dtype=np.float64)
+        soft = soft_majority(masks)
+        row = {"id": f"img{i:04d}", "soft_dice": soft_dice(pred, soft),
+               "nll": nll(pred, binarize_majority(soft))}
+        if variance:
+            heat = np.asarray(heatmap, dtype=np.float64)
+            gt_heat = gt_heatmap(masks)
+            row.update(sv_model=float(heat.sum()), sv_gt=float(gt_heat.sum()),
+                       ncc=ncc(heat, gt_heat))
+        per_image.append(row)
+    dataset = {
+        "mean_dice": float(np.mean([r["soft_dice"] for r in per_image])),
+        "mean_nll": float(np.mean([r["nll"] for r in per_image])),
+    }
+    if variance:
+        corr = image_level_correlation([r["sv_model"] for r in per_image],
+                                       [r["sv_gt"] for r in per_image])
+        dataset.update(sr=corr["sr"], dc=corr["dc"],
+                       mean_ncc=float(np.mean([r["ncc"] for r in per_image])))
+    return per_image, dataset
+
+
 class TestEvaluatePredictions:
-    def records(self, n=5, seed=0):
+    def records(self, n=5, seed=0, m=3, dtype=np.float64):
+        """(maps (n, m, 8, 8), rater stacks): maps scatter around the soft
+        label, more where raters disagree; rater counts vary per image."""
         rng = np.random.default_rng(seed)
-        recs = []
+        maps, stacks = [], []
         for i in range(n):
-            masks = (rng.uniform(size=(4, 8, 8)) < 0.5).astype(float)
+            masks = (rng.uniform(size=(3 + i % 3, 8, 8)) < 0.5).astype(float)
             soft = masks.mean(axis=0)
-            # prediction correlated with the soft label, heatmap with variance
-            pred = np.clip(soft + rng.normal(0, 0.1, soft.shape), 0.0, 1.0)
-            heat = np.clip(masks.var(axis=0) + rng.normal(0, 0.01, soft.shape), 0.0, 0.3)
-            recs.append(PredictionRecord(ident=f"img{i}", final_mask=pred,
-                                         heatmap=heat, rater_masks=masks))
-        return recs
+            noise = rng.normal(0, 1, (m, 8, 8)) * (0.02 + 0.5 * masks.std(axis=0))
+            maps.append(np.clip(soft + noise, 0.0, 1.0))
+            stacks.append(masks)
+        return np.stack(maps).astype(dtype), stacks
 
     def test_report_structure(self):
-        report = evaluate_predictions(self.records())
+        report = evaluate_predictions(*self.records())
         assert isinstance(report, MetricReport)
         assert len(report.per_image) == 5
         row = report.per_image[0]
         assert set(row) == {"id", "soft_dice", "nll", "sv_model", "sv_gt", "ncc"}
-        assert row["id"] == "img0"
+        assert [r["id"] for r in report.per_image] == [f"img000{i}" for i in range(5)]
         for key in ("sr", "dc", "mean_ncc", "mean_dice", "mean_nll"):
             assert np.isfinite(report.dataset[key])
         assert -1.0 <= report.dataset["sr"] <= 1.0
         assert 0.0 <= report.dataset["dc"] <= 1.0 + 1e-12
 
     def test_per_image_values_match_direct_metric_calls(self):
-        recs = self.records(seed=3)
-        report = evaluate_predictions(recs)
-        r = recs[2]
+        maps, stacks = self.records(seed=3)
+        report = evaluate_predictions(maps, stacks)
         row = report.per_image[2]
-        soft = r.rater_masks.mean(axis=0)
+        masks = stacks[2]
+        pred, heat = maps[2].mean(axis=0), maps[2].var(axis=0)
+        soft = masks.mean(axis=0)
         hard = (soft >= 0.5).astype(float)
-        gt_heat = r.rater_masks.var(axis=0)
-        assert row["soft_dice"] == pytest.approx(soft_dice(r.final_mask, soft), abs=1e-12)
-        assert row["nll"] == pytest.approx(nll(r.final_mask, hard), abs=1e-12)
-        assert row["sv_model"] == pytest.approx(r.heatmap.sum(), abs=1e-12)
+        gt_heat = masks.var(axis=0)
+        assert row["soft_dice"] == pytest.approx(soft_dice(pred, soft), abs=1e-12)
+        assert row["nll"] == pytest.approx(nll(pred, hard), abs=1e-12)
+        assert row["sv_model"] == pytest.approx(heat.sum(), abs=1e-12)
         assert row["sv_gt"] == pytest.approx(gt_heat.sum(), abs=1e-12)
-        assert row["ncc"] == pytest.approx(ncc(r.heatmap, gt_heat), abs=1e-12)
+        assert row["ncc"] == pytest.approx(ncc(heat, gt_heat), abs=1e-12)
+
+    def test_without_variance_scores_the_first_map(self):
+        maps, stacks = self.records(n=3, seed=6)
+        report = evaluate_predictions(maps, stacks, variance=False)
+        assert set(report.per_image[0]) == {"id", "soft_dice", "nll"}
+        assert set(report.dataset) == {"mean_dice", "mean_nll"}
+        soft = stacks[1].mean(axis=0)
+        assert report.per_image[1]["soft_dice"] == pytest.approx(
+            soft_dice(maps[1][0], soft), abs=1e-12)
 
     def test_dataset_means_are_unweighted(self):
-        report = evaluate_predictions(self.records(n=6, seed=4))
+        report = evaluate_predictions(*self.records(n=6, seed=4))
         assert report.dataset["mean_dice"] == pytest.approx(
             np.mean([r["soft_dice"] for r in report.per_image]), abs=1e-12)
         assert report.dataset["mean_nll"] == pytest.approx(
@@ -385,18 +428,36 @@ class TestEvaluatePredictions:
             np.mean([r["ncc"] for r in report.per_image]), abs=1e-12)
 
     def test_sr_matches_direct_call(self):
-        report = evaluate_predictions(self.records(n=8, seed=5))
+        report = evaluate_predictions(*self.records(n=8, seed=5))
         sv_m = [r["sv_model"] for r in report.per_image]
         sv_g = [r["sv_gt"] for r in report.per_image]
         assert report.dataset["sr"] == pytest.approx(spearman(sv_m, sv_g), abs=1e-12)
         assert report.dataset["dc"] == pytest.approx(
             distance_correlation(sv_m, sv_g), abs=1e-12)
 
-    def test_channel_axis_accepted(self):
-        recs = [
-            PredictionRecord(ident="a", final_mask=r.final_mask[None],
-                             heatmap=r.heatmap[None], rater_masks=r.rater_masks)
-            for r in self.records()
-        ]
-        report = evaluate_predictions(recs)
-        assert len(report.per_image) == 5
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variance, m", [(False, 1), (False, 2), (False, 3),
+                                             (True, 2), (True, 3)])
+    def test_equals_the_per_image_reference_path(self, variance, m, dtype):
+        maps, stacks = self.records(n=6, seed=7, m=m, dtype=dtype)
+        report = evaluate_predictions(maps, stacks, variance=variance)
+        per_image, dataset = reference_evaluate(maps, stacks, variance)
+        assert report.per_image == per_image
+        assert report.dataset == dataset
+
+    def test_variance_needs_two_maps(self):
+        with pytest.raises(ValueError, match=">= 2 maps"):
+            evaluate_predictions(*self.records(m=1))
+
+    def test_length_mismatch_raises(self):
+        maps, stacks = self.records()
+        with pytest.raises(ValueError, match="5 map sets but 4 rater stacks"):
+            evaluate_predictions(maps, stacks[:4])
+        with pytest.raises(ValueError, match="4 map sets but 5 rater stacks"):
+            evaluate_predictions(maps[:4], stacks, variance=False)
+
+    def test_too_few_images(self):
+        maps, stacks = self.records(n=3)
+        with pytest.raises(ValueError, match="at least 4 images"):
+            evaluate_predictions(maps, stacks)
+        assert len(evaluate_predictions(maps[:1], stacks[:1], variance=False).per_image) == 1

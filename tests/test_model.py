@@ -184,7 +184,7 @@ class TestAggregation:
     def test_variance_oracle(self):
         rng = np.random.default_rng(7)
         maps = [rng.uniform(size=(2, 1, 4, 4)) for _ in range(3)]
-        agg = aggregate_heads(maps)
+        final, heatmap = aggregate_heads(maps)
         mean = np.zeros((2, 1, 4, 4))
         var = np.zeros((2, 1, 4, 4))
         for b in range(2):
@@ -194,38 +194,36 @@ class TestAggregation:
                     mu = sum(vals) / 3
                     mean[b, 0, i, j] = mu
                     var[b, 0, i, j] = sum((v - mu) ** 2 for v in vals) / 3
-        np.testing.assert_allclose(agg["final_mask"], mean, atol=1e-12)
-        np.testing.assert_allclose(agg["heatmap"], var, atol=1e-12)
-        assert agg["sv"] == pytest.approx(var.sum(), abs=1e-9)
+        np.testing.assert_allclose(final, mean, atol=1e-12)
+        np.testing.assert_allclose(heatmap, var, atol=1e-12)
 
     def test_identical_heads_have_zero_variance(self):
         m = np.full((1, 1, 4, 4), 0.3)
-        agg = aggregate_heads([m, m.copy(), m.copy()])
-        np.testing.assert_array_equal(agg["heatmap"], 0.0)
-        assert agg["sv"] == 0.0
+        _, heatmap = aggregate_heads([m, m.copy(), m.copy()])
+        np.testing.assert_array_equal(heatmap, 0.0)
 
     def test_two_fixed_heads(self):
         # Heads at 0.2 and 0.8 everywhere: mean 0.5, variance 0.09 per
         # pixel, so a 4x4 single-channel image sums to 1.44.
         a = np.full((1, 1, 4, 4), 0.2)
         b = np.full((1, 1, 4, 4), 0.8)
-        agg = aggregate_heads([a, b])
-        np.testing.assert_allclose(agg["final_mask"], 0.5, atol=1e-7)
-        np.testing.assert_allclose(agg["heatmap"], 0.09, atol=1e-7)
-        assert agg["sv"] == pytest.approx(1.44, abs=1e-5)
+        final, heatmap = aggregate_heads([a, b])
+        np.testing.assert_allclose(final, 0.5, atol=1e-7)
+        np.testing.assert_allclose(heatmap, 0.09, atol=1e-7)
+        assert heatmap.sum() == pytest.approx(1.44, abs=1e-5)
 
     def test_predict_head_skip(self):
         model = build_model(DESK)
         x = desk_input(batch=1)
-        full = aggregate_heads(prob_maps([model], x.data)[0])
-        skipped = aggregate_heads(prob_maps([model], x.data, head_skip=1)[0])
+        full, _ = aggregate_heads(prob_maps([model], x.data)[0])
+        skipped, _ = aggregate_heads(prob_maps([model], x.data, head_skip=1)[0])
         outs = forward(model, x)
         np.testing.assert_allclose(
-            skipped["final_mask"],
+            skipped,
             np.stack([outs[1].data, outs[2].data]).mean(axis=0)[0, 0],
             atol=1e-7,
         )
-        assert not np.allclose(full["final_mask"], skipped["final_mask"])
+        assert not np.allclose(full, skipped)
         with pytest.raises(ValueError, match="head"):
             aggregate_heads(prob_maps([model], x.data, head_skip=2)[0])
 
@@ -258,8 +256,8 @@ class TestCheckpoint:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
         after = aggregate_heads(prob_maps([loaded], images)[0])
-        np.testing.assert_array_equal(before["final_mask"], after["final_mask"])
-        assert before["sv"] == after["sv"]
+        np.testing.assert_array_equal(before[0], after[0])
+        np.testing.assert_array_equal(before[1], after[1])
 
     def test_roundtrip_single_head(self, tmp_path):
         member = build_single_head_model(DESK)
@@ -267,6 +265,33 @@ class TestCheckpoint:
         loaded = load_checkpoint(tmp_path / "m")
         assert loaded.kind == "single_head_full"
         assert loaded.parameter_count() == member.parameter_count()
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_load_draws_no_init(self, tmp_path, monkeypatch, kind):
+        model = BUILDERS[kind](replace(DESK, seed=5))
+        save_checkpoint(tmp_path / "c", model)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew an init")
+        monkeypatch.setattr("edue.model._init_params", no_init)
+        loaded = load_checkpoint(tmp_path / "c")
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_loaded_params_match_a_built_model(self, tmp_path, kind):
+        model = BUILDERS[kind](DESK)
+        save_checkpoint(tmp_path / "c", model)
+        loaded = load_checkpoint(tmp_path / "c")
+        # Adam and save_checkpoint iterate params in this order
+        assert list(loaded.params) == list(model.params)
+        for name, p in model.params.items():
+            q = loaded.params[name]
+            assert q.name == name and q.requires_grad
+            assert q.data.dtype == p.data.dtype == ad.default_dtype()
+            assert q.grad.dtype == p.grad.dtype and q.grad.shape == p.grad.shape
+            assert not q.grad.any()
+        assert loaded.trunk_passes == 0
 
     def test_mismatched_weights_rejected(self, tmp_path):
         model = build_model(DESK)
