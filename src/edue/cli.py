@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ShapeError
-from .config import ConfigError, MAX_IMAGES, PRESET_NAMES, RunConfig, load_config, preset
+from .config import (ConfigError, MAX_IMAGES, MAX_INPUT_SIDE, PRESET_NAMES, RunConfig,
+                     load_config, preset)
 from .container import ContainerError, entry_table, write_json
 from .harness import (
     ARMS,
@@ -211,6 +212,9 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 def cmd_ood(args: argparse.Namespace) -> int:
     level = _finite("--level", args.level)
+    if args.kind == "blur" and level > MAX_INPUT_SIDE:
+        raise ConfigError(f"--level is a blur radius in pixels and must be at "
+                          f"most {MAX_INPUT_SIDE}, got {level}")
     arm, models, meta, samples = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, meta.get("seed", 0))
     report = ood_experiment(models, samples, args.kind, level,

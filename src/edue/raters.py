@@ -106,34 +106,47 @@ def _band_limited_field(rng: np.random.Generator, shape: tuple[int, int],
     return field / max(field.std(), 1e-9)
 
 
-def _flood(mask: np.ndarray, seed: tuple[int, int]) -> np.ndarray:
-    comp = np.zeros_like(mask)
-    comp[seed] = True
-    frontier = comp.copy()
-    while frontier.any():
-        grown = np.zeros_like(mask)
-        grown[:-1] |= frontier[1:]
-        grown[1:] |= frontier[:-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        grown[:, 1:] |= frontier[:, :-1]
-        frontier = grown & mask & ~comp
-        comp |= frontier
-    return comp
-
-
 def _largest_component(mask: np.ndarray) -> np.ndarray:
-    """Largest 4-connected foreground component of a boolean mask."""
-    remaining = mask.copy()
-    best = np.zeros_like(mask)
-    best_area = 0
-    while remaining.sum() > best_area:
-        seed = np.unravel_index(int(np.argmax(remaining)), remaining.shape)
-        comp = _flood(remaining, seed)
-        area = int(comp.sum())
-        if area > best_area:
-            best, best_area = comp, area
-        remaining &= ~comp
-    return best
+    """Largest 4-connected foreground component of a boolean mask.
+
+    One union-find pass over row runs.  Every root is the first run of its
+    component in raster order, so argmax's first maximum gives an area tie
+    to the component whose first pixel comes first in raster order.
+    """
+    h, w = mask.shape
+    padded = np.zeros((h, w + 1), dtype=bool)  # the False column ends each row's runs
+    padded[:, :w] = mask
+    edges = np.flatnonzero(np.diff(padded.ravel(), prepend=False))
+    starts, ends = edges[0::2], edges[1::2]
+    if starts.size == 0:
+        return np.zeros((h, w), dtype=bool)
+    rows = starts // (w + 1)
+    first = np.searchsorted(rows, np.arange(h + 1)).tolist()
+    lo, hi = (starts - rows * (w + 1)).tolist(), (ends - rows * (w + 1)).tolist()
+    parent = list(range(len(lo)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r in range(h - 1):
+        a, b = first[r], first[r + 1]
+        while a < first[r + 1] and b < first[r + 2]:
+            if lo[a] < hi[b] and lo[b] < hi[a]:
+                ra, rb = find(a), find(b)
+                parent[max(ra, rb)] = min(ra, rb)
+            if hi[a] < hi[b]:
+                a += 1
+            else:
+                b += 1
+    roots = np.array([find(i) for i in range(len(parent))])
+    keep = roots == int(np.argmax(np.bincount(roots, weights=ends - starts)))
+    fill = np.zeros(padded.size, dtype=np.int8)  # +1 and -1 at run bounds; cumsum paints
+    fill[starts[keep]] = 1
+    fill[ends[keep]] = -1
+    return np.cumsum(fill, dtype=np.int8).astype(bool).reshape(h, w + 1)[:, :w]
 
 
 def _wobbled_distance(rng: np.random.Generator, grid: tuple[np.ndarray, np.ndarray],

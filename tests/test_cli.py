@@ -97,6 +97,22 @@ class TestGenData:
         assert dir_digest(a) == dir_digest(b)
         assert dir_digest(a) != dir_digest(c)
 
+    # Recorded before scene generation's component search was rewritten; a
+    # change to scene generation must reproduce these bytes or say why not.
+    @pytest.mark.parametrize("config, n, digest", [
+        ({"preset": "desk"}, 16,
+         "98b26cdfe988d17d587fc32db1c98ac093303b06e74421e5d517d4870221317d"),
+        ({"preset": "riga-like", "input_size": [64, 64]}, 6,
+         "639f3bf76a09917f62a61b3b993750dbfcf974d4498ba4935acef8fe5ea65c7a"),
+    ])
+    def test_dataset_bytes_are_pinned(self, tmp_path, config, n, digest):
+        cfg = tmp_path / "pinned.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--n", str(n), "--seed", "5",
+                     "--out", str(out)]) == 0
+        assert dir_digest(out) == digest
+
     def test_n_flag_overrides_config(self, tmp_path, cfg_path):
         out = tmp_path / "d"
         assert main(["gen-data", "--config", cfg_path, "--n", "4",
@@ -501,6 +517,13 @@ class TestQcAndOod:
         assert lines[0] == "fraction,n_distorted,min,q1,median,q3,max,mean"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("level", ["100", "4096"])
+    def test_blur_radius_wider_than_the_image_runs(self, tmp_path, dataset,
+                                                   checkpoint, level):
+        assert main(["ood", "--model", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "ood.json"), "--kind", "blur",
+                     "--level", level]) == 0
+
     def test_bad_fractions(self, tmp_path, dataset, checkpoint, capsys):
         code = main(["ood", "--model", str(checkpoint), "--data", str(dataset),
                      "--out", str(tmp_path / "o.json"), "--fractions", "a,b"])
@@ -587,6 +610,18 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == (f"config error: {flag} must be a "
                                            f"finite number, got {value}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["4097", "1e12", "1e308"])
+    def test_blur_radius_beyond_the_largest_image_exits_two(self, tmp_path, capsys,
+                                                             value):
+        code = main(["ood", "--model", str(tmp_path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "r.json"), "--kind", "blur",
+                     "--level", value])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --level is a blur radius in pixels and must be at "
+            f"most 4096, got {float(value)}\n")
         assert not (tmp_path / "r.json").exists()
 
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):

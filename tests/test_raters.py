@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from edue import raters
@@ -136,6 +138,126 @@ class TestGenerateSample:
         for params in bad:
             with pytest.raises(ValueError):
                 generate_sample(params, np.random.default_rng(0))
+
+
+def flood_reference(mask, seed):
+    """The ring-by-ring flood fill that scene generation used to run."""
+    comp = np.zeros_like(mask)
+    comp[seed] = True
+    frontier = comp.copy()
+    while frontier.any():
+        grown = np.zeros_like(mask)
+        grown[:-1] |= frontier[1:]
+        grown[1:] |= frontier[:-1]
+        grown[:, :-1] |= frontier[:, 1:]
+        grown[:, 1:] |= frontier[:, :-1]
+        frontier = grown & mask & ~comp
+        comp |= frontier
+    return comp
+
+
+def largest_component_reference(mask):
+    """Flood from the first remaining pixel in raster order; keep a
+    component only when it is strictly larger than the best so far."""
+    remaining = mask.copy()
+    best = np.zeros_like(mask)
+    best_area = 0
+    while remaining.sum() > best_area:
+        seed = np.unravel_index(int(np.argmax(remaining)), remaining.shape)
+        comp = flood_reference(remaining, seed)
+        area = int(comp.sum())
+        if area > best_area:
+            best, best_area = comp, area
+        remaining &= ~comp
+    return best
+
+
+def largest_component_scipy(mask):
+    """4-connected labelling; labels run in raster order of first pixel, so
+    argmax's first maximum takes the first label on an area tie."""
+    labels, n = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    if n == 0:
+        return np.zeros_like(mask)
+    return labels == 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
+
+
+def mask_from(rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+class TestLargestComponent:
+    def check(self, mask):
+        before = mask.copy()
+        out = raters._largest_component(mask)
+        np.testing.assert_array_equal(mask, before)
+        assert out.dtype == bool and out.shape == mask.shape
+        np.testing.assert_array_equal(out, largest_component_reference(mask))
+        np.testing.assert_array_equal(out, largest_component_scipy(mask))
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.bool_, st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    def test_matches_flood_fill_and_scipy(self, mask):
+        self.check(mask)
+
+    def test_u_shape_arms_join_only_below(self):
+        mask = mask_from(["#...#.##",
+                          "#...#.##",
+                          "#...#.##",
+                          "#####...",
+                          "........"])
+        out = self.check(mask)
+        assert out.sum() == 11 and out[0, 0] and out[0, 4] and not out[0, 6]
+
+    def test_spiral(self):
+        # One arm winding inward to (4, 4), next to a 3 x 4 block; the arms
+        # meet in raster order as separate runs and join only through the
+        # outer ring.
+        mask = mask_from(["#########....",
+                          "........#.###",
+                          "#######.#.###",
+                          "#.....#.#.###",
+                          "#.###.#.#.###",
+                          "#.#...#.#....",
+                          "#.#####.#....",
+                          "#.......#....",
+                          "#########...."])
+        out = self.check(mask)
+        assert out.sum() == mask.sum() - 12 and out[4, 4] and not out[1, 10]
+
+    def test_diagonal_touch_stays_separate(self):
+        mask = mask_from(["##...",
+                          "##...",
+                          "..###",
+                          "..###",
+                          "..###"])
+        out = self.check(mask)
+        assert out.sum() == 9 and not out[0, 0]
+
+    def test_equal_areas_go_to_the_earlier_first_pixel(self):
+        mask = mask_from(["....##",
+                          "#...##",
+                          "#.....",
+                          "#.....",
+                          "#....."])
+        out = self.check(mask)
+        assert out.sum() == 4 and out[0, 4] and not out[1, 0]
+        # The first to start wins even when it is the last to end.
+        out = self.check(mask_from(["#.....",
+                                    "#..##.",
+                                    "#..##.",
+                                    "#....."]))
+        assert out.sum() == 4 and out[3, 0] and not out[1, 3]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (1, 9), (9, 1)])
+    def test_all_false_and_all_true(self, shape):
+        assert not self.check(np.zeros(shape, dtype=bool)).any()
+        assert self.check(np.ones(shape, dtype=bool)).all()
+
+    def test_single_row_and_column(self):
+        row = np.array([[True, True, False, True, True, True, False, True]])
+        assert self.check(row).sum() == 3
+        self.check(row.T.copy())
 
 
 class TestGenerateDataset:
