@@ -242,19 +242,24 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    # np.where branches on every element, slow when the mask follows the data;
+    # fmax maps NaN to 0, and += 0 turns its -0.0 back into +0.0
+    zero = a.data.dtype.type(0)
+    out = np.fmax(a.data, zero)
+    out += zero
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0))
 
-    return _finish(np.where(mask, a.data, 0.0).astype(a.data.dtype), (a,), backward)
+    return _finish(out, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # split by sign so exp never overflows
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
 
     def backward(g):
         _accum(a, g * out * (1.0 - out))
@@ -426,11 +431,13 @@ def channel_norm(x: Tensor, gain: Tensor, shift: Tensor, epsilon: float = 1e-5) 
     if gain.data.shape != (c,) or shift.data.shape != (c,):
         raise ShapeError(f"channel_norm: gain/shift must have shape ({c},), "
                          f"got {gain.data.shape} and {shift.data.shape}")
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
+    # numpy's own var steps, with x - mean kept for xhat
+    d = x.data - x.data.mean(axis=(2, 3), keepdims=True)
+    var = (d * d).mean(axis=(2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(epsilon))
-    xhat = (x.data - mu) * inv
-    out = gain.data[None, :, None, None] * xhat + shift.data[None, :, None, None]
+    xhat = d * inv
+    out = xhat * gain.data[None, :, None, None]
+    out += shift.data[None, :, None, None]
 
     def backward(g):
         if shift.requires_grad:
@@ -446,7 +453,7 @@ def channel_norm(x: Tensor, gain: Tensor, shift: Tensor, epsilon: float = 1e-5) 
             x.ensure_grad()
             x.grad += inv * (gx - m1 - xhat * m2)
 
-    return _finish(out.astype(x.data.dtype), (x, gain, shift), backward)
+    return _finish(out.astype(x.data.dtype, copy=False), (x, gain, shift), backward)
 
 
 # ---------------------------------------------------------------------------

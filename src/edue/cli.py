@@ -167,6 +167,13 @@ def _evaluate(args: argparse.Namespace, uncertainty: bool):
     return {"arm": arm, "structure": meta.get("structure_name"), "train_meta": meta}, report
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse a report path whose directory is missing, before any work."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise ConfigError(f"--out directory {parent} does not exist or is not a directory")
+
+
 def _write_report(out: str, doc: dict, header: list, rows: list) -> Path:
     """The JSON report at out, and its CSV beside it."""
     out = Path(out)
@@ -176,6 +183,7 @@ def _write_report(out: str, doc: dict, header: list, rows: list) -> Path:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     doc, report = _evaluate(args, uncertainty=False)
     columns = list(report.per_image[0])  # id, mask metrics, then any variance metrics
     out = _write_report(args.out, {**doc, "per_image": report.per_image,
@@ -186,6 +194,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     threshold = _finite("--dice-threshold", args.dice_threshold)
     doc, report = _evaluate(args, uncertainty=True)
     curve = quality_control([rec["soft_dice"] for rec in report.per_image],
@@ -211,6 +220,7 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     level = _finite("--level", args.level)
     if args.kind == "blur" and level > MAX_INPUT_SIDE:
         raise ConfigError(f"--level is a blur radius in pixels and must be at "
@@ -234,6 +244,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     config = _resolve_config(args)
     try:
         seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())

@@ -46,7 +46,9 @@ class DataError(ValueError):
     """Missing, inconsistent, or malformed dataset / checkpoint layout."""
 
 
-def _encode(tensors: dict[str, np.ndarray]) -> bytes:
+def _chunks(tensors: dict[str, np.ndarray]) -> list:
+    """The file's pieces in order, payloads as C-order float32 arrays and
+    the CRC last; raises before anything is written."""
     chunks = [MAGIC, _U32.pack(len(tensors))]
     seen = set()
     for name, arr in tensors.items():
@@ -54,24 +56,29 @@ def _encode(tensors: dict[str, np.ndarray]) -> bytes:
             raise ContainerError(f"duplicate entry name {name!r}")
         seen.add(name)
         raw = name.encode("utf-8")
-        arr = np.asarray(arr, dtype="<f4")  # tobytes() serializes C-order
+        arr = np.asarray(arr, dtype="<f4")
         chunks.append(_U32.pack(len(raw)))
         chunks.append(raw)
         chunks.append(_U32.pack(arr.ndim))
         for extent in arr.shape:
             chunks.append(_U32.pack(extent))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    return body + _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
+        chunks.append(np.ascontiguousarray(arr).reshape(-1))
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.append(_U32.pack(crc & 0xFFFFFFFF))
+    return chunks
 
 
-def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
-    """Write to a temporary file in the same directory, then rename."""
+def atomic_write_bytes(path: str | os.PathLike, chunks) -> None:
+    """Write the byte chunks in order to a temporary file in the same
+    directory, then rename it into place."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,7 +87,7 @@ def atomic_write_bytes(path: str | os.PathLike, blob: bytes) -> None:
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def write_json(path: str | os.PathLike, obj) -> None:
@@ -154,19 +161,19 @@ def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
 
 def save_container(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:
     """Write named float arrays atomically; values are stored as float32."""
-    atomic_write_bytes(path, _encode(tensors))
+    atomic_write_bytes(path, _chunks(tensors))
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: Path):
-        self.blob = blob
+    def __init__(self, body: memoryview, path: Path):
+        self.body = body
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
+    def take(self, n: int, what: str) -> memoryview:
+        if self.pos + n > len(self.body):
             raise ContainerError(f"{self.path}: truncated while reading {what}")
-        piece = self.blob[self.pos:self.pos + n]
+        piece = self.body[self.pos:self.pos + n]
         self.pos += n
         return piece
 
@@ -180,7 +187,7 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
     blob = path.read_bytes()
     if len(blob) < len(MAGIC) + 8:
         raise ContainerError(f"{path}: file too short for a container")
-    body, stored = blob[:-4], _U32.unpack(blob[-4:])[0]
+    body, stored = memoryview(blob)[:-4], _U32.unpack_from(blob, len(blob) - 4)[0]
     if (zlib.crc32(body) & 0xFFFFFFFF) != stored:
         raise ContainerError(f"{path}: CRC mismatch, file is truncated or corrupt")
 
@@ -191,7 +198,7 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for k in range(count):
         name_len = rd.u32(f"entry {k} name length")
-        name = rd.take(name_len, f"entry {k} name").decode("utf-8")
+        name = str(rd.take(name_len, f"entry {k} name"), "utf-8")
         if name in out:
             raise ContainerError(f"{path}: duplicate entry name {name!r}")
         rank = rd.u32(f"{name!r} rank")
@@ -200,6 +207,7 @@ def load_container(path: str | os.PathLike) -> dict[str, np.ndarray]:
         for e in extents:
             numel *= e
         payload = rd.take(numel * 4, f"{name!r} payload")
+        # the one copy of each payload: a writable array owning its memory
         out[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
     if rd.pos != len(body):
         raise ContainerError(f"{path}: {len(body) - rd.pos} trailing bytes after last entry")

@@ -352,6 +352,67 @@ def test_relu_gradient_fd():
     check_gradients(lambda: projected_loss(relu(x), proj), [x], h=1e-2, tol=1e-3)
 
 
+def relu_reference(x):
+    """relu's earlier formula, which the engine must match bit for bit."""
+    return np.where(x > 0, x, 0.0).astype(x.dtype)
+
+
+def sigmoid_reference(x):
+    """sigmoid's earlier formula, which the engine must match bit for bit."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x)))).astype(x.dtype)
+
+
+def engine_pointwise(op, x, g):
+    """op's output and the input gradient its backward gives for g,
+    accumulated into a zeroed buffer."""
+    leaf = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(leaf)
+    (_, backward), = tape.records
+    backward(g)
+    return out.data, leaf.grad
+
+
+def bits(a):
+    return a.view(np.int32 if a.dtype == np.float32 else np.int64)
+
+
+@pytest.mark.parametrize("dtype, tiny", [(np.float32, 1e-45), (np.float64, 5e-324)])
+def test_relu_bit_identical_to_where_formula(dtype, tiny):
+    special = np.array([np.nan, -np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0,
+                        np.inf, -np.inf, 1e-45, -1e-45, tiny, -tiny, 1.0, -1.0])
+    rng = np.random.default_rng(40)
+    # short arrays put each special value in the vector loop's scalar tail too
+    cases = [np.resize(np.roll(special, k), n)
+             for n in (1, 2, 3, 5, 7, 9, 13, 17, 31) for k in range(special.size)]
+    cases.append(np.concatenate([special, rng.standard_normal(4096 - special.size)]))
+    for x in cases:
+        x = x.astype(dtype).reshape(1, 1, 1, -1)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        with (dtype64() if dtype == np.float64 else contextlib.nullcontext()):
+            out, grad = engine_pointwise(relu, x, g)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(bits(out), bits(relu_reference(x)))
+        np.testing.assert_array_equal(bits(grad), bits(np.zeros_like(g) + g * (x > 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_three_exp_formula(dtype):
+    rng = np.random.default_rng(41)
+    x = np.concatenate([np.linspace(-100.0, 100.0, 2001), [0.0, -0.0],
+                        rng.uniform(-100.0, 100.0, 4096 - 2003)])
+    x = x.astype(dtype).reshape(4, 4, 16, 16)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    with (dtype64() if dtype == np.float64 else contextlib.nullcontext()):
+        out, grad = engine_pointwise(sigmoid, x, g)
+    ref = sigmoid_reference(x)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(bits(out), bits(ref))
+    np.testing.assert_array_equal(bits(grad),
+                                  bits(np.zeros_like(g) + g * ref * (1.0 - ref)))
+
+
 def test_sigmoid_midpoint_and_saturation():
     x = Tensor(np.array([0.0, 100.0, -100.0]).reshape(1, 1, 1, 3))
     out = sigmoid(x).data.ravel()
@@ -448,6 +509,47 @@ def test_channel_norm_gradient_fd_64bit():
         proj = Tensor(rng.standard_normal((2, 2, 3, 3)))
         check_gradients(lambda: projected_loss(channel_norm(x, gain, shift), proj),
                         [x, gain, shift], h=1e-5, tol=1e-5)
+
+
+def channel_norm_reference(x, gain, shift, g, epsilon=1e-5):
+    """channel_norm's earlier forward, which centres x twice, and its
+    backward: (out, dx, dgain, dshift) for output gradient g."""
+    mu = x.mean(axis=(2, 3), keepdims=True)
+    var = x.var(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(epsilon))
+    xhat = (x - mu) * inv
+    out = gain[None, :, None, None] * xhat + shift[None, :, None, None]
+    gx = g * gain[None, :, None, None]
+    m1 = gx.mean(axis=(2, 3), keepdims=True)
+    m2 = (gx * xhat).mean(axis=(2, 3), keepdims=True)
+    dx = np.zeros_like(x) + inv * (gx - m1 - xhat * m2)
+    dgain = np.zeros_like(gain) + (g * xhat).sum(axis=(0, 2, 3))
+    dshift = np.zeros_like(shift) + g.sum(axis=(0, 2, 3))
+    return out.astype(x.dtype), dx, dgain, dshift
+
+
+@pytest.mark.parametrize("dtype, shape", [
+    (np.float32, (8, 8, 32, 32)),   # desk
+    (np.float32, (2, 8, 256, 256)),  # riga-like
+    (np.float64, (8, 8, 32, 32)),
+])
+def test_channel_norm_bit_identical_to_two_pass_formula(dtype, shape):
+    rng = np.random.default_rng(42)
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    gain = rng.uniform(0.5, 1.5, shape[1]).astype(dtype)
+    shift = rng.standard_normal(shape[1]).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    with (dtype64() if dtype == np.float64 else contextlib.nullcontext()):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, shift)]
+        with Tape() as tape:
+            out = channel_norm(*leaves)
+        (_, backward), = tape.records
+        backward(g)
+    got = (out.data,) + tuple(leaf.grad for leaf in leaves)
+    for name, a, b in zip(("out", "dx", "dgain", "dshift"), got,
+                          channel_norm_reference(x, gain, shift, g)):
+        assert a.dtype == dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

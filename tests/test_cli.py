@@ -624,6 +624,24 @@ class TestUsageErrors:
             f"most 4096, got {float(value)}\n")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "ghost", "--data", "ghost"],
+        ["qc", "--model", "ghost", "--data", "ghost"],
+        ["ood", "--model", "ghost", "--data", "ghost"],
+        ["compare", "--train-data", "ghost", "--test-data", "ghost"],
+    ], ids=["eval", "qc", "ood", "compare"])
+    def test_missing_out_directory_exits_two_before_loading(self, tmp_path, capsys,
+                                                            argv):
+        # the model and data paths do not exist either: the directory check
+        # must come first, so the message names the directory, not them
+        missing = tmp_path / "missing"
+        code = main(argv + ["--out", str(missing / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out directory {missing} does not exist or is "
+            f"not a directory\n")
+        assert not missing.exists()
+
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 32.0 GiB for an array")

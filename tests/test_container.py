@@ -1,7 +1,9 @@
 """EDT1 container round trips and corruption handling."""
 
+import itertools
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -32,6 +34,57 @@ def test_roundtrip_is_bitwise_stable(tmp_path):
 
     save_container(tmp_path / "w2.edt", loaded)
     assert (tmp_path / "w2.edt").read_bytes() == path.read_bytes()
+
+
+def encode_reference(tensors):
+    """The earlier whole-file encoder: every chunk joined, then the CRC
+    appended.  save_container must write exactly these bytes."""
+    chunks = [b"EDT1", struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        raw = name.encode("utf-8")
+        arr = np.asarray(arr, dtype="<f4")
+        chunks.append(struct.pack("<I", len(raw)))
+        chunks.append(raw)
+        chunks.append(struct.pack("<I", arr.ndim))
+        for extent in arr.shape:
+            chunks.append(struct.pack("<I", extent))
+        chunks.append(arr.tobytes())
+    body = b"".join(chunks)
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_save_writes_the_reference_encoding(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = rng.standard_normal((4, 6))
+    tensors = {
+        "f32": rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+        "f64": rng.standard_normal((5, 7)),                  # cast to float32
+        "transposed": grid.T,                                # not C-contiguous
+        "strided": grid[::2, 1::3],
+        "scalar": np.array(4.25, dtype=np.float32),
+        "python scalar": 2.5,
+        "empty": np.zeros((0, 3), dtype=np.float32),
+        "big-endian": np.arange(6, dtype=">f4").reshape(2, 3),
+        "enc/блок-1": np.ones((2, 2), dtype=np.float32),
+    }
+    for case in ({}, tensors):
+        path = tmp_path / "w.edt"
+        save_container(path, case)
+        assert path.read_bytes() == encode_reference(case)
+
+
+def test_loaded_arrays_are_writable_and_independent(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "w.edt"
+    save_container(path, {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5),
+                          "c": np.array(1.5), "d": np.zeros((2, 0))})
+    loaded = list(load_container(path).values())
+    for arr in loaded:
+        assert arr.dtype == np.float32 and arr.flags.writeable and arr.flags.c_contiguous
+    for x, y in itertools.combinations(loaded, 2):
+        assert not np.shares_memory(x, y)
+    loaded[0][...] = 7.0
+    assert not np.any(loaded[1] == 7.0)
 
 
 def test_empty_container(tmp_path):
@@ -86,6 +139,7 @@ def test_duplicate_names_rejected_on_save(tmp_path):
 
     with pytest.raises(ContainerError, match="duplicate"):
         save_container(tmp_path / "w.edt", Cheat())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unicode_names_roundtrip(tmp_path):
