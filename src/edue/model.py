@@ -275,7 +275,8 @@ def load_checkpoint(directory: str | Path) -> Model:
     config = ModelConfig(**typed_fields(raw, ModelConfig, f"{path}: config", DataError))
     config.validate()
     shapes = _param_shapes(config, header["kind"])
-    weights = load_container(directory / "weights.edt")
+    weights_path = directory / "weights.edt"
+    weights = load_container(weights_path)
     if set(weights) != set(shapes):
         raise ValueError(f"checkpoint does not match config; mismatched entries: "
                          f"{sorted(set(shapes) ^ set(weights))}")
@@ -283,6 +284,8 @@ def load_checkpoint(directory: str | Path) -> Model:
         if arr.shape != shapes[name]:
             raise ValueError(f"checkpoint entry {name!r} has shape {arr.shape}, "
                              f"expected {shapes[name]}")
+        if not np.isfinite(arr).all():  # relu would hide a NaN weight's channel
+            raise DataError(f"{weights_path}: entry {name!r} has non-finite values")
     return Model(config, header["kind"],
                  {name: Tensor(weights[name], requires_grad=True, name=name)
                   for name in shapes})

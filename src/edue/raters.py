@@ -95,14 +95,17 @@ def _band_limited_field(rng: np.random.Generator, shape: tuple[int, int],
     coarse = rng.normal(size=(h // cell + 2, w // cell + 2))
     ys = np.arange(h) / cell
     xs = np.arange(w) / cell
-    y0 = ys.astype(int)
-    x0 = xs.astype(int)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    field = (coarse[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-             + coarse[np.ix_(y0 + 1, x0)] * fy * (1 - fx)
-             + coarse[np.ix_(y0, x0 + 1)] * (1 - fy) * fx
-             + coarse[np.ix_(y0 + 1, x0 + 1)] * fy * fx)
+    fy = (ys - ys.astype(int))[:, None]
+    fx = (xs - xs.astype(int))[None, :]
+    # Pixel (i, j) of e is coarse[i // cell, j // cell], so shifting a slice
+    # by cell rows or columns reads the next coarse corner.
+    e = np.repeat(np.repeat(coarse, cell, axis=0), cell, axis=1)
+    # field.std() sums in memory order, so field stays the fresh C-ordered
+    # result of this one expression; an F-ordered field moves it by an ulp.
+    field = (e[:h, :w] * (1 - fy) * (1 - fx)
+             + e[cell:cell + h, :w] * fy * (1 - fx)
+             + e[:h, cell:cell + w] * (1 - fy) * fx
+             + e[cell:cell + h, cell:cell + w] * fy * fx)
     return field / max(field.std(), 1e-9)
 
 
@@ -149,13 +152,18 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return np.cumsum(fill, dtype=np.int8).astype(bool).reshape(h, w + 1)[:, :w]
 
 
-def _wobbled_distance(rng: np.random.Generator, grid: tuple[np.ndarray, np.ndarray],
+def _wobbled_distance(rng: np.random.Generator, coords: tuple[np.ndarray, np.ndarray],
                       center: tuple[float, float], radius: float) -> np.ndarray:
-    """Signed distance to a radially wobbled circle (negative inside)."""
-    yy, xx = grid
+    """Signed distance to a radially wobbled circle (negative inside).
+
+    coords holds the 1-D float row and column coordinates of the grid.
+    """
+    ys, xs = coords
     cy, cx = center
-    rho = np.hypot(yy - cy, xx - cx)
-    theta = np.arctan2(yy - cy, xx - cx)
+    dy = (ys - cy)[:, None]
+    dx = (xs - cx)[None, :]
+    rho = np.hypot(dy, dx)
+    theta = np.arctan2(dy, dx)
     factor = np.ones_like(rho)
     for k in (2, 3, 4):
         amp = rng.normal(0.0, 0.05)
@@ -186,14 +194,14 @@ def _render(dist: np.ndarray, softness: float) -> np.ndarray:
 def _try_generate(params: SceneParams, rng: np.random.Generator) -> RaterSample | None:
     h, w = params.image_size
     delta = params.delta_high if rng.uniform() < params.ambiguity_mix else params.delta_low
-    grid = np.mgrid[0:h, 0:w].astype(np.float64)
+    coords = (np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64))
     center = (rng.uniform(0.35 * h, 0.65 * h), rng.uniform(0.35 * w, 0.65 * w))
     radius = rng.uniform(0.18, 0.28) * min(h, w)
 
-    dists = [_wobbled_distance(rng, (grid[0], grid[1]), center, radius)]
+    dists = [_wobbled_distance(rng, coords, center, radius)]
     if params.structure == "nested":
         ratio = rng.uniform(0.45, 0.65)
-        dists.append(_wobbled_distance(rng, (grid[0], grid[1]), center, radius * ratio))
+        dists.append(_wobbled_distance(rng, coords, center, radius * ratio))
 
     true_masks = np.stack([(d < 0.0).astype(np.float64) for d in dists])
     if params.structure == "nested":
@@ -225,7 +233,7 @@ def _try_generate(params: SceneParams, rng: np.random.Generator) -> RaterSample 
         image = image + rng.normal(0.0, params.texture_noise, image.shape)
     image = np.clip(image, 0.0, 1.0)
 
-    return RaterSample(image=image, masks=masks.astype(np.float64),
+    return RaterSample(image=image, masks=masks,
                        true_mask=true_masks, delta_used=float(delta),
                        structure_names=params.structure_names())
 

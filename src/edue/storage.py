@@ -123,6 +123,8 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
                                 for kind in ("masks", "true")]:
             if key not in tensors:
                 raise DataError(f"{path} has no {key!r} entry")
+        if not np.isfinite(tensors["image"]).all():
+            raise DataError(f"{path}: entry 'image' has non-finite values")
         size = tensors["image"].shape[-2:]
         first = f"masks/{structures[0]}"
         for name in structures:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edue.cli import main
+from edue.container import load_container, save_container
 from edue.disagreement import binarize_majority, soft_majority
 from edue.metrics import nll
 from edue.model import prob_maps
@@ -404,6 +405,49 @@ class TestMalformedFiles:
         assert code == 2
         assert err.startswith("data error: ")
         assert str(tmp_path / rel) in err and "not valid JSON" in err
+
+
+def _put_nan(path, entry):
+    """Rewrite one container file with its entry's first value set to NaN."""
+    tensors = load_container(path)
+    tensors[entry].flat[0] = np.nan
+    save_container(path, tensors)
+
+
+class TestNonFiniteInputs:
+    def assert_refused(self, capsys, argv, path, entry, out):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert str(path) in err and repr(entry) in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("eval", []),
+        ("qc", ["--dice-threshold", "0.7"]),
+        ("ood", ["--kind", "gauss_noise", "--level", "0.3"]),
+    ])
+    def test_nan_weight_exits_two_naming_file_and_entry(self, tmp_path, dataset,
+                                                        checkpoint, capsys, command, flags):
+        weights = checkpoint / "weights.edt"
+        _put_nan(weights, "enc1.conv.w")
+        out = tmp_path / "r.json"
+        self.assert_refused(capsys, [command, "--model", str(checkpoint), "--data",
+                                     str(dataset), "--out", str(out)] + flags,
+                            weights, "enc1.conv.w", out)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_nan_pixel_exits_two_naming_file_and_entry(self, tmp_path, cfg_path, dataset,
+                                                       checkpoint, capsys, command):
+        image = dataset / "img_0003.edt"
+        _put_nan(image, "image")
+        out = tmp_path / "out"
+        source = (["--config", cfg_path] if command == "train"
+                  else ["--model", str(checkpoint)])
+        self.assert_refused(capsys, [command, *source, "--data", str(dataset),
+                                     "--out", str(out)], image, "image", out)
 
 
 @pytest.fixture(scope="module")

@@ -60,6 +60,7 @@ class TestGenerateSample:
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
         assert sample.masks.shape == (1, 4, 32, 32)
         assert set(np.unique(sample.masks)) <= {0.0, 1.0}
+        assert sample.masks.dtype == np.float64
         assert sample.delta_used in (0.5, 3.0)
 
     def test_three_channel_images(self):
@@ -258,6 +259,79 @@ class TestLargestComponent:
         row = np.array([[True, True, False, True, True, True, False, True]])
         assert self.check(row).sum() == 3
         self.check(row.T.copy())
+
+
+def band_limited_field_reference(rng, shape, cell=8):
+    """The four np.ix_ gathers that scene generation used to run."""
+    h, w = shape
+    coarse = rng.normal(size=(h // cell + 2, w // cell + 2))
+    ys = np.arange(h) / cell
+    xs = np.arange(w) / cell
+    y0 = ys.astype(int)
+    x0 = xs.astype(int)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    field = (coarse[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
+             + coarse[np.ix_(y0 + 1, x0)] * fy * (1 - fx)
+             + coarse[np.ix_(y0, x0 + 1)] * (1 - fy) * fx
+             + coarse[np.ix_(y0 + 1, x0 + 1)] * fy * fx)
+    return field / max(field.std(), 1e-9)
+
+
+def wobbled_distance_reference(rng, shape, center, radius):
+    """The full np.mgrid coordinate planes that scene generation used to build."""
+    h, w = shape
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    cy, cx = center
+    rho = np.hypot(yy - cy, xx - cx)
+    theta = np.arctan2(yy - cy, xx - cx)
+    factor = np.ones_like(rho)
+    for k in (2, 3, 4):
+        amp = rng.normal(0.0, 0.05)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        factor += amp * np.cos(k * theta + phase)
+    return rho - radius * np.clip(factor, 0.7, 1.3)
+
+
+EXACT_SHAPES = [(16, 16), (17, 23), (40, 24), (32, 32), (128, 128), (256, 256)]
+
+
+def assert_same_bits(new, old):
+    assert new.dtype == old.dtype == np.float64 and new.shape == old.shape
+    np.testing.assert_array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+class TestSameBitsAsReference:
+    """Scene generation must draw the same datasets as the old formulas."""
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_band_limited_field(self, shape):
+        for seed in range(100):
+            new = raters._band_limited_field(np.random.default_rng(seed), shape)
+            old = band_limited_field_reference(np.random.default_rng(seed), shape)
+            assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("cell", [3, 5])
+    @pytest.mark.parametrize("shape", [(17, 23), (40, 24)])
+    def test_band_limited_field_other_cells(self, shape, cell):
+        for seed in range(20):
+            new = raters._band_limited_field(np.random.default_rng(seed), shape, cell)
+            old = band_limited_field_reference(np.random.default_rng(seed), shape, cell)
+            assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    def test_wobbled_distance(self, shape):
+        h, w = shape
+        coords = (np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64))
+        for seed in range(100):
+            draw = np.random.default_rng(10_000 + seed)
+            center = (draw.uniform(0.35 * h, 0.65 * h), draw.uniform(0.35 * w, 0.65 * w))
+            radius = draw.uniform(0.18, 0.28) * min(h, w)
+            new = raters._wobbled_distance(np.random.default_rng(seed), coords,
+                                           center, radius)
+            old = wobbled_distance_reference(np.random.default_rng(seed), shape,
+                                             center, radius)
+            assert_same_bits(new, old)
 
 
 class TestGenerateDataset:
