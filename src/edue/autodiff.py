@@ -4,7 +4,9 @@ Tensors wrap numpy arrays; the canonical layout for network math is
 rank-4 ``(batch, channels, height, width)``.  Operations executed while a
 :class:`Tape` is active record a backward rule onto it; ``tape.backward``
 replays the rules in exact reverse order.  Gradients accumulate across
-backward calls; zeroing them is the caller's duty.
+backward calls; zeroing them is the caller's duty.  A forward-only pass
+may run inside a :class:`Workspace`, whose scratch buffer conv2d then
+reuses instead of allocating its column matrix afresh on every call.
 
 Only the op set the segmentation network and its losses need is
 implemented.  No broadcasting: elementwise ops require identical shapes.
@@ -12,6 +14,7 @@ implemented.  No broadcasting: elementwise ops require identical shapes.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -20,6 +23,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "Workspace",
     "ShapeError",
     "Adam",
     "set_default_dtype",
@@ -53,6 +57,12 @@ def _tape_stack() -> list:
     if not hasattr(_state, "tapes"):
         _state.tapes = []
     return _state.tapes
+
+
+def _workspace_stack() -> list:
+    if not hasattr(_state, "workspaces"):
+        _state.workspaces = []
+    return _state.workspaces
 
 
 _DTYPE = np.float32
@@ -153,6 +163,47 @@ class Tape:
         for out, backward_fn in reversed(self.records):
             if out.grad is not None:
                 backward_fn(out.grad)
+
+
+class Workspace:
+    """Grow-only scratch buffers for forward-only passes, keyed by role
+    and dtype.
+
+    Used as a context manager, like :class:`Tape`.  While one is active
+    and no tape is recording, conv2d takes its column matrix from here:
+    nothing keeps it after the matmul, so one buffer serves every layer,
+    chunk and model of a prediction and no call pays for fresh pages.
+    A tape's backward rule keeps its columns, so a recorded pass
+    allocates its own.  Exit releases every buffer, so the memory lives
+    no longer than the pass.
+    """
+
+    def __init__(self):
+        self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def __enter__(self) -> "Workspace":
+        _workspace_stack().append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        popped = _workspace_stack().pop()
+        assert popped is self, "workspaces must nest"
+        self.buffers.clear()
+
+    @staticmethod
+    def active() -> "Workspace | None":
+        stack = _workspace_stack()
+        return stack[-1] if stack else None
+
+    def take(self, role: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised C-ordered array over role's buffer, grown when
+        too small; it is overwritten by the next take of the same role."""
+        key = (role, np.dtype(dtype))
+        size = math.prod(shape)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -361,6 +412,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     at a time, so every input element still takes its terms tap by tap
     in (u, v) order.  Both orders are fixed: changing either reorders
     float sums, and a 5e-6 reordering moves the acceptance values.
+    With no tape recording, the column matrix comes from the active
+    :class:`Workspace`, if any; the output never aliases it.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input and kernel, got {x.data.shape} and {kernel.data.shape}")
@@ -382,7 +435,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     padded = (bsz, h + 2 * padding, w + 2 * padding, cin)
     xt = np.zeros(padded, dtype=dtype)
     xt[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
-    cols6 = np.empty((bsz, ho, wo, cin, kh, kw), dtype=dtype)
+    shape6 = (bsz, ho, wo, cin, kh, kw)
+    scratch = Workspace.active() if Tape.active() is None else None
+    cols6 = (np.empty(shape6, dtype=dtype) if scratch is None
+             else scratch.take("conv2d.cols", shape6, dtype))
     rows = max(1, _BLOCK_BYTES // cols6[:, 0].nbytes)
     for i0 in range(0, ho, rows):
         i1 = min(i0 + rows, ho)
@@ -431,11 +487,11 @@ def channel_norm(x: Tensor, gain: Tensor, shift: Tensor, epsilon: float = 1e-5) 
     if gain.data.shape != (c,) or shift.data.shape != (c,):
         raise ShapeError(f"channel_norm: gain/shift must have shape ({c},), "
                          f"got {gain.data.shape} and {shift.data.shape}")
-    # numpy's own var steps, with x - mean kept for xhat
-    d = x.data - x.data.mean(axis=(2, 3), keepdims=True)
-    var = (d * d).mean(axis=(2, 3), keepdims=True)
+    # numpy's own var steps; x - mean is then scaled into xhat in place
+    xhat = x.data - x.data.mean(axis=(2, 3), keepdims=True)
+    var = (xhat * xhat).mean(axis=(2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(epsilon))
-    xhat = d * inv
+    xhat *= inv
     out = xhat * gain.data[None, :, None, None]
     out += shift.data[None, :, None, None]
 

@@ -26,6 +26,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .storage import (
     DataError,
     load_checkpoint_dir,
     load_dataset,
+    model_dirs,
     save_checkpoint_dir,
     save_dataset,
     write_csv,
@@ -111,10 +113,31 @@ def _structure_index(args: argparse.Namespace, structures: list[str]) -> int:
     return k
 
 
+def _check_images(samples, data_dir: str, in_channels: int,
+                  input_size: Sequence[int], source: str) -> None:
+    """Refuse a dataset whose images the network cannot take, before any
+    work, naming the dataset and the config key of source that differs."""
+    want = (in_channels, *input_size)
+    for sample in samples:
+        shape = np.shape(sample.image)
+        if shape != want:
+            key, value = (("in_channels", in_channels) if shape[:-2] != want[:1]
+                          else ("input_size", list(input_size)))
+            raise DataError(f"dataset {data_dir} has images of shape {shape}, but "
+                            f"key {key!r} in {source} is {value}; the network "
+                            f"takes (channels, height, width) = {want}")
+
+
+def _config_source(args: argparse.Namespace, config: RunConfig) -> str:
+    return args.config if args.config is not None else f"preset {config.preset!r}"
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config.seed)
     samples, manifest = load_dataset(args.data)
+    _check_images(samples, args.data, config.in_channels, config.input_size,
+                  _config_source(args, config))
     structures = list(manifest["structures"])
     k = _structure_index(args, structures)
     items = to_train_items(samples, structure=k)
@@ -150,6 +173,9 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool):
                         f"predicts one map and has no uncertainty")
     k = meta.get("structure", 0)
     samples, manifest = load_dataset(args.data)
+    for model, model_dir in zip(models, model_dirs(Path(args.model), len(models))):
+        _check_images(samples, args.data, model.config.in_channels,
+                      model.config.input_size, str(model_dir / "model.json"))
     structures = list(manifest["structures"])
     if k >= len(structures):
         raise DataError(f"checkpoint was trained on structure index {k}, but "
@@ -255,6 +281,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
                           f"integers, got {args.seeds!r}")
     train_samples, _ = load_dataset(args.train_data)
     test_samples, _ = load_dataset(args.test_data)
+    for samples, data_dir in ((train_samples, args.train_data),
+                              (test_samples, args.test_data)):
+        _check_images(samples, data_dir, config.in_channels, config.input_size,
+                      _config_source(args, config))
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)
     report["preset"] = config.preset
     report["config"] = config.as_dict()

@@ -222,13 +222,16 @@ def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
     if step < 1:
         raise ValueError(f"prob_maps: batch_size must be >= 1, got {batch_size}")
     chunks = []
-    for start in range(0, len(images), step):
-        x = Tensor(images[start:start + step])
-        maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
-        if not maps:
-            raise ValueError(f"prob_maps: no maps; the model list is empty or "
-                             f"head_skip {head_skip} skips every head")
-        chunks.append(np.stack(maps, axis=1))
+    # no tape records here, so the conv2d column matrices of every chunk
+    # and model share one buffer, released on return
+    with ad.Workspace():
+        for start in range(0, len(images), step):
+            x = Tensor(images[start:start + step])
+            maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
+            if not maps:
+                raise ValueError(f"prob_maps: no maps; the model list is empty or "
+                                 f"head_skip {head_skip} skips every head")
+            chunks.append(np.stack(maps, axis=1))
     return np.concatenate(chunks)
 
 
@@ -277,13 +280,16 @@ def load_checkpoint(directory: str | Path) -> Model:
     shapes = _param_shapes(config, header["kind"])
     weights_path = directory / "weights.edt"
     weights = load_container(weights_path)
-    if set(weights) != set(shapes):
-        raise ValueError(f"checkpoint does not match config; mismatched entries: "
-                         f"{sorted(set(shapes) ^ set(weights))}")
+    odd = sorted(set(shapes) ^ set(weights))
+    if odd:
+        name = odd[0]
+        problem = (f"is missing, but the config in {path} needs it" if name in shapes
+                   else f"is not a parameter of the config in {path}")
+        raise DataError(f"{weights_path}: entry {name!r} {problem}")
     for name, arr in weights.items():
         if arr.shape != shapes[name]:
-            raise ValueError(f"checkpoint entry {name!r} has shape {arr.shape}, "
-                             f"expected {shapes[name]}")
+            raise DataError(f"{weights_path}: entry {name!r} has shape {arr.shape}, "
+                            f"but the config in {path} gives {shapes[name]}")
         if not np.isfinite(arr).all():  # relu would hide a NaN weight's channel
             raise DataError(f"{weights_path}: entry {name!r} has non-finite values")
     return Model(config, header["kind"],

@@ -40,6 +40,7 @@ __all__ = [
     "load_dataset",
     "save_checkpoint_dir",
     "load_checkpoint_dir",
+    "model_dirs",
 ]
 
 DATASET_FORMAT = "edue-dataset-v1"
@@ -158,7 +159,7 @@ def _trace_rows(member: int, trace: Sequence[EpochStats]) -> list[tuple]:
             for s in trace]
 
 
-def _model_dirs(directory: Path, n_models: int) -> list[Path]:
+def model_dirs(directory: Path, n_models: int) -> list[Path]:
     """A lone model lives in the checkpoint directory itself; ensemble
     members get one member_i/ subdirectory each."""
     if n_models == 1:
@@ -175,7 +176,7 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     directory.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
     for i, (model_dir, model, trace) in enumerate(
-            zip(_model_dirs(directory, len(models)), models, traces)):
+            zip(model_dirs(directory, len(models)), models, traces)):
         save_checkpoint(model_dir, model)
         rows += _trace_rows(i, trace)
     write_csv(directory / "loss.csv",
@@ -202,7 +203,7 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
     json_value(config.get("batch_size"), int, f"{where} config", "batch_size", minimum=1)
     for key in ("structure", "head_skip", "seed"):
         json_value(meta.get(key, 0), int, where, key, minimum=0)
-    models = [load_checkpoint(d) for d in _model_dirs(directory, n_models)]
+    models = [load_checkpoint(d) for d in model_dirs(directory, n_models)]
     head_skip = meta.get("head_skip", 0)
     need = 2 if ARMS[meta["arm"]].uncertainty else 1
     n_maps = sum(max(m.n_heads - head_skip, 0) for m in models)

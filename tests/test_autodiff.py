@@ -328,6 +328,70 @@ def test_conv2d_kernel_too_large():
 
 
 # ---------------------------------------------------------------------------
+# the forward-only workspace
+
+
+def _conv2d_grid(rng, dtype):
+    """(x, kernel, bias, stride, padding) over the bit-identity test's grid;
+    consecutive cases grow and shrink, so a reused buffer holds stale columns."""
+    cases = []
+    for k, stride, padding, bsz, cin, size in itertools.product(
+            (1, 3, 4), (1, 2), (0, 1), (1, 3), (1, 3, 16), ((7, 6), (8, 8))):
+        cases.append((rng.standard_normal((bsz, cin, *size)).astype(dtype),
+                      rng.standard_normal((4, cin, k, k)).astype(dtype),
+                      rng.standard_normal(4).astype(dtype), stride, padding))
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_bit_identical_in_a_workspace(dtype):
+    cases = _conv2d_grid(np.random.default_rng(12), dtype)
+    with dtype64() if dtype == np.float64 else contextlib.nullcontext():
+        def run():
+            return [conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data
+                    for x, w, b, s, p in cases]
+        expected = run()
+        with ad.Workspace() as ws:
+            assert ad.Workspace.active() is ws
+            got = run()
+            held = dict(ws.buffers)
+    assert list(held) == [("conv2d.cols", np.dtype(dtype))]
+    assert not ws.buffers and ad.Workspace.active() is None
+    for (x, w, _, s, p), a, e in zip(cases, got, expected):
+        case = f"x {x.shape}, kernel {w.shape}, stride {s}, padding {p}"
+        assert a.dtype == e.dtype and np.array_equal(a, e), case
+        assert not np.shares_memory(a, held[("conv2d.cols", np.dtype(dtype))]), case
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_under_a_tape_leaves_the_workspace_alone(dtype):
+    rng = np.random.default_rng(13)
+    for x, w, b, s, p in _conv2d_grid(rng, dtype)[::7]:
+        ho, wo = ((n + 2 * p - w.shape[2]) // s + 1 for n in x.shape[2:])
+        g = rng.standard_normal((x.shape[0], 4, ho, wo)).astype(dtype)
+        with dtype64() if dtype == np.float64 else contextlib.nullcontext():
+            expected = engine_conv2d(x, w, b, g, s, p)
+            with ad.Workspace() as ws:
+                got = engine_conv2d(x, w, b, g, s, p)
+                assert not ws.buffers
+        for name, a, e in zip(("out", "x.grad", "kernel.grad", "bias.grad"), got, expected):
+            assert np.array_equal(a, e), name
+
+
+def test_workspace_take_grows_and_reuses_its_buffer():
+    ws = ad.Workspace()
+    small = ws.take("r", (2, 3), np.float32)
+    big = ws.take("r", (4, 5), np.float32)
+    again = ws.take("r", (3, 2), np.float32)
+    other = ws.take("r", (3, 2), np.float64)
+    assert small.shape == (2, 3) and big.shape == (4, 5) and again.shape == (3, 2)
+    assert not np.shares_memory(small, big)
+    assert np.shares_memory(big, again) and again.flags.c_contiguous
+    assert other.dtype == np.float64 and not np.shares_memory(other, again)
+    assert sorted(ws.buffers) == [("r", np.dtype(np.float32)), ("r", np.dtype(np.float64))]
+
+
+# ---------------------------------------------------------------------------
 # pointwise ops
 
 

@@ -450,6 +450,110 @@ class TestNonFiniteInputs:
                                      "--out", str(out)], image, "image", out)
 
 
+class TestCheckpointConfigMismatch:
+    EDITS = {
+        "entry_missing": (lambda t: t.pop("enc0.conv.b"), "is missing"),
+        "entry_extra": (lambda t: t.update({"enc0.conv.c": np.zeros(8, np.float32)}),
+                        "is not a parameter"),
+        "entry_shape": (lambda t: t.update({"enc0.conv.b": np.zeros(9, np.float32)}),
+                        "has shape (9,)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_exits_two_naming_weights_file_and_entry(self, tmp_path, dataset, checkpoint,
+                                                     capsys, case):
+        edit, message = self.EDITS[case]
+        weights = checkpoint / "weights.edt"
+        tensors = load_container(weights)
+        entry = "enc0.conv.c" if case == "entry_extra" else "enc0.conv.b"
+        edit(tensors)
+        save_container(weights, tensors)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = main(["eval", "--model", str(checkpoint), "--data", str(dataset),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {weights}: entry {entry!r} {message}")
+        assert str(checkpoint / "model.json") in err
+        assert not out.exists()
+
+
+class TestImageShapeMismatch:
+    """A network and a dataset whose images it cannot take are refused
+    right after loading, naming the dataset and the config key."""
+
+    OTHER = {"input_size": [32, 32], "in_channels": 2}
+
+    @pytest.fixture()
+    def no_forward(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward ran before the shape check")
+        monkeypatch.setattr("edue.model.forward", refuse)
+        monkeypatch.setattr("edue.disagreement.forward", refuse)
+
+    def other_dataset(self, tmp_path, key):
+        cfg = tmp_path / f"other_{key}.json"
+        cfg.write_text(json.dumps({**TINY, key: self.OTHER[key]}))
+        out = tmp_path / f"data_{key}"
+        assert main(["gen-data", "--config", str(cfg), "--n", "2", "--out", str(out)]) == 0
+        return out
+
+    def assert_refused(self, capsys, argv, data, key, source, out):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: dataset {data} has images of shape ")
+        assert f"key {key!r} in {source} is " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(OTHER))
+    @pytest.mark.parametrize("command,flags", [
+        ("eval", []),
+        ("qc", ["--dice-threshold", "0.7"]),
+        ("ood", ["--kind", "gauss_noise", "--level", "0.3"]),
+    ])
+    def test_checkpoint_on_other_images(self, tmp_path, checkpoint, capsys, key,
+                                        command, flags, no_forward):
+        data = self.other_dataset(tmp_path, key)
+        out = tmp_path / "r.json"
+        self.assert_refused(capsys, [command, "--model", str(checkpoint), "--data",
+                                     str(data), "--out", str(out)] + flags,
+                            data, key, checkpoint / "model.json", out)
+
+    def test_ensemble_names_its_member_file(self, tmp_path, cfg_path, dataset, capsys):
+        _train_edue_and_de(tmp_path, cfg_path, dataset)
+        data = self.other_dataset(tmp_path, "input_size")
+        out = tmp_path / "r.json"
+        self.assert_refused(capsys, ["eval", "--model", str(tmp_path / "de"), "--data",
+                                     str(data), "--out", str(out)],
+                            data, "input_size", tmp_path / "de/member_0/model.json", out)
+
+    @pytest.mark.parametrize("key", sorted(OTHER))
+    def test_train_on_other_images(self, tmp_path, cfg_path, capsys, key, no_forward):
+        data = self.other_dataset(tmp_path, key)
+        out = tmp_path / "m"
+        self.assert_refused(capsys, ["train", "--config", cfg_path, "--data", str(data),
+                                     "--out", str(out)], data, key, cfg_path, out)
+
+    def test_train_with_a_preset_names_it(self, tmp_path, capsys, no_forward):
+        data = self.other_dataset(tmp_path, "in_channels")
+        out = tmp_path / "m"
+        self.assert_refused(capsys, ["train", "--preset", "desk", "--data", str(data),
+                                     "--out", str(out)], data, "in_channels",
+                            "preset 'desk'", out)
+
+    def test_compare_on_other_test_images(self, tmp_path, cfg_path, dataset, capsys,
+                                          no_forward):
+        data = self.other_dataset(tmp_path, "in_channels")
+        out = tmp_path / "c.json"
+        self.assert_refused(capsys, ["compare", "--config", cfg_path, "--train-data",
+                                     str(dataset), "--test-data", str(data), "--out",
+                                     str(out), "--seeds", "1"], data, "in_channels",
+                            cfg_path, out)
+
+
 @pytest.fixture(scope="module")
 def trained_tree(tmp_path_factory):
     root = tmp_path_factory.mktemp("tree")

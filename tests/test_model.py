@@ -180,6 +180,75 @@ class TestForward:
         assert all(p.data.shape == (1, 1, 256, 256) for p in outs)
 
 
+def per_chunk_forward_maps(models, images, head_skip, batch_size):
+    """prob_maps without a workspace: each chunk's forward passes run with
+    conv2d allocating its own columns, as they did before it existed."""
+    step = batch_size or len(images)
+    chunks = []
+    for start in range(0, len(images), step):
+        x = Tensor(images[start:start + step])
+        chunks.append(np.stack([p.data[:, 0] for m in models
+                                for p in forward(m, x)[head_skip:]], axis=1))
+    return np.concatenate(chunks)
+
+
+class TestPredictionWorkspace:
+    CASES = {
+        "multi_chunk": ("multi_head", 1, 8, 4, 1),
+        "uneven_last_chunk": ("multi_head", 1, 7, 3, 0),
+        "one_chunk": ("multi_head", 1, 3, None, 0),
+        "members_uneven": ("single_head_full", 3, 5, 2, 0),
+        "members_one_each": ("single_head_full", 2, 3, 1, 0),
+    }
+
+    def spy_workspaces(self, monkeypatch):
+        """After every conv2d call: the active workspace and its buffers."""
+        seen = []
+        real_conv2d = ad.conv2d
+
+        def spying_conv2d(*args, **kwargs):
+            out = real_conv2d(*args, **kwargs)
+            ws = ad.Workspace.active()
+            seen.append((ws, list(ws.buffers.values()) if ws else []))
+            return out
+        monkeypatch.setattr(ad, "conv2d", spying_conv2d)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_maps_bit_equal_to_per_chunk_forward(self, monkeypatch, case):
+        kind, n_models, n, batch_size, head_skip = self.CASES[case]
+        models = [BUILDERS[kind](replace(DESK, seed=s)) for s in range(n_models)]
+        images = np.random.default_rng(3).normal(size=(n, 1, 32, 32))
+        expected = per_chunk_forward_maps(models, images, head_skip, batch_size)
+        seen = self.spy_workspaces(monkeypatch)
+        got = prob_maps(models, images, head_skip=head_skip, batch_size=batch_size)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        workspaces = {id(ws) for ws, _ in seen}
+        assert len(workspaces) == 1 and seen[0][0] is not None
+        ws = seen[0][0]
+        assert not ws.buffers and ad.Workspace.active() is None
+        held = [buf for _, bufs in seen for buf in bufs]
+        assert held and not any(np.shares_memory(got, buf) for buf in held)
+
+    def test_forward_maps_never_alias_the_buffer(self):
+        """Every head map forward returns inside a workspace owns its memory."""
+        model = build_model(DESK)
+        with ad.Workspace() as ws:
+            outs = forward(model, desk_input(batch=3))
+            held = list(ws.buffers.values())
+        assert held
+        for p in outs:
+            assert not any(np.shares_memory(p.data, buf) for buf in held)
+
+    def test_workspace_released_when_prob_maps_raises(self, monkeypatch):
+        seen = self.spy_workspaces(monkeypatch)
+        model = build_model(DESK)
+        with pytest.raises(ValueError, match="no maps"):
+            prob_maps([model], desk_input(batch=2).data, head_skip=3)
+        assert seen and all(bufs for _, bufs in seen)
+        assert not seen[0][0].buffers and ad.Workspace.active() is None
+
+
 class TestAggregation:
     def test_variance_oracle(self):
         rng = np.random.default_rng(7)
