@@ -92,7 +92,7 @@ def rater_masks(masks) -> np.ndarray:
         raise ValueError(f"expected a (raters, H, W) mask stack, got shape {m.shape}")
     if m.shape[0] < 2:
         raise ValueError(f"need at least 2 rater masks, got {m.shape[0]}")
-    if not np.isin(m, (0.0, 1.0)).all():
+    if not ((m == 0.0) | (m == 1.0)).all():  # np.isin costs 4x as much here
         raise ValueError("rater masks must be binary")
     return m
 

@@ -17,7 +17,8 @@ the whole set in chunks of the run's batch size, and
 Downstream tasks consume per-image scalars: quality control ranks
 images by summed variance and reports how fast poor segmentations are
 flushed out; the OOD experiment tracks how inter-head (or inter-member)
-agreement drops when inputs are distorted.
+agreement drops when inputs are distorted; it predicts each clean image
+once, regrouping images only into chunks of the size they would have had.
 """
 
 from __future__ import annotations
@@ -239,29 +240,45 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
     """Distribution of per-image agreement as more inputs get distorted.
 
     For each fraction f, ceil(f * n) randomly chosen images are distorted
-    (in index order, so the rng stream does not depend on batching), then
-    the whole set is predicted batch_size at a time; agreement is computed
-    across the maps prob_maps gives (heads of one model, or ensemble
-    members).
+    (in index order, so the rng stream does not depend on batching);
+    agreement is computed across the maps prob_maps gives (heads of one
+    model, or ensemble members).  Each clean image is predicted once.  An
+    image's maps depend on its chunk's size; they are assumed not to depend
+    on its neighbours or its place there, which held on the OpenBLAS build
+    measured (test_maps_depend_on_chunk_size_only checks it).  So images
+    before the short tail chunk run in full chunks topped up with scored
+    clean images, and the tail runs whole or not at all: under that
+    assumption the report is that of predicting the whole set every time.
     """
     samples = list(samples)
     n = len(samples)
     if n == 0:
         raise ValueError("ood_experiment: empty sample list")
+    step = n if batch_size is None else batch_size
+    if step < 1:
+        raise ValueError(f"ood_experiment: batch_size must be >= 1, got {batch_size}")
+    full = n - n % step  # images before the short tail chunk
+    clean: dict[int, float] = {}  # image index -> its clean agreement
     per_fraction = []
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fractions must lie in [0, 1], got {f}")
         k = math.ceil(f * n)
-        chosen = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
-        images = np.stack([distort(s.image, kind, level, rng) if i in chosen
-                           else s.image for i, s in enumerate(samples)])
-        scores = [agreement_score(maps)
-                  for maps in prob_maps(models, images, head_skip, batch_size)]
-        arr = np.asarray(scores)
+        chosen = sorted(rng.choice(n, size=k, replace=False).tolist()) if k else []
+        distorted = {i: distort(samples[i].image, kind, level, rng) for i in chosen}
+        new = [i in distorted or i not in clean for i in range(n)]
+        head = [i for i in range(full) if new[i]]
+        spare = [i for i in range(full) if not new[i]]  # clean and scored
+        head = sorted(head + spare[:(-len(head)) % step])
+        todo = head + (list(range(full, n)) if any(new[full:]) else [])
+        images = [distorted.get(i, samples[i].image) for i in todo]
+        fresh = dict(zip(todo, map(agreement_score, prob_maps(
+            models, np.stack(images), head_skip, step)))) if todo else {}
+        clean.update((i, s) for i, s in fresh.items() if i not in distorted)
+        scores = [fresh[i] if i in distorted else clean[i] for i in range(n)]
         per_fraction.append({"fraction": float(f), "n_distorted": k,
                              "scores": [float(v) for v in scores],
-                             "summary": _summary(arr)})
+                             "summary": _summary(np.asarray(scores))})
     return OodReport(kind=kind, level=level, per_fraction=per_fraction)
 
 

@@ -32,35 +32,37 @@ __all__ = [
 
 NLL_CLAMP = 1e-7
 DICE_SMOOTHING = 1e-6
+# pixels per map times images that evaluate_predictions scores at once: 64
+# desk images, one 256 x 256 image; bounds its float64 temporaries
+_BLOCK_PIXELS = 64 * 32 * 32
 
 
-def _as_vector(values, name: str, min_len: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size < min_len:
-        raise ValueError(f"{name} needs at least {min_len} values, got {v.size}")
-    return v
+def _as_vectors(x, y, name: str, min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y flattened to float64 vectors of one length, at least min_len."""
+    xv, yv = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x, y))
+    for v in (xv, yv):
+        if v.size < min_len:
+            raise ValueError(f"{name} needs at least {min_len} values, got {v.size}")
+    if xv.size != yv.size:
+        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
+    return xv, yv
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their positions."""
     order = np.argsort(v, kind="stable")
+    s = v[order]
+    # tie groups are runs of equal sorted values, positions i..j
+    i = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    j = np.append(i[1:], v.size) - 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)
     return ranks
 
 
 def spearman(x, y) -> float:
     """Rank correlation; raises on constant input rather than guessing 0."""
-    xv = _as_vector(x, "spearman input", 3)
-    yv = _as_vector(y, "spearman input", 3)
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
+    xv, yv = _as_vectors(x, y, "spearman input", 3)
     rx = _average_ranks(xv)
     ry = _average_ranks(yv)
     sx = rx.std()
@@ -73,10 +75,7 @@ def spearman(x, y) -> float:
 
 def distance_correlation(x, y) -> float:
     """Classical biased distance correlation in [0, 1]; 0 on degenerate input."""
-    xv = _as_vector(x, "distance_correlation input", 4)
-    yv = _as_vector(y, "distance_correlation input", 4)
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
+    xv, yv = _as_vectors(x, y, "distance_correlation input", 4)
 
     def double_centered(v: np.ndarray) -> np.ndarray:
         d = np.abs(v[:, None] - v[None, :])
@@ -92,43 +91,63 @@ def distance_correlation(x, y) -> float:
     return float(np.sqrt(max(dcov2, 0.0) / (dvar_x * dvar_y)))
 
 
+def _ncc_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ncc of each image pair in two float64 blocks of equal shape."""
+    axes = tuple(range(1, a.ndim))
+    sa, sb = (v.std(axis=axes, keepdims=True) for v in (a, b))
+    flat = ((sa == 0.0) | (sb == 0.0)).reshape(-1)
+    for _ in range(int(flat.sum())):
+        warnings.warn("zero-variance heatmap in ncc; returning 0", RuntimeWarning)
+    sa[flat] = sb[flat] = 1.0  # those rows are set to 0 below, not divided by 0
+    out = np.mean(((a - a.mean(axis=axes, keepdims=True)) / sa)
+                  * ((b - b.mean(axis=axes, keepdims=True)) / sb), axis=axes)
+    out[flat] = 0.0
+    return out
+
+
+def _out_of_range(p: np.ndarray) -> np.ndarray:
+    """Per image of a block: does pred leave [0, 1]?"""
+    axes = tuple(range(1, p.ndim))
+    return (p.min(axis=axes) < 0.0) | (p.max(axis=axes) > 1.0)
+
+
+def _nll_rows(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    p = np.clip(p, NLL_CLAMP, 1.0 - NLL_CLAMP)
+    return np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)), axis=tuple(range(1, p.ndim)))
+
+
+def _dice_rows(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    axes, s = tuple(range(1, p.ndim)), DICE_SMOOTHING
+    return (2.0 * (p * t).sum(axis=axes) + s) / (p.sum(axis=axes) + t.sum(axis=axes) + s)
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two same-shape float64 arrays, each as a block of one image."""
+    av, bv = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape:
+        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
+    return av[None], bv[None]
+
+
 def ncc(a, b) -> float:
     """Mean product of the standardized heatmaps; 0 (with a warning) when
     either map is constant and carries no pixel-level signal."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    sa = av.std()
-    sb = bv.std()
-    if sa == 0.0 or sb == 0.0:
-        warnings.warn("zero-variance heatmap in ncc; returning 0", RuntimeWarning)
-        return 0.0
-    return float(np.mean(((av - av.mean()) / sa) * ((bv - bv.mean()) / sb)))
+    return float(_ncc_rows(*_pair(a, b))[0])
 
 
 def nll(pred, target) -> float:
     """Mean negative log-likelihood of a binary target under pred."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    if p.min() < 0.0 or p.max() > 1.0:
+    p, t = _pair(pred, target)
+    if _out_of_range(p)[0]:
         raise ValueError("pred must lie in [0, 1]")
     if not np.isin(t, (0.0, 1.0)).all():
         raise ValueError("target must be binary")
-    p = np.clip(p, NLL_CLAMP, 1.0 - NLL_CLAMP)
-    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
+    return float(_nll_rows(p, t)[0])
 
 
 def soft_dice(pred, target) -> float:
     """Overlap of probabilities against a soft label, smoothed at 1e-6."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    s = DICE_SMOOTHING
-    return float((2.0 * (p * t).sum() + s) / (p.sum() + t.sum() + s))
+    return float(_dice_rows(*_pair(pred, target))[0])
 
 
 def image_level_correlation(sv_model, sv_gt) -> dict:
@@ -164,22 +183,30 @@ def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray],
     if len(maps) < n_min:
         raise ValueError(f"need at least {n_min} images, got {len(maps)}")
     per_image = []
-    for i, (image_maps, masks) in enumerate(zip(maps, rater_masks)):
+    step = max(1, _BLOCK_PIXELS // np.asarray(maps[0][0]).size)
+    for b0 in range(0, len(maps), step):
+        block, masks = maps[b0:b0 + step], rater_masks[b0:b0 + step]
         if variance:
-            pred, heat = aggregate_heads(image_maps)
+            pred, heat = aggregate_heads(np.swapaxes(block, 0, 1))
         else:
-            pred = np.asarray(image_maps[0], dtype=np.float64)
-        soft = soft_majority(masks)
-        row = {
-            "id": f"img{i:04d}",
-            "soft_dice": soft_dice(pred, soft),
-            "nll": nll(pred, binarize_majority(soft)),
-        }
+            pred = np.asarray(block[:, 0], dtype=np.float64)
+        soft = []
+        for m, bad in zip(masks, _out_of_range(pred)):  # each image's checks in turn
+            soft.append(soft_majority(m))
+            if soft[-1].shape != pred.shape[1:]:
+                raise ValueError(f"shape mismatch: {pred.shape[1:]} vs {soft[-1].shape}")
+            if bad:
+                raise ValueError("pred must lie in [0, 1]")
+        soft = np.stack(soft)
+        cols = {"soft_dice": _dice_rows(pred, soft),
+                "nll": _nll_rows(pred, binarize_majority(soft))}
         if variance:
-            gt_heat = gt_heatmap(masks)
-            row.update(sv_model=float(heat.sum()), sv_gt=float(gt_heat.sum()),
-                       ncc=ncc(heat, gt_heat))
-        per_image.append(row)
+            gt_heat = np.stack([gt_heatmap(m) for m in masks])
+            cols.update(sv_model=heat.sum(axis=(1, 2)), sv_gt=gt_heat.sum(axis=(1, 2)),
+                        ncc=_ncc_rows(heat, gt_heat))
+        for j in range(len(block)):
+            row = {k: float(v[j]) for k, v in cols.items()}
+            per_image.append({"id": f"img{b0 + j:04d}", **row})
     dataset = {
         "mean_dice": float(np.mean([r["soft_dice"] for r in per_image])),
         "mean_nll": float(np.mean([r["nll"] for r in per_image])),

@@ -22,7 +22,6 @@ runs build it from ``RunConfig.model_config``.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -89,12 +88,6 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
-
-    def weights_hash(self) -> int:
-        acc = 0
-        for name in sorted(self.params):
-            acc = zlib.crc32(self.params[name].data.tobytes(), acc)
-        return acc
 
 
 def _heads(config: ModelConfig, kind: str) -> dict[int, str]:

@@ -28,7 +28,6 @@ __all__ = [
     "generate_dataset",
     "distort",
     "DISTORTION_KINDS",
-    "rater_agreement",
     "binary_dice",
 ]
 
@@ -326,18 +325,3 @@ def binary_dice(a: np.ndarray, b: np.ndarray) -> float:
         return 1.0
     return 2.0 * int((a & b).sum()) / total
 
-
-def rater_agreement(masks: np.ndarray) -> dict:
-    """Mean pairwise Dice across raters, plus the full pair matrix."""
-    masks = np.asarray(masks)
-    y = masks.shape[0]
-    if y < 2:
-        raise ValueError(f"rater_agreement needs >= 2 masks, got {y}")
-    per_pair = np.ones((y, y))
-    scores = []
-    for i in range(y):
-        for j in range(i + 1, y):
-            d = binary_dice(masks[i], masks[j])
-            per_pair[i, j] = per_pair[j, i] = d
-            scores.append(d)
-    return {"mean_pairwise_dice": float(np.mean(scores)), "per_pair": per_pair}

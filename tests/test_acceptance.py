@@ -56,9 +56,9 @@ from edue.model import (
 from edue.raters import (
     generate_dataset,
     generate_sample,
-    rater_agreement,
 )
 
+from helpers import rater_agreement
 from test_autodiff import numerical_grad, rel_err
 from test_metrics import (
     oracle_dcor,

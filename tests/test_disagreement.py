@@ -27,6 +27,8 @@ from edue.disagreement import (
 from edue.config import preset
 from edue.model import build_model
 
+from helpers import weights_hash
+
 
 @contextmanager
 def dtype64():
@@ -398,13 +400,13 @@ class TestTrain:
         # A one-rater item among valid ones is rejected before any step.
         items = toy_items(6, raters=3) + toy_items(2, raters=1, seed=9)
         model = build_model(self.CONFIG)
-        before = model.weights_hash()
+        before = weights_hash(model)
         for sampler in (sample_labels, majority_labels, single_rater_labels):
             with pytest.raises(ValueError, match="at least 2 rater masks, got 1"):
                 train(model, items, epochs=1, batch_size=4, lr=1e-3,
                       weights=LossWeights(alpha=1.0, beta=1.0),
                       rng=np.random.default_rng(0), sampler=sampler)
-        assert model.weights_hash() == before
+        assert weights_hash(model) == before
 
     def test_all_single_rater_dataset(self):
         for sampler in (sample_labels, majority_labels, single_rater_labels):
@@ -414,7 +416,7 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         m1, _ = self.run(toy_items(6), seed=3, epochs=2)
         m2, _ = self.run(toy_items(6), seed=3, epochs=2)
-        assert m1.weights_hash() == m2.weights_hash()
+        assert weights_hash(m1) == weights_hash(m2)
 
     def test_empty_dataset_rejected(self):
         model = build_model(self.CONFIG)

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,11 @@ import pytest
 from edue import harness
 from edue import model as model_module
 from edue.autodiff import ShapeError, Tensor
-from edue.config import RunConfig
+from edue.config import RunConfig, preset
 from edue.harness import (
     ARMS,
+    OodReport,
+    _summary,
     agreement_score,
     ood_experiment,
     quality_control,
@@ -31,6 +35,8 @@ from edue.model import (
     prob_maps,
 )
 from edue.raters import distort, generate_dataset
+
+from helpers import weights_hash
 
 
 def tiny_config(**kwargs):
@@ -85,7 +91,7 @@ class TestTrainingArms:
         items = to_train_items(make_samples(6))
         members, traces = train_arm("de", tiny_config(de_members=3), items, seed=5)
         assert len(members) == 3 and len(traces) == 3
-        hashes = {m.weights_hash() for m in members}
+        hashes = {weights_hash(m) for m in members}
         assert len(hashes) == 3
         assert all(m.kind == "single_head_full" for m in members)
 
@@ -98,7 +104,7 @@ class TestTrainingArms:
         items = to_train_items(make_samples(6))
         (a,), _ = train_arm("edue", tiny_config(), items, seed=7)
         (b,), _ = train_arm("edue", tiny_config(), items, seed=7)
-        assert a.weights_hash() == b.weights_hash()
+        assert weights_hash(a) == weights_hash(b)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -255,6 +261,28 @@ class TestBatchedPrediction:
             assert sizes == chunks
             assert maps.shape == (n, 3, 16, 16)
 
+    @pytest.mark.parametrize("shape", [(1, 32, 32), (3, 64, 64)])
+    @pytest.mark.parametrize("name", ["edue", "de"])
+    def test_maps_depend_on_chunk_size_only(self, name, shape):
+        # What ood assumes of BLAS when it reuses clean maps: within chunks
+        # of one size, an image's maps do not change with its neighbours or
+        # its place.
+        c, h, w = shape
+        config = preset("desk").model_config(seed=3)
+        config = replace(config, in_channels=c, input_size=(h, w))
+        models = [ARMS[name].build(replace(config, seed=3 + i))
+                  for i in range(2 if ARMS[name].ensemble else 1)]
+        rng = np.random.default_rng(17)
+        images = rng.random((12, c, h, w))
+        base = prob_maps(models, images, batch_size=4)
+        perm = rng.permutation(12)
+        np.testing.assert_array_equal(prob_maps(models, images[perm], batch_size=4),
+                                      base[perm])
+        others = rng.random((3, c, h, w))
+        for i, place in ((0, 3), (5, 0), (11, 2)):
+            chunk = np.insert(others, place, images[i], axis=0)
+            np.testing.assert_array_equal(prob_maps(models, chunk)[place], base[i])
+
     def test_trunk_passes_grow_by_image_count(self):
         members = untrained_arm("de", members=3)
         images = np.random.default_rng(7).random((5, 1, 16, 16))
@@ -288,14 +316,19 @@ class TestBatchedPrediction:
                        batch_size=2)
         assert len(seen) == len(fractions)
         # Replay the per-image order: choose, then distort each chosen
-        # image in index order from the same stream.
+        # image in index order from the same stream.  Every image a
+        # fraction predicts is one of these, and every distorted one is
+        # predicted.
         rng = np.random.default_rng(4)
         for f, images in zip(fractions, seen):
             k = math.ceil(f * len(samples))
             chosen = set(rng.choice(len(samples), size=k, replace=False).tolist()) if k else set()
             expected = [distort(s.image, "gauss_noise", 0.3, rng) if i in chosen
                         else s.image for i, s in enumerate(samples)]
-            np.testing.assert_array_equal(images, np.stack(expected))
+            hits = [[i for i, e in enumerate(expected) if np.array_equal(image, e)]
+                    for image in images]
+            assert all(hits), f"fraction {f}: an image matches no expected one"
+            assert chosen <= {i for h in hits for i in h}
 
 
 class TestQualityControl:
@@ -464,6 +497,26 @@ class TestAgreementScore:
             agreement_score([np.zeros((4, 4)), np.zeros((5, 5))])
 
 
+def frozen_ood_experiment(models, samples, kind, level, rng,
+                          fractions=(0.0, 0.5, 1.0), head_skip=0, batch_size=None):
+    """ood_experiment as it was before it reused clean maps: the whole
+    set, distorted or not, predicted batch_size at a time per fraction."""
+    samples = list(samples)
+    n = len(samples)
+    per_fraction = []
+    for f in fractions:
+        k = math.ceil(f * n)
+        chosen = set(rng.choice(n, size=k, replace=False).tolist()) if k else set()
+        images = np.stack([distort(s.image, kind, level, rng) if i in chosen
+                           else s.image for i, s in enumerate(samples)])
+        scores = [harness.agreement_score(maps)
+                  for maps in prob_maps(models, images, head_skip, batch_size)]
+        per_fraction.append({"fraction": float(f), "n_distorted": k,
+                             "scores": [float(v) for v in scores],
+                             "summary": _summary(np.asarray(scores))})
+    return OodReport(kind=kind, level=level, per_fraction=per_fraction)
+
+
 @pytest.fixture(scope="module")
 def setup():
     model = build_model(tiny_model(seed=9))
@@ -515,6 +568,49 @@ class TestOodExperiment:
         report = ood_experiment(members, samples, "gauss_noise", 0.3,
                                 rng=np.random.default_rng(3))
         assert len(report.per_fraction) == 3
+
+    @pytest.mark.parametrize("name", ["edue", "de"])
+    def test_equals_the_frozen_per_fraction_prediction(self, name, monkeypatch):
+        # Score each image by the bytes of its maps, so that a map moved
+        # by one ulp shows even where its agreement would not.
+        monkeypatch.setattr(harness, "agreement_score",
+                            lambda maps: float(zlib.crc32(np.asarray(maps).tobytes())))
+        config = preset("desk")
+        models = [ARMS[name].build(config.model_config(seed=5 + i))
+                  for i in range(2 if ARMS[name].ensemble else 1)]
+        pool, _ = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
+        for n, batch_size, fractions in itertools.product(
+                (3, 4, 5, 29, 32), (2, 3, 8, None),
+                ((0.0, 0.5, 1.0), (0.5,), (0.25, 0.75), (0.0, 1.0))):
+            args = (models, pool[:n], "gauss_noise", 0.3)
+            kwargs = dict(fractions=fractions, batch_size=batch_size)
+            assert (ood_experiment(*args, np.random.default_rng(n), **kwargs)
+                    == frozen_ood_experiment(*args, np.random.default_rng(n), **kwargs))
+
+    def test_predicts_each_clean_image_once(self, monkeypatch):
+        members = [build_single_head_model(tiny_model(seed=s)) for s in range(2)]
+        samples = make_samples(32, seed=22)
+        ood_experiment(members, samples, "gauss_noise", 0.3,
+                       rng=np.random.default_rng(5), batch_size=8)
+        # 32 clean, then 16 distorted, then 32 distorted images; predicting
+        # the whole set at each fraction made 96 passes
+        assert [m.trunk_passes for m in members] == [80, 80]
+        sizes = []
+        real = harness.prob_maps
+
+        def spy(models, images, head_skip=0, batch_size=None):
+            sizes.append(len(images))
+            return real(models, images, head_skip, batch_size)
+
+        monkeypatch.setattr(harness, "prob_maps", spy)
+        for n, batch_size in itertools.product((5, 9), (2, 3, 4, None)):
+            for fractions in ((0.0, 0.5, 1.0), (0.5,), (0.25, 0.75), (1.0, 0.0, 0.5)):
+                sizes.clear()
+                ood_experiment(members, samples[:n], "blur", 2.0,
+                               rng=np.random.default_rng(6), fractions=fractions,
+                               batch_size=batch_size)
+                assert len(sizes) <= len(fractions)
+                assert all(size <= n for size in sizes)
 
     def test_validation(self, setup):
         model, samples = setup

@@ -13,6 +13,7 @@ import pytest
 from edue.disagreement import binarize_majority, gt_heatmap, soft_majority
 from edue.metrics import (
     MetricReport,
+    _average_ranks,
     distance_correlation,
     evaluate_predictions,
     image_level_correlation,
@@ -99,6 +100,60 @@ def oracle_soft_dice(pred, target, s=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# frozen copies of replaced code: the new code must equal them bit for bit
+
+
+def frozen_average_ranks(v):
+    """The tie-grouping loop _average_ranks replaced."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def frozen_ncc(a, b):
+    """ncc before it was computed on blocks of images."""
+    av = np.asarray(a, dtype=np.float64)
+    bv = np.asarray(b, dtype=np.float64)
+    sa, sb = av.std(), bv.std()
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float(np.mean(((av - av.mean()) / sa) * ((bv - bv.mean()) / sb)))
+
+
+def frozen_nll(pred, target):
+    """nll before it was computed on blocks of images."""
+    p = np.clip(np.asarray(pred, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    t = np.asarray(target, dtype=np.float64)
+    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
+
+
+def frozen_soft_dice(pred, target):
+    """soft_dice before it was computed on blocks of images."""
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    return float((2.0 * (p * t).sum() + 1e-6) / (p.sum() + t.sum() + 1e-6))
+
+
+def test_scalar_metrics_equal_their_frozen_copies():
+    rng = np.random.default_rng(12)
+    for shape in [(17,), (8, 8), (31, 45), (256, 256), (3, 20, 20)]:
+        for dtype in (np.float32, np.float64):
+            a = rng.random(shape).astype(dtype)
+            b = rng.random(shape).astype(dtype)
+            t = (rng.random(shape) < 0.5).astype(float)
+            assert ncc(a, b) == frozen_ncc(a, b)
+            assert nll(a, t) == frozen_nll(a, t)
+            assert soft_dice(a, b) == frozen_soft_dice(a, b)
+
+
+# ---------------------------------------------------------------------------
 # spearman
 
 
@@ -124,6 +179,17 @@ class TestSpearman:
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
             assert spearman(x, y) == pytest.approx(oracle_spearman(x, y), abs=1e-12)
+
+    def test_average_ranks_equal_the_frozen_loop(self):
+        rng = np.random.default_rng(13)
+        cases = [rng.integers(0, k, size=n).astype(float)
+                 for n, k in [(3, 2), (10, 3), (50, 7), (200, 20)]]
+        cases += [rng.normal(size=40), np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+                  np.full(9, 2.5), np.array([1.0])]
+        for v in cases:
+            ranks = _average_ranks(v)
+            assert ranks.dtype == np.float64
+            assert ranks.tobytes() == frozen_average_ranks(v).tobytes()
 
     def test_tie_example(self):
         x = [1.0, 2.0, 2.0, 3.0]
@@ -274,6 +340,12 @@ class TestNll:
         with pytest.raises(ValueError, match="binary"):
             nll(np.full(4, 0.5), np.full(4, 0.3))
 
+    def test_checks_shape_then_range_then_target(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            nll(np.full(3, 1.5), np.full(4, 0.3))
+        with pytest.raises(ValueError, match=r"pred must lie in \[0, 1\]"):
+            nll(np.full(4, 1.5), np.full(4, 0.3))
+
 
 # ---------------------------------------------------------------------------
 # soft dice
@@ -337,8 +409,8 @@ class TestImageLevelCorrelation:
 
 def reference_evaluate(maps, rater_masks, variance):
     """The per-image scoring path evaluate_predictions replaced: reduce
-    each image's maps to a mask and a heatmap, then make the per-record
-    metric calls.  Returns (per_image, dataset)."""
+    each image's maps to a mask and a heatmap, then score it with the
+    frozen per-image metrics.  Returns (per_image, dataset)."""
     per_image = []
     for i, (image_maps, masks) in enumerate(zip(maps, rater_masks)):
         if variance:
@@ -348,13 +420,13 @@ def reference_evaluate(maps, rater_masks, variance):
             mask, heatmap = image_maps[0], None
         pred = np.asarray(mask, dtype=np.float64)
         soft = soft_majority(masks)
-        row = {"id": f"img{i:04d}", "soft_dice": soft_dice(pred, soft),
-               "nll": nll(pred, binarize_majority(soft))}
+        row = {"id": f"img{i:04d}", "soft_dice": frozen_soft_dice(pred, soft),
+               "nll": frozen_nll(pred, binarize_majority(soft))}
         if variance:
             heat = np.asarray(heatmap, dtype=np.float64)
             gt_heat = gt_heatmap(masks)
             row.update(sv_model=float(heat.sum()), sv_gt=float(gt_heat.sum()),
-                       ncc=ncc(heat, gt_heat))
+                       ncc=frozen_ncc(heat, gt_heat))
         per_image.append(row)
     dataset = {
         "mean_dice": float(np.mean([r["soft_dice"] for r in per_image])),
@@ -369,15 +441,15 @@ def reference_evaluate(maps, rater_masks, variance):
 
 
 class TestEvaluatePredictions:
-    def records(self, n=5, seed=0, m=3, dtype=np.float64):
-        """(maps (n, m, 8, 8), rater stacks): maps scatter around the soft
-        label, more where raters disagree; rater counts vary per image."""
+    def records(self, n=5, seed=0, m=3, dtype=np.float64, size=8):
+        """(maps (n, m, size, size), rater stacks): maps scatter around the
+        soft label, more where raters disagree; rater counts vary per image."""
         rng = np.random.default_rng(seed)
         maps, stacks = [], []
         for i in range(n):
-            masks = (rng.uniform(size=(3 + i % 3, 8, 8)) < 0.5).astype(float)
+            masks = (rng.uniform(size=(3 + i % 3, size, size)) < 0.5).astype(float)
             soft = masks.mean(axis=0)
-            noise = rng.normal(0, 1, (m, 8, 8)) * (0.02 + 0.5 * masks.std(axis=0))
+            noise = rng.normal(0, 1, (m, size, size)) * (0.02 + 0.5 * masks.std(axis=0))
             maps.append(np.clip(soft + noise, 0.0, 1.0))
             stacks.append(masks)
         return np.stack(maps).astype(dtype), stacks
@@ -444,6 +516,55 @@ class TestEvaluatePredictions:
         per_image, dataset = reference_evaluate(maps, stacks, variance)
         assert report.per_image == per_image
         assert report.dataset == dataset
+
+    @pytest.mark.parametrize("n, size", [(64, 32), (65, 32), (150, 32), (300, 8), (5, 256)])
+    def test_blocks_equal_the_per_image_reference_path(self, n, size):
+        # blocks of 64 desk images (1024 at 8 x 8, one at 256 x 256), rater
+        # counts 3-5 mixed within a block, and maps past numpy's
+        # 8192-element summation buffer
+        maps, stacks = self.records(n=n, seed=8, dtype=np.float32, size=size)
+        for variance in (True, False):
+            report = evaluate_predictions(maps, stacks, variance=variance)
+            per_image, dataset = reference_evaluate(maps, stacks, variance)
+            assert report.per_image == per_image
+            assert report.dataset == dataset
+
+    def test_zero_variance_image_warns_and_scores_zero(self):
+        maps, stacks = self.records(n=70, seed=9)
+        maps[66] = 0.25  # identical heads: a constant, zero heatmap
+        with pytest.warns(RuntimeWarning, match="zero-variance"):
+            report = evaluate_predictions(maps, stacks)
+        per_image, dataset = reference_evaluate(maps, stacks, True)
+        assert report.per_image[66]["ncc"] == 0.0
+        assert report.per_image == per_image
+        assert report.dataset == dataset
+
+    @pytest.mark.parametrize("variance", [True, False])
+    def test_bad_records_raise_the_per_image_messages(self, variance):
+        maps, stacks = self.records(n=6, seed=10)
+        stacks[4] = stacks[4][:, :6, :6]
+        with pytest.raises(ValueError, match=r"shape mismatch: \(8, 8\) vs \(6, 6\)"):
+            evaluate_predictions(maps, stacks, variance=variance)
+        maps, stacks = self.records(n=6, seed=10)
+        maps[3] += 1.5
+        with pytest.raises(ValueError, match=r"pred must lie in \[0, 1\]"):
+            evaluate_predictions(maps, stacks, variance=variance)
+
+    @pytest.mark.parametrize("variance", [True, False])
+    def test_first_faulty_image_names_the_error(self, variance):
+        # several faults in one block: the first image's fault is reported,
+        # and within an image the raters come before the pred range
+        maps, stacks = self.records(n=70, seed=11, size=32)
+        maps[3] += 1.5
+        stacks[5][0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match=r"pred must lie in \[0, 1\]"):
+            evaluate_predictions(maps, stacks, variance=variance)
+        stacks[3][0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="rater masks must be binary"):
+            evaluate_predictions(maps, stacks, variance=variance)
+        stacks[2] = stacks[2][:, :6, :6]
+        with pytest.raises(ValueError, match=r"shape mismatch: \(32, 32\) vs \(6, 6\)"):
+            evaluate_predictions(maps, stacks, variance=variance)
 
     def test_variance_needs_two_maps(self):
         with pytest.raises(ValueError, match=">= 2 maps"):

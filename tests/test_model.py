@@ -20,6 +20,8 @@ from edue.model import (
     save_checkpoint,
 )
 
+from helpers import weights_hash
+
 DESK = preset("desk").model_config()  # n_e=4, 1 channel in, base 8, growth 2, 32x32
 BUILDERS = {"multi_head": build_model, "single_head_full": build_single_head_model}
 
@@ -83,7 +85,7 @@ class TestPinnedInit:
         model = BUILDERS[kind](DESK)
         save_checkpoint(tmp_path, model)
         digest = hashlib.sha256((tmp_path / "weights.edt").read_bytes()).hexdigest()
-        assert (model.weights_hash(), digest) == self.PINNED[kind]
+        assert (weights_hash(model), digest) == self.PINNED[kind]
 
 
 class TestDeterminism:
@@ -92,12 +94,12 @@ class TestDeterminism:
         assert set(a.params) == set(b.params)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
-        assert a.weights_hash() == b.weights_hash()
+        assert weights_hash(a) == weights_hash(b)
 
     def test_different_seed_different_weights(self):
         a = build_model(DESK)
         b = build_model(replace(DESK, seed=1))
-        assert a.weights_hash() != b.weights_hash()
+        assert weights_hash(a) != weights_hash(b)
 
     def test_forward_is_deterministic(self):
         x = desk_input()

@@ -20,8 +20,9 @@ from edue.raters import (
     distort,
     generate_dataset,
     generate_sample,
-    rater_agreement,
 )
+
+from helpers import rater_agreement
 
 DESK = preset("desk").scene_params()
 
