@@ -5,7 +5,7 @@ rank-4 ``(batch, channels, height, width)``.  Operations executed while a
 :class:`Tape` is active record a backward rule onto it; ``tape.backward``
 replays the rules in exact reverse order.  Gradients accumulate across
 backward calls; zeroing them is the caller's duty.  A forward-only pass
-may run inside a :class:`Workspace`, whose scratch buffer conv2d then
+may run inside a :class:`Workspace`, whose one scratch buffer conv2d then
 reuses instead of allocating its column matrix afresh on every call.
 
 Only the op set the segmentation network and its losses need is
@@ -50,19 +50,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names both shapes."""
 
 
-_state = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_state, "tapes"):
-        _state.tapes = []
-    return _state.tapes
-
-
-def _workspace_stack() -> list:
-    if not hasattr(_state, "workspaces"):
-        _state.workspaces = []
-    return _state.workspaces
+_state = threading.local()  # this thread's active .tape and .workspace
 
 
 _DTYPE = np.float32
@@ -123,26 +111,26 @@ class Tensor:
 class Tape:
     """Ordered record of executed operations for one backward pass.
 
-    Used as a context manager; ops executed inside append their backward
-    rule, so the record order is a topological order of the compute DAG
-    and reverse iteration is a valid backpropagation schedule.
+    Used as a context manager, one at a time per thread; ops executed
+    inside append their backward rule, so the record order is a
+    topological order of the compute DAG and reverse iteration is a valid
+    backpropagation schedule.
     """
 
     def __init__(self):
         self.records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        assert Tape.active() is None, "a tape is already recording"
+        _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
-        assert popped is self, "tapes must nest"
+        _state.tape = None
 
     @staticmethod
     def active() -> "Tape | None":
-        stack = _tape_stack()
-        return stack[-1] if stack else None
+        return getattr(_state, "tape", None)
 
     def record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         self.records.append((out, backward))
@@ -166,44 +154,33 @@ class Tape:
 
 
 class Workspace:
-    """Grow-only scratch buffers for forward-only passes, keyed by role
-    and dtype.
+    """One grow-only scratch buffer for forward-only passes.
 
-    Used as a context manager, like :class:`Tape`.  While one is active
-    and no tape is recording, conv2d takes its column matrix from here:
-    nothing keeps it after the matmul, so one buffer serves every layer,
-    chunk and model of a prediction and no call pays for fresh pages.
-    A tape's backward rule keeps its columns, so a recorded pass
-    allocates its own.  Exit releases every buffer, so the memory lives
-    no longer than the pass.
+    Used as a context manager, one at a time like :class:`Tape`.  While
+    one is active and no tape is recording, conv2d builds its column
+    matrix in ``buffer``, regrowing it when it is too small or of another
+    dtype: nothing keeps the columns after the matmul, so one buffer
+    serves every layer, chunk and model of a prediction and no call pays
+    for fresh pages.  A tape's backward rule keeps its columns, so a
+    recorded pass allocates its own.  Exit drops the buffer, so the
+    memory lives no longer than the pass.
     """
 
     def __init__(self):
-        self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+        self.buffer = np.empty(0)
 
     def __enter__(self) -> "Workspace":
-        _workspace_stack().append(self)
+        assert Workspace.active() is None, "a workspace is already active"
+        _state.workspace = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _workspace_stack().pop()
-        assert popped is self, "workspaces must nest"
-        self.buffers.clear()
+        _state.workspace = None
+        self.buffer = np.empty(0)
 
     @staticmethod
     def active() -> "Workspace | None":
-        stack = _workspace_stack()
-        return stack[-1] if stack else None
-
-    def take(self, role: str, shape: tuple, dtype) -> np.ndarray:
-        """An uninitialised C-ordered array over role's buffer, grown when
-        too small; it is overwritten by the next take of the same role."""
-        key = (role, np.dtype(dtype))
-        size = math.prod(shape)
-        buf = self.buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self.buffers[key] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
+        return getattr(_state, "workspace", None)
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -376,11 +353,6 @@ def upsample_nearest(a: Tensor, factor: int) -> Tensor:
         raise ShapeError(f"upsample_nearest: factor must be >= 1, got {factor}")
     if a.data.ndim != 4:
         raise ShapeError(f"upsample_nearest: need rank-4 input, got shape {a.data.shape}")
-    if factor == 1:
-        def backward_id(g):
-            _accum(a, g)
-        return _finish(a.data.copy(), (a,), backward_id)
-
     b, c, h, w = a.data.shape
     out = np.repeat(np.repeat(a.data, factor, axis=2), factor, axis=3)
 
@@ -412,8 +384,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     at a time, so every input element still takes its terms tap by tap
     in (u, v) order.  Both orders are fixed: changing either reorders
     float sums, and a 5e-6 reordering moves the acceptance values.
-    With no tape recording, the column matrix comes from the active
-    :class:`Workspace`, if any; the output never aliases it.
+    With no tape recording, the column matrix is built in the active
+    :class:`Workspace`'s buffer, if any; the output never aliases it.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input and kernel, got {x.data.shape} and {kernel.data.shape}")
@@ -437,8 +409,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     xt[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
     shape6 = (bsz, ho, wo, cin, kh, kw)
     scratch = Workspace.active() if Tape.active() is None else None
+    size = math.prod(shape6)
+    if scratch is not None and (scratch.buffer.dtype != dtype or scratch.buffer.size < size):
+        scratch.buffer = np.empty(size, dtype=dtype)
     cols6 = (np.empty(shape6, dtype=dtype) if scratch is None
-             else scratch.take("conv2d.cols", shape6, dtype))
+             else scratch.buffer[:size].reshape(shape6))
     rows = max(1, _BLOCK_BYTES // cols6[:, 0].nbytes)
     for i0 in range(0, ho, rows):
         i1 = min(i0 + rows, ho)

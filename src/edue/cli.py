@@ -171,7 +171,7 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool):
     if uncertainty and not ARMS[arm].uncertainty:
         raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
                         f"predicts one map and has no uncertainty")
-    k = meta.get("structure", 0)
+    k = meta["structure"]
     samples, manifest = load_dataset(args.data)
     for model, model_dir in zip(models, model_dirs(Path(args.model), len(models))):
         _check_images(samples, args.data, model.config.in_channels,
@@ -187,8 +187,8 @@ def _evaluate(args: argparse.Namespace, uncertainty: bool):
     """The one scoring call behind eval and qc: the report keys naming the
     predictor (arm, structure, train_meta), and the MetricReport."""
     arm, models, meta, samples = _load_predictor(args, uncertainty)
-    report = evaluate_arm(arm, models, samples, structure=meta.get("structure", 0),
-                          head_skip=meta.get("head_skip", 0),
+    report = evaluate_arm(arm, models, samples, structure=meta["structure"],
+                          head_skip=meta["head_skip"],
                           batch_size=meta["config"]["batch_size"])
     return {"arm": arm, "structure": meta.get("structure_name"), "train_meta": meta}, report
 
@@ -242,21 +242,27 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
                           f"got {raw!r}") from None
     if not fractions:
         raise ConfigError("--fractions must name at least one fraction")
+    for f in fractions:
+        if not 0.0 <= f <= 1.0:  # refuses NaN too
+            raise ConfigError(f"--fractions must lie in [0, 1], got {f}")
     return fractions
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
     _check_out_dir(args.out)
     level = _finite("--level", args.level)
+    if level < 0:
+        raise ConfigError(f"--level must be >= 0, got {level}")
     if args.kind == "blur" and level > MAX_INPUT_SIDE:
         raise ConfigError(f"--level is a blur radius in pixels and must be at "
                           f"most {MAX_INPUT_SIDE}, got {level}")
+    fractions = _parse_fractions(args.fractions)
     arm, models, meta, samples = _load_predictor(args, uncertainty=True)
-    seed = _resolve_seed(args, meta.get("seed", 0))
+    seed = _resolve_seed(args, meta["seed"])
     report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
-                            fractions=_parse_fractions(args.fractions),
-                            head_skip=meta.get("head_skip", 0),
+                            fractions=fractions,
+                            head_skip=meta["head_skip"],
                             batch_size=meta["config"]["batch_size"])
     stats = ["min", "q1", "median", "q3", "max", "mean"]
     out = _write_report(args.out, {"arm": arm, "seed": seed, "train_meta": meta,

@@ -124,12 +124,13 @@ def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: in
 
 
 def evaluate_arm(name: str, models: Sequence[Model], samples: Sequence[RaterSample],
-                 structure: int = 0, head_skip: int = 0,
-                 batch_size: int | None = None) -> MetricReport:
+                 structure: int = 0, head_skip: int = 0, *,
+                 batch_size: int) -> MetricReport:
     """Score one arm's predictor under the arm's eval contract: the mean
     mask and the variance heatmap, or the mask alone for a one-map arm.
     Images go through the models batch_size at a time (see prob_maps)."""
-    maps = prob_maps(models, np.stack([s.image for s in samples]), head_skip, batch_size)
+    maps = prob_maps(models, np.stack([s.image for s in samples]), head_skip,
+                     batch_size=batch_size)
     return evaluate_predictions(maps, [s.masks[structure] for s in samples],
                                 variance=ARMS[name].uncertainty)
 
@@ -236,7 +237,7 @@ def _summary(scores: np.ndarray) -> dict:
 def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind: str,
                    level: float, rng: np.random.Generator,
                    fractions: Sequence[float] = (0.0, 0.5, 1.0),
-                   head_skip: int = 0, batch_size: int | None = None) -> OodReport:
+                   head_skip: int = 0, *, batch_size: int) -> OodReport:
     """Distribution of per-image agreement as more inputs get distorted.
 
     For each fraction f, ceil(f * n) randomly chosen images are distorted
@@ -250,14 +251,12 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
     clean images, and the tail runs whole or not at all: under that
     assumption the report is that of predicting the whole set every time.
     """
-    samples = list(samples)
     n = len(samples)
     if n == 0:
         raise ValueError("ood_experiment: empty sample list")
-    step = n if batch_size is None else batch_size
-    if step < 1:
+    if batch_size < 1:
         raise ValueError(f"ood_experiment: batch_size must be >= 1, got {batch_size}")
-    full = n - n % step  # images before the short tail chunk
+    full = n - n % batch_size  # images before the short tail chunk
     clean: dict[int, float] = {}  # image index -> its clean agreement
     per_fraction = []
     for f in fractions:
@@ -269,11 +268,11 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
         new = [i in distorted or i not in clean for i in range(n)]
         head = [i for i in range(full) if new[i]]
         spare = [i for i in range(full) if not new[i]]  # clean and scored
-        head = sorted(head + spare[:(-len(head)) % step])
+        head = sorted(head + spare[:(-len(head)) % batch_size])
         todo = head + (list(range(full, n)) if any(new[full:]) else [])
         images = [distorted.get(i, samples[i].image) for i in todo]
         fresh = dict(zip(todo, map(agreement_score, prob_maps(
-            models, np.stack(images), head_skip, step)))) if todo else {}
+            models, np.stack(images), head_skip, batch_size=batch_size)))) if todo else {}
         clean.update((i, s) for i, s in fresh.items() if i not in distorted)
         scores = [fresh[i] if i in distorted else clean[i] for i in range(n)]
         per_fraction.append({"fraction": float(f), "n_distorted": k,

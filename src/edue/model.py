@@ -198,12 +198,12 @@ def forward(model: Model, x: Tensor) -> list[Tensor]:
 
 
 def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
-              batch_size: int | None = None) -> np.ndarray:
+              *, batch_size: int) -> np.ndarray:
     """Probability maps (N, n_maps, H, W) for an (N, C, H, W) image set.
 
-    Each model runs once per chunk of at most batch_size images (None:
-    the whole set in one chunk), so every image makes one trunk pass per
-    model.  Each model contributes every head after its first head_skip
+    batch_size is required: each model runs once per chunk of at most
+    batch_size images, so every image makes one trunk pass per model.
+    Each model contributes every head after its first head_skip
     (coarsest) ones: a multi-head model gives its kept heads, a deep
     ensemble one map per member.
     """
@@ -211,15 +211,14 @@ def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
     if images.ndim != 4 or len(images) == 0:
         raise ad.ShapeError(f"prob_maps: need a non-empty (N, C, H, W) image "
                             f"set, got shape {images.shape}")
-    step = len(images) if batch_size is None else batch_size
-    if step < 1:
+    if batch_size < 1:
         raise ValueError(f"prob_maps: batch_size must be >= 1, got {batch_size}")
     chunks = []
     # no tape records here, so the conv2d column matrices of every chunk
-    # and model share one buffer, released on return
+    # and model share the workspace's one buffer, dropped on return
     with ad.Workspace():
-        for start in range(0, len(images), step):
-            x = Tensor(images[start:start + step])
+        for start in range(0, len(images), batch_size):
+            x = Tensor(images[start:start + batch_size])
             maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
             if not maps:
                 raise ValueError(f"prob_maps: no maps; the model list is empty or "

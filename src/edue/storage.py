@@ -189,8 +189,8 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
 
 def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:
     """Returns (models, train_meta dict); one model unless an ensemble.
-    Checks every train_meta.json key eval, qc and ood read; head_skip
-    must leave 2 maps, or 1 for an arm without uncertainty."""
+    Checks every train_meta.json key eval, qc and ood read, each required;
+    head_skip must leave 2 maps, or 1 for an arm without uncertainty."""
     directory = Path(directory)
     meta_path = directory / "train_meta.json"
     meta = read_json_object(meta_path)
@@ -202,9 +202,9 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
     config = json_value(meta.get("config"), dict, where, "config")
     json_value(config.get("batch_size"), int, f"{where} config", "batch_size", minimum=1)
     for key in ("structure", "head_skip", "seed"):
-        json_value(meta.get(key, 0), int, where, key, minimum=0)
+        json_value(meta.get(key), int, where, key, minimum=0)
     models = [load_checkpoint(d) for d in model_dirs(directory, n_models)]
-    head_skip = meta.get("head_skip", 0)
+    head_skip = meta["head_skip"]
     need = 2 if ARMS[meta["arm"]].uncertainty else 1
     n_maps = sum(max(m.n_heads - head_skip, 0) for m in models)
     if n_maps < need:

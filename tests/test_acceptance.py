@@ -425,13 +425,13 @@ def test_criterion_5_single_pass_and_parameter_ratio(announce):
     config = DESK.model_config()
     model = build_model(config)
     image = np.zeros((1, config.in_channels, *config.input_size), dtype=np.float32)
-    aggregate_heads(prob_maps([model], image)[0])
-    aggregate_heads(prob_maps([model], image)[0])
+    aggregate_heads(prob_maps([model], image, batch_size=1)[0])
+    aggregate_heads(prob_maps([model], image, batch_size=1)[0])
     edue_passes = model.trunk_passes
 
     m = 3
     members = [build_single_head_model(DESK.model_config(seed=i)) for i in range(m)]
-    aggregate_heads(prob_maps(members, image)[0])
+    aggregate_heads(prob_maps(members, image, batch_size=1)[0])
     de_passes = sum(mm.trunk_passes for mm in members)
 
     desk_multi = parameter_count(config, "multi_head")

@@ -347,20 +347,21 @@ def _conv2d_grid(rng, dtype):
 def test_conv2d_bit_identical_in_a_workspace(dtype):
     cases = _conv2d_grid(np.random.default_rng(12), dtype)
     with dtype64() if dtype == np.float64 else contextlib.nullcontext():
-        def run():
-            return [conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data
-                    for x, w, b, s, p in cases]
+        def run(ws=None):
+            """Each case's output, and the workspace's buffer after it."""
+            return [(conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data,
+                     ws.buffer if ws else None) for x, w, b, s, p in cases]
         expected = run()
         with ad.Workspace() as ws:
             assert ad.Workspace.active() is ws
-            got = run()
-            held = dict(ws.buffers)
-    assert list(held) == [("conv2d.cols", np.dtype(dtype))]
-    assert not ws.buffers and ad.Workspace.active() is None
-    for (x, w, _, s, p), a, e in zip(cases, got, expected):
+            got = run(ws)
+    assert ws.buffer.size == 0 and ad.Workspace.active() is None
+    held = [buf for _, buf in got]
+    assert all(buf.dtype == dtype for buf in held)
+    for (x, w, _, s, p), (a, _), (e, _) in zip(cases, got, expected):
         case = f"x {x.shape}, kernel {w.shape}, stride {s}, padding {p}"
         assert a.dtype == e.dtype and np.array_equal(a, e), case
-        assert not np.shares_memory(a, held[("conv2d.cols", np.dtype(dtype))]), case
+        assert not any(np.shares_memory(a, buf) for buf in held), case
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -373,22 +374,49 @@ def test_conv2d_under_a_tape_leaves_the_workspace_alone(dtype):
             expected = engine_conv2d(x, w, b, g, s, p)
             with ad.Workspace() as ws:
                 got = engine_conv2d(x, w, b, g, s, p)
-                assert not ws.buffers
+                assert ws.buffer.size == 0
         for name, a, e in zip(("out", "x.grad", "kernel.grad", "bias.grad"), got, expected):
             assert np.array_equal(a, e), name
 
 
-def test_workspace_take_grows_and_reuses_its_buffer():
-    ws = ad.Workspace()
-    small = ws.take("r", (2, 3), np.float32)
-    big = ws.take("r", (4, 5), np.float32)
-    again = ws.take("r", (3, 2), np.float32)
-    other = ws.take("r", (3, 2), np.float64)
-    assert small.shape == (2, 3) and big.shape == (4, 5) and again.shape == (3, 2)
-    assert not np.shares_memory(small, big)
-    assert np.shares_memory(big, again) and again.flags.c_contiguous
-    assert other.dtype == np.float64 and not np.shares_memory(other, again)
-    assert sorted(ws.buffers) == [("r", np.dtype(np.float32)), ("r", np.dtype(np.float64))]
+def test_workspace_buffer_grows_and_is_reused():
+    """conv2d regrows the one buffer only when it is too small or of
+    another dtype; otherwise the next call reuses it."""
+    rng = np.random.default_rng(14)
+
+    def conv_args(bsz, side):
+        return (Tensor(rng.standard_normal((bsz, 2, side, side))),
+                Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(rng.standard_normal(3)))
+
+    small, big = conv_args(1, 6), conv_args(2, 8)
+    with dtype64():
+        wide = conv_args(1, 6)
+    with ad.Workspace() as ws:
+        conv2d(*small)
+        first = ws.buffer
+        conv2d(*big)
+        grown = ws.buffer
+        conv2d(*small)
+        assert ws.buffer is grown
+        conv2d(*wide)
+        regrown = ws.buffer
+    # column counts: batch * rows * cols of the output, times 2 * 3 * 3
+    assert first.dtype == grown.dtype == np.float32
+    assert (first.size, grown.size) == (1 * 4 * 4 * 18, 2 * 6 * 6 * 18)
+    assert regrown.dtype == np.float64 and regrown.size == 1 * 4 * 4 * 18
+    assert ws.buffer.size == 0
+
+
+@pytest.mark.parametrize("context", [ad.Workspace, Tape])
+def test_a_second_active_context_fails(context):
+    """One tape and one workspace at a time: entering a second of either
+    inside the first fails, and leaves the first active."""
+    with context() as first:
+        with pytest.raises(AssertionError, match="already"):
+            with context():
+                pass
+        assert context.active() is first
+    assert context.active() is None
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +532,15 @@ def test_sigmoid_derivative_at_zero():
 
 
 def test_upsample_factor_one_is_identity():
-    x = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
-    np.testing.assert_array_equal(upsample_nearest(x, 1).data, x.data)
+    x = Tensor(np.arange(8.0).reshape(1, 2, 2, 2), requires_grad=True)
+    with Tape() as tape:
+        out = upsample_nearest(x, 1)
+    np.testing.assert_array_equal(out.data, x.data)
+    assert not np.shares_memory(out.data, x.data)
+    (_, backward), = tape.records
+    g = np.random.default_rng(15).standard_normal((1, 2, 2, 2)).astype(out.data.dtype)
+    backward(g)
+    np.testing.assert_array_equal(x.grad, g)
 
 
 def test_upsample_block_replication():

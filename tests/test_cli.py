@@ -335,6 +335,12 @@ class TestMalformedFiles:
                                   lambda d: d["config"].update(batch_size=4.0)),
         "meta_head_skip_list": ("edue", "edue/train_meta.json", "head_skip",
                                 lambda d: d.update(head_skip=[1])),
+        "meta_structure_missing": ("de", "de/train_meta.json", "structure",
+                                   lambda d: d.pop("structure")),
+        "meta_head_skip_missing": ("edue", "edue/train_meta.json", "head_skip",
+                                   lambda d: d.pop("head_skip")),
+        "meta_seed_missing": ("edue", "edue/train_meta.json", "seed",
+                              lambda d: d.pop("seed")),
         "meta_structure_list": ("de", "de/train_meta.json", "structure",
                                 lambda d: d.update(structure=[1])),
         "manifest_entry_number": ("edue", "data/manifest.json", "images",
@@ -758,6 +764,23 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == (f"config error: {flag} must be a "
                                            f"finite number, got {value}\n")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fractions", "0,1.5", "--fractions must lie in [0, 1], got 1.5"),
+        ("--fractions", "-0.5", "--fractions must lie in [0, 1], got -0.5"),
+        ("--fractions", "0.5,nan", "--fractions must lie in [0, 1], got nan"),
+        ("--level", "-1", "--level must be >= 0, got -1.0"),
+    ], ids=["fraction_above_one", "fraction_negative", "fraction_nan", "level_negative"])
+    def test_ood_flag_out_of_range_exits_two_before_loading(self, tmp_path, capsys,
+                                                            flag, value, message):
+        # the model and data paths do not exist: the flag check must come
+        # first, so the message names the flag, not them
+        code = main(["ood", "--model", str(tmp_path / "ghost"), "--data",
+                     str(tmp_path / "ghost"), "--out", str(tmp_path / "r.json"),
+                     flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("value", ["4097", "1e12", "1e308"])

@@ -151,7 +151,7 @@ class TestEnsemblePredict:
     def test_identical_members_give_zero_heatmap(self):
         members = [build_single_head_model(tiny_model(seed=4)) for _ in range(3)]
         x = Tensor(np.random.default_rng(0).random((1, 1, 16, 16)))
-        final, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
+        final, heatmap = aggregate_heads(prob_maps(members, x.data, batch_size=1)[0])
         np.testing.assert_array_equal(heatmap, 0.0)
         single = forward(members[0], x)[0].data[0, 0]
         np.testing.assert_allclose(final, single, rtol=1e-6)
@@ -160,7 +160,7 @@ class TestEnsemblePredict:
         members = [fixed_output_member(tiny_model(), 0.2),
                    fixed_output_member(tiny_model(), 0.8)]
         x = Tensor(np.random.default_rng(1).random((1, 1, 16, 16)))
-        final, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
+        final, heatmap = aggregate_heads(prob_maps(members, x.data, batch_size=1)[0])
         np.testing.assert_allclose(final, 0.5, atol=1e-6)
         np.testing.assert_allclose(heatmap, 0.09, atol=1e-6)
         np.testing.assert_allclose(heatmap.sum(), 0.09 * 16 * 16, rtol=1e-5)
@@ -170,17 +170,17 @@ class TestEnsemblePredict:
         images = np.random.default_rng(2).random((4, 1, 1, 16, 16))
         before = sum(m.trunk_passes for m in members)
         for img in images:
-            aggregate_heads(prob_maps(members, img)[0])
+            aggregate_heads(prob_maps(members, img, batch_size=1)[0])
         assert sum(m.trunk_passes for m in members) - before == 3 * 4
 
     def test_empty_member_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            prob_maps([], np.zeros((1, 1, 16, 16)))
+            prob_maps([], np.zeros((1, 1, 16, 16)), batch_size=1)
 
     def test_heatmap_matches_per_pixel_variance_loop(self):
         members = [build_single_head_model(tiny_model(seed=s)) for s in range(3)]
         x = Tensor(np.random.default_rng(5).random((1, 1, 16, 16)))
-        _, heatmap = aggregate_heads(prob_maps(members, x.data)[0])
+        _, heatmap = aggregate_heads(prob_maps(members, x.data, batch_size=1)[0])
         maps = [forward(m, x)[0].data[0, 0].astype(np.float64)
                 for m in members]
         expected = np.zeros((16, 16))
@@ -196,27 +196,27 @@ class TestProbabilityMaps:
     def test_head_maps_shape_and_count(self):
         model = build_model(tiny_model(seed=2))
         image = np.random.default_rng(3).random((1, 1, 16, 16))
-        (maps,) = prob_maps([model], image)
+        (maps,) = prob_maps([model], image, batch_size=1)
         assert len(maps) == 3
         assert all(m.shape == (16, 16) for m in maps)
 
     def test_head_skip_drops_coarse_heads(self):
         model = build_model(tiny_model(seed=2))
         image = np.random.default_rng(3).random((1, 1, 16, 16))
-        (full,) = prob_maps([model], image)
-        (skipped,) = prob_maps([model], image, head_skip=1)
+        (full,) = prob_maps([model], image, batch_size=1)
+        (skipped,) = prob_maps([model], image, head_skip=1, batch_size=1)
         assert len(skipped) == 2
         np.testing.assert_array_equal(skipped[0], full[1])
         with pytest.raises(ValueError, match=">= 2 maps"):
-            aggregate_heads(prob_maps([model], image, head_skip=2)[0])
+            aggregate_heads(prob_maps([model], image, head_skip=2, batch_size=1)[0])
 
     def test_member_maps(self):
         members = [build_single_head_model(tiny_model(seed=s)) for s in range(2)]
         image = np.random.default_rng(4).random((1, 1, 16, 16))
-        (maps,) = prob_maps(members, image)
+        (maps,) = prob_maps(members, image, batch_size=1)
         assert len(maps) == 2 and maps[0].shape == (16, 16)
         with pytest.raises(ValueError, match=">= 2"):
-            aggregate_heads(prob_maps(members[:1], image)[0])
+            aggregate_heads(prob_maps(members[:1], image, batch_size=1)[0])
 
 
 def untrained_arm(name, members=2):
@@ -233,13 +233,13 @@ class TestBatchedPrediction:
         models = untrained_arm(name)
         skip = ARMS[name].skipped_heads(tiny_config(head_skip=head_skip))
         images = np.random.default_rng(6).random((7, 1, 16, 16))
-        single = np.concatenate([prob_maps(models, images[i:i + 1], skip)
+        single = np.concatenate([prob_maps(models, images[i:i + 1], skip, batch_size=1)
                                  for i in range(len(images))])
         n_maps = len(models) * (models[0].n_heads - skip)
         assert single.shape == (7, n_maps, 16, 16)
-        # 7 is not a multiple of 3 and is less than 8; None is one chunk
-        for batch_size in (3, 8, None):
-            batched = prob_maps(models, images, skip, batch_size)
+        # 7 is not a multiple of 3; 7 and 8 each put the set in one chunk
+        for batch_size in (3, 7, 8):
+            batched = prob_maps(models, images, skip, batch_size=batch_size)
             assert batched.shape == single.shape
             np.testing.assert_allclose(batched, single, rtol=0, atol=1e-6)
 
@@ -254,7 +254,7 @@ class TestBatchedPrediction:
         monkeypatch.setattr(model_module, "forward", spy)
         model = build_model(tiny_model())
         for n, batch_size, chunks in ((7, 3, [3, 3, 1]), (2, 8, [2]),
-                                      (6, 3, [3, 3]), (4, None, [4])):
+                                      (6, 3, [3, 3]), (4, 4, [4])):
             sizes.clear()
             maps = prob_maps([model], np.zeros((n, 1, 16, 16)),
                              batch_size=batch_size)
@@ -281,7 +281,8 @@ class TestBatchedPrediction:
         others = rng.random((3, c, h, w))
         for i, place in ((0, 3), (5, 0), (11, 2)):
             chunk = np.insert(others, place, images[i], axis=0)
-            np.testing.assert_array_equal(prob_maps(models, chunk)[place], base[i])
+            np.testing.assert_array_equal(prob_maps(models, chunk, batch_size=4)[place],
+                                          base[i])
 
     def test_trunk_passes_grow_by_image_count(self):
         members = untrained_arm("de", members=3)
@@ -293,9 +294,11 @@ class TestBatchedPrediction:
     def test_rejects_bad_image_sets_and_batch_sizes(self):
         model = build_model(tiny_model())
         with pytest.raises(ShapeError, match="N, C, H, W"):
-            prob_maps([model], np.zeros((1, 16, 16)))
+            prob_maps([model], np.zeros((1, 16, 16)), batch_size=1)
         with pytest.raises(ShapeError, match="non-empty"):
-            prob_maps([model], np.zeros((0, 1, 16, 16)))
+            prob_maps([model], np.zeros((0, 1, 16, 16)), batch_size=1)
+        with pytest.raises(TypeError, match="batch_size"):  # no whole-set default
+            prob_maps([model], np.zeros((2, 1, 16, 16)))
         with pytest.raises(ValueError, match="batch_size"):
             prob_maps([model], np.zeros((2, 1, 16, 16)), batch_size=0)
 
@@ -305,9 +308,9 @@ class TestBatchedPrediction:
         seen = []
         real = harness.prob_maps
 
-        def spy(models, images, head_skip=0, batch_size=None):
+        def spy(models, images, head_skip=0, *, batch_size):
             seen.append(np.array(images))
-            return real(models, images, head_skip, batch_size)
+            return real(models, images, head_skip, batch_size=batch_size)
 
         monkeypatch.setattr(harness, "prob_maps", spy)
         fractions = (0.0, 0.5, 1.0)
@@ -498,7 +501,7 @@ class TestAgreementScore:
 
 
 def frozen_ood_experiment(models, samples, kind, level, rng,
-                          fractions=(0.0, 0.5, 1.0), head_skip=0, batch_size=None):
+                          fractions=(0.0, 0.5, 1.0), head_skip=0, *, batch_size):
     """ood_experiment as it was before it reused clean maps: the whole
     set, distorted or not, predicted batch_size at a time per fraction."""
     samples = list(samples)
@@ -510,7 +513,7 @@ def frozen_ood_experiment(models, samples, kind, level, rng,
         images = np.stack([distort(s.image, kind, level, rng) if i in chosen
                            else s.image for i, s in enumerate(samples)])
         scores = [harness.agreement_score(maps)
-                  for maps in prob_maps(models, images, head_skip, batch_size)]
+                  for maps in prob_maps(models, images, head_skip, batch_size=batch_size)]
         per_fraction.append({"fraction": float(f), "n_distorted": k,
                              "scores": [float(v) for v in scores],
                              "summary": _summary(np.asarray(scores))})
@@ -528,7 +531,7 @@ class TestOodExperiment:
     def test_distorted_counts_follow_ceiling(self, setup):
         model, samples = setup
         report = ood_experiment([model], samples, "gauss_noise", 0.3,
-                                rng=np.random.default_rng(0))
+                                rng=np.random.default_rng(0), batch_size=5)
         counts = [row["n_distorted"] for row in report.per_fraction]
         assert counts == [0, 3, 5]
         fractions = [row["fraction"] for row in report.per_fraction]
@@ -537,18 +540,18 @@ class TestOodExperiment:
     def test_deterministic_under_fixed_seed(self, setup):
         model, samples = setup
         a = ood_experiment([model], samples, "gauss_noise", 0.3,
-                           rng=np.random.default_rng(42))
+                           rng=np.random.default_rng(42), batch_size=5)
         b = ood_experiment([model], samples, "gauss_noise", 0.3,
-                           rng=np.random.default_rng(42))
+                           rng=np.random.default_rng(42), batch_size=5)
         assert a == b
 
     def test_clean_fraction_matches_direct_agreement(self, setup):
         model, samples = setup
         report = ood_experiment([model], samples, "blur", 2.0,
-                                rng=np.random.default_rng(1))
+                                rng=np.random.default_rng(1), batch_size=5)
         clean = report.per_fraction[0]
         images = np.stack([s.image for s in samples])
-        direct = [agreement_score(maps) for maps in prob_maps([model], images)]
+        direct = [agreement_score(maps) for maps in prob_maps([model], images, batch_size=5)]
         np.testing.assert_allclose(clean["scores"], direct, atol=1e-12)
         summary = clean["summary"]
         assert set(summary) == {"min", "q1", "median", "q3", "max", "mean"}
@@ -557,7 +560,7 @@ class TestOodExperiment:
     def test_scores_lie_in_unit_interval(self, setup):
         model, samples = setup
         report = ood_experiment([model], samples, "intensity_shift", 0.4,
-                                rng=np.random.default_rng(2))
+                                rng=np.random.default_rng(2), batch_size=5)
         for row in report.per_fraction:
             assert len(row["scores"]) == len(samples)
             assert all(0.0 <= s <= 1.0 for s in row["scores"])
@@ -566,7 +569,7 @@ class TestOodExperiment:
         _, samples = setup
         members = [build_single_head_model(tiny_model(seed=s)) for s in range(2)]
         report = ood_experiment(members, samples, "gauss_noise", 0.3,
-                                rng=np.random.default_rng(3))
+                                rng=np.random.default_rng(3), batch_size=5)
         assert len(report.per_fraction) == 3
 
     @pytest.mark.parametrize("name", ["edue", "de"])
@@ -579,8 +582,9 @@ class TestOodExperiment:
         models = [ARMS[name].build(config.model_config(seed=5 + i))
                   for i in range(2 if ARMS[name].ensemble else 1)]
         pool, _ = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
+        # a batch of 32 puts each set in one chunk
         for n, batch_size, fractions in itertools.product(
-                (3, 4, 5, 29, 32), (2, 3, 8, None),
+                (3, 4, 5, 29, 32), (2, 3, 8, 32),
                 ((0.0, 0.5, 1.0), (0.5,), (0.25, 0.75), (0.0, 1.0))):
             args = (models, pool[:n], "gauss_noise", 0.3)
             kwargs = dict(fractions=fractions, batch_size=batch_size)
@@ -598,12 +602,12 @@ class TestOodExperiment:
         sizes = []
         real = harness.prob_maps
 
-        def spy(models, images, head_skip=0, batch_size=None):
+        def spy(models, images, head_skip=0, *, batch_size):
             sizes.append(len(images))
-            return real(models, images, head_skip, batch_size)
+            return real(models, images, head_skip, batch_size=batch_size)
 
         monkeypatch.setattr(harness, "prob_maps", spy)
-        for n, batch_size in itertools.product((5, 9), (2, 3, 4, None)):
+        for n, batch_size in itertools.product((5, 9), (2, 3, 4, 9)):
             for fractions in ((0.0, 0.5, 1.0), (0.5,), (0.25, 0.75), (1.0, 0.0, 0.5)):
                 sizes.clear()
                 ood_experiment(members, samples[:n], "blur", 2.0,
@@ -616,10 +620,14 @@ class TestOodExperiment:
         model, samples = setup
         with pytest.raises(ValueError, match="fractions"):
             ood_experiment([model], samples, "gauss_noise", 0.3,
-                           rng=np.random.default_rng(0), fractions=(0.0, 1.5))
+                           rng=np.random.default_rng(0), fractions=(0.0, 1.5),
+                           batch_size=5)
         with pytest.raises(ValueError, match="empty"):
             ood_experiment([model], [], "gauss_noise", 0.3,
-                           rng=np.random.default_rng(0))
+                           rng=np.random.default_rng(0), batch_size=1)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            ood_experiment([model], samples, "gauss_noise", 0.3,
+                           rng=np.random.default_rng(0), batch_size=0)
 
 
 class TestRunComparison:

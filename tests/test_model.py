@@ -168,7 +168,7 @@ class TestForward:
         model = build_model(DESK)
         forward(model, desk_input())
         assert model.trunk_passes == 2
-        aggregate_heads(prob_maps([model], desk_input(batch=1).data)[0])
+        aggregate_heads(prob_maps([model], desk_input(batch=1).data, batch_size=1)[0])
         assert model.trunk_passes == 3
 
     def test_full_scale_forward_shapes(self):
@@ -185,10 +185,9 @@ class TestForward:
 def per_chunk_forward_maps(models, images, head_skip, batch_size):
     """prob_maps without a workspace: each chunk's forward passes run with
     conv2d allocating its own columns, as they did before it existed."""
-    step = batch_size or len(images)
     chunks = []
-    for start in range(0, len(images), step):
-        x = Tensor(images[start:start + step])
+    for start in range(0, len(images), batch_size):
+        x = Tensor(images[start:start + batch_size])
         chunks.append(np.stack([p.data[:, 0] for m in models
                                 for p in forward(m, x)[head_skip:]], axis=1))
     return np.concatenate(chunks)
@@ -198,20 +197,20 @@ class TestPredictionWorkspace:
     CASES = {
         "multi_chunk": ("multi_head", 1, 8, 4, 1),
         "uneven_last_chunk": ("multi_head", 1, 7, 3, 0),
-        "one_chunk": ("multi_head", 1, 3, None, 0),
+        "one_chunk": ("multi_head", 1, 3, 3, 0),
         "members_uneven": ("single_head_full", 3, 5, 2, 0),
         "members_one_each": ("single_head_full", 2, 3, 1, 0),
     }
 
     def spy_workspaces(self, monkeypatch):
-        """After every conv2d call: the active workspace and its buffers."""
+        """After every conv2d call: the active workspace and its buffer."""
         seen = []
         real_conv2d = ad.conv2d
 
         def spying_conv2d(*args, **kwargs):
             out = real_conv2d(*args, **kwargs)
             ws = ad.Workspace.active()
-            seen.append((ws, list(ws.buffers.values()) if ws else []))
+            seen.append((ws, ws.buffer if ws else None))
             return out
         monkeypatch.setattr(ad, "conv2d", spying_conv2d)
         return seen
@@ -228,17 +227,19 @@ class TestPredictionWorkspace:
         workspaces = {id(ws) for ws, _ in seen}
         assert len(workspaces) == 1 and seen[0][0] is not None
         ws = seen[0][0]
-        assert not ws.buffers and ad.Workspace.active() is None
-        held = [buf for _, bufs in seen for buf in bufs]
-        assert held and not any(np.shares_memory(got, buf) for buf in held)
+        assert ws.buffer.size == 0 and ad.Workspace.active() is None
+        held = [buf for _, buf in seen]
+        assert held and all(buf.size for buf in held)
+        assert not any(np.shares_memory(got, buf) for buf in held)
 
-    def test_forward_maps_never_alias_the_buffer(self):
+    def test_forward_maps_never_alias_the_buffer(self, monkeypatch):
         """Every head map forward returns inside a workspace owns its memory."""
+        seen = self.spy_workspaces(monkeypatch)
         model = build_model(DESK)
-        with ad.Workspace() as ws:
+        with ad.Workspace():
             outs = forward(model, desk_input(batch=3))
-            held = list(ws.buffers.values())
-        assert held
+        held = [buf for _, buf in seen]
+        assert held and all(buf.size for buf in held)
         for p in outs:
             assert not any(np.shares_memory(p.data, buf) for buf in held)
 
@@ -246,9 +247,9 @@ class TestPredictionWorkspace:
         seen = self.spy_workspaces(monkeypatch)
         model = build_model(DESK)
         with pytest.raises(ValueError, match="no maps"):
-            prob_maps([model], desk_input(batch=2).data, head_skip=3)
-        assert seen and all(bufs for _, bufs in seen)
-        assert not seen[0][0].buffers and ad.Workspace.active() is None
+            prob_maps([model], desk_input(batch=2).data, head_skip=3, batch_size=2)
+        assert seen and all(buf.size for _, buf in seen)
+        assert seen[0][0].buffer.size == 0 and ad.Workspace.active() is None
 
 
 class TestAggregation:
@@ -286,8 +287,8 @@ class TestAggregation:
     def test_predict_head_skip(self):
         model = build_model(DESK)
         x = desk_input(batch=1)
-        full, _ = aggregate_heads(prob_maps([model], x.data)[0])
-        skipped, _ = aggregate_heads(prob_maps([model], x.data, head_skip=1)[0])
+        full, _ = aggregate_heads(prob_maps([model], x.data, batch_size=1)[0])
+        skipped, _ = aggregate_heads(prob_maps([model], x.data, head_skip=1, batch_size=1)[0])
         outs = forward(model, x)
         np.testing.assert_allclose(
             skipped,
@@ -296,7 +297,7 @@ class TestAggregation:
         )
         assert not np.allclose(full, skipped)
         with pytest.raises(ValueError, match="head"):
-            aggregate_heads(prob_maps([model], x.data, head_skip=2)[0])
+            aggregate_heads(prob_maps([model], x.data, head_skip=2, batch_size=1)[0])
 
 
 class TestConfigValidation:
@@ -319,14 +320,14 @@ class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = build_model(replace(DESK, seed=3))
         images = desk_input(batch=1).data
-        before = aggregate_heads(prob_maps([model], images)[0])
+        before = aggregate_heads(prob_maps([model], images, batch_size=1)[0])
         save_checkpoint(tmp_path / "ckpt", model)
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.kind == "multi_head"
         assert loaded.config == model.config
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
-        after = aggregate_heads(prob_maps([loaded], images)[0])
+        after = aggregate_heads(prob_maps([loaded], images, batch_size=1)[0])
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
 
