@@ -90,10 +90,6 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.name = name
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -430,12 +426,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, cout)
-        if bias.requires_grad:
-            bias.ensure_grad()
-            bias.grad += g2.sum(axis=0)
-        if kernel.requires_grad:
-            kernel.ensure_grad()
-            kernel.grad += (g2.T @ cols).reshape(kernel.data.shape)
+        _accum(bias, g2.sum(axis=0))
+        _accum(kernel, (g2.T @ cols).reshape(kernel.data.shape))
         if x.requires_grad:
             dcols = (g2 @ w2).reshape(bsz, ho, wo, cin, kh, kw)
             dxt = np.zeros(padded, dtype=dtype)
@@ -447,8 +439,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
                     for v in range(kw):
                         dxt[:, u + stride * i0:u + stride * i1:stride, v:v + stride * wo:stride] += \
                             dcols[:, i0:i1, :, :, u, v]
-            x.ensure_grad()
-            x.grad += dxt[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+            _accum(x, dxt[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
 
     return _finish(np.ascontiguousarray(out), (x, kernel, bias), backward)
 
@@ -471,18 +462,13 @@ def channel_norm(x: Tensor, gain: Tensor, shift: Tensor, epsilon: float = 1e-5) 
     out += shift.data[None, :, None, None]
 
     def backward(g):
-        if shift.requires_grad:
-            shift.ensure_grad()
-            shift.grad += g.sum(axis=(0, 2, 3))
-        if gain.requires_grad:
-            gain.ensure_grad()
-            gain.grad += (g * xhat).sum(axis=(0, 2, 3))
+        _accum(shift, g.sum(axis=(0, 2, 3)))
+        _accum(gain, (g * xhat).sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gx = g * gain.data[None, :, None, None]
             m1 = gx.mean(axis=(2, 3), keepdims=True)
             m2 = (gx * xhat).mean(axis=(2, 3), keepdims=True)
-            x.ensure_grad()
-            x.grad += inv * (gx - m1 - xhat * m2)
+            _accum(x, inv * (gx - m1 - xhat * m2))
 
     return _finish(out.astype(x.data.dtype, copy=False), (x, gain, shift), backward)
 
@@ -506,11 +492,9 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
     out = np.asarray(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))), dtype=p.dtype)
 
     def backward(g):
-        if probs.requires_grad:
-            inside = (probs.data > lo) & (probs.data < hi)
-            dp = np.where(inside, (-t / p + (1.0 - t) / (1.0 - p)) / n, 0.0)
-            probs.ensure_grad()
-            probs.grad += g * dp.astype(probs.data.dtype)
+        inside = (probs.data > lo) & (probs.data < hi)
+        dp = np.where(inside, (-t / p + (1.0 - t) / (1.0 - p)) / n, 0.0)
+        _accum(probs, g * dp.astype(probs.data.dtype))
         # targets are labels; no gradient path
 
     return _finish(out, (probs, targets), backward)
@@ -520,37 +504,37 @@ def bce_loss(probs: Tensor, targets: Tensor) -> Tensor:
 # optimizer
 
 
-class Adam:
-    """Bias-corrected adaptive-moment optimizer over named parameters."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Bias-corrected adaptive-moment optimizer over named parameters, each
+    created with a gradient buffer."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data, dtype=np.float64) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data, dtype=np.float64) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
-            if g is None:
-                continue
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g.astype(np.float64) ** 2)
-            update = (self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps))
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g.astype(np.float64) ** 2)
+            update = (self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS))
             p.data -= update.astype(p.data.dtype)
 
     def zero_grad(self) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from .autodiff import ShapeError
 from .config import (ConfigError, MAX_IMAGES, MAX_INPUT_SIDE, PRESET_NAMES, RunConfig,
                      load_config, preset)
-from .container import ContainerError, entry_table, write_json
+from .container import ContainerError, DataError, entry_table, write_json
 from .harness import (
     ARMS,
     evaluate_arm,
@@ -45,7 +45,6 @@ from .harness import (
 )
 from .raters import DISTORTION_KINDS, generate_dataset
 from .storage import (
-    DataError,
     load_checkpoint_dir,
     load_dataset,
     model_dirs,
@@ -60,14 +59,14 @@ ARM_CHOICES = tuple(name.replace("_", "-") for name in ARMS)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         return load_config(args.config)
-    return preset(getattr(args, "preset", None) or "desk")
+    return preset(args.preset or "desk")
 
 
 def _resolve_seed(args: argparse.Namespace, config_seed: int) -> int:
     """The --seed flag, else EDUE_SEED, else the (validated) config seed."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         source, raw = "--seed", args.seed
     elif "EDUE_SEED" in os.environ:
         source, raw = "EDUE_SEED", os.environ["EDUE_SEED"]
@@ -177,9 +176,10 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool):
         _check_images(samples, args.data, model.config.in_channels,
                       model.config.input_size, str(model_dir / "model.json"))
     structures = list(manifest["structures"])
-    if k >= len(structures):
-        raise DataError(f"checkpoint was trained on structure index {k}, but "
-                        f"the dataset has only {structures}")
+    if k >= len(structures) or structures[k] != meta["structure_name"]:
+        raise DataError(f"{Path(args.model) / 'train_meta.json'}: checkpoint was trained on "
+                        f"structure {k}, {meta['structure_name']!r}, but dataset "
+                        f"{args.data} has structures {structures}")
     return arm, models, meta, samples
 
 
@@ -187,10 +187,10 @@ def _evaluate(args: argparse.Namespace, uncertainty: bool):
     """The one scoring call behind eval and qc: the report keys naming the
     predictor (arm, structure, train_meta), and the MetricReport."""
     arm, models, meta, samples = _load_predictor(args, uncertainty)
-    report = evaluate_arm(arm, models, samples, structure=meta["structure"],
+    report = evaluate_arm(models, samples, structure=meta["structure"],
                           head_skip=meta["head_skip"],
                           batch_size=meta["config"]["batch_size"])
-    return {"arm": arm, "structure": meta.get("structure_name"), "train_meta": meta}, report
+    return {"arm": arm, "structure": meta["structure_name"], "train_meta": meta}, report
 
 
 def _check_out_dir(out: str) -> None:

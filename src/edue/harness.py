@@ -45,6 +45,7 @@ from .model import (
     ModelConfig,
     build_model,
     build_single_head_model,
+    parameter_count,
     prob_maps,
 )
 from .raters import RaterSample, binary_dice, distort
@@ -68,32 +69,38 @@ __all__ = [
 class Arm:
     """How one arm is built, trained and scored.
 
-    ``labels`` returns the label sampler.  ``disagreement`` keeps beta
-    (else it is forced to 0); ``ensemble`` trains ``de_members`` models
-    seeded ``seed + 1000 * (i + 1)``; ``head_skip`` applies the run config's
-    head skip; ``uncertainty`` scores the variance heatmap too, and only
-    such arms support qc, ood and compare.
+    ``predictor`` is what it trains: one ``"multi_head"`` model, an
+    ``"ensemble"`` of ``de_members`` single-head models (seeded
+    ``seed + 1000 * (i + 1)``) or one ``"single_head"`` model.  ``build``,
+    ``skipped_heads`` (only a multi-head model skips heads) and
+    ``uncertainty`` (two or more maps; only such arms support qc, ood and
+    compare) follow from it.  ``labels`` returns the label sampler;
+    ``disagreement`` keeps beta, else it is forced to 0.
     """
-    build: Callable[[ModelConfig], Model]
+    predictor: str  # "multi_head" | "ensemble" | "single_head"
     labels: Callable[[], Callable]
     disagreement: bool = False
-    ensemble: bool = False
-    head_skip: bool = False
-    uncertainty: bool = True
+
+    @property
+    def build(self) -> Callable[[ModelConfig], Model]:
+        return build_model if self.predictor == "multi_head" else build_single_head_model
+
+    @property
+    def uncertainty(self) -> bool:
+        return self.predictor != "single_head"
 
     def skipped_heads(self, config: RunConfig) -> int:
-        return config.head_skip if self.head_skip else 0
+        return config.head_skip if self.predictor == "multi_head" else 0
 
 
 # Samplers are looked up when an arm trains, not when the table is built,
 # so wrappers installed on the module-level names (perfbench's tracer)
 # see every call.
 ARMS: dict[str, Arm] = {
-    "edue": Arm(build_model, lambda: sample_labels, disagreement=True, head_skip=True),
-    "le": Arm(build_model, lambda: majority_labels, head_skip=True),
-    "de": Arm(build_single_head_model, lambda: majority_labels, ensemble=True),
-    "single_rater": Arm(build_single_head_model, lambda: single_rater_labels,
-                        uncertainty=False),
+    "edue": Arm("multi_head", lambda: sample_labels, disagreement=True),
+    "le": Arm("multi_head", lambda: majority_labels),
+    "de": Arm("ensemble", lambda: majority_labels),
+    "single_rater": Arm("single_head", lambda: single_rater_labels),
 }
 
 
@@ -110,7 +117,7 @@ def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: in
     config.validate()
     arm = ARMS[name]
     seeds = ([seed + 1000 * (i + 1) for i in range(config.de_members)]
-             if arm.ensemble else [seed])
+             if arm.predictor == "ensemble" else [seed])
     weights = LossWeights(config.alpha, config.beta if arm.disagreement else 0.0)
     models, traces = [], []
     for model_seed in seeds:
@@ -123,16 +130,15 @@ def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: in
     return models, traces
 
 
-def evaluate_arm(name: str, models: Sequence[Model], samples: Sequence[RaterSample],
+def evaluate_arm(models: Sequence[Model], samples: Sequence[RaterSample],
                  structure: int = 0, head_skip: int = 0, *,
                  batch_size: int) -> MetricReport:
-    """Score one arm's predictor under the arm's eval contract: the mean
-    mask and the variance heatmap, or the mask alone for a one-map arm.
-    Images go through the models batch_size at a time (see prob_maps)."""
+    """Score a predictor's maps with evaluate_predictions, which takes its
+    mode from their count.  Images go through the models batch_size at a
+    time (see prob_maps)."""
     maps = prob_maps(models, np.stack([s.image for s in samples]), head_skip,
                      batch_size=batch_size)
-    return evaluate_predictions(maps, [s.masks[structure] for s in samples],
-                                variance=ARMS[name].uncertainty)
+    return evaluate_predictions(maps, [s.masks[structure] for s in samples])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ def run_comparison(train_samples: Sequence[RaterSample],
                 items = to_train_items(train_samples, structure=k)
                 models, _ = train_arm(name, config, items, seed)
                 passes_before = sum(m.trunk_passes for m in models)
-                report = evaluate_arm(name, models, test_samples, structure=k,
+                report = evaluate_arm(models, test_samples, structure=k,
                                       head_skip=ARMS[name].skipped_heads(config),
                                       batch_size=config.batch_size)
                 passes_used = sum(m.trunk_passes for m in models) - passes_before
@@ -322,7 +328,7 @@ def run_comparison(train_samples: Sequence[RaterSample],
                 row["passes_per_image"] = passes_used / len(test_samples)
             row["nll"] = float(np.mean(row["nll_values"]))
             del row["nll_values"]
-            row["parameter_count"] = sum(m.parameter_count() for m in models)
+            row["parameter_count"] = sum(parameter_count(m.config, m.kind) for m in models)
             arms[name]["per_seed"].append(row)
 
     for name, arm in arms.items():

@@ -25,7 +25,6 @@ __all__ = [
     "ncc",
     "nll",
     "soft_dice",
-    "image_level_correlation",
     "MetricReport",
     "evaluate_predictions",
 ]
@@ -150,35 +149,27 @@ def soft_dice(pred, target) -> float:
     return float(_dice_rows(*_pair(pred, target))[0])
 
 
-def image_level_correlation(sv_model, sv_gt) -> dict:
-    """Spearman and distance correlation of per-image variance sums."""
-    return {
-        "sr": spearman(sv_model, sv_gt),
-        "dc": distance_correlation(sv_model, sv_gt),
-    }
-
-
 @dataclass(frozen=True)
 class MetricReport:
     per_image: list[dict]
     dataset: dict
 
 
-def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray],
-                         variance: bool = True) -> MetricReport:
+def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray]) -> MetricReport:
     """Per-image metrics plus the dataset-level summary.
 
     ``maps[i]`` holds image i's maps (a row of ``prob_maps``' output) and
     ``rater_masks[i]`` its (Y >= 2, H, W) stack.  This is the one place
-    maps become a mask and a heatmap: with variance, their mean and
-    variance (``aggregate_heads``); without it, the first map alone.
-    The reference for Dice is the soft majority vote; for NLL it is that
-    vote binarized at 0.5.  With variance, NCC and the variance sums are
-    scored against the rater variance heatmap, and the dataset summary
-    gains their correlations.
+    maps become a mask and a heatmap, and the map count sets how: two or
+    more maps are scored by their mean and variance (``aggregate_heads``),
+    one map alone.  The reference for Dice is the soft majority vote; for
+    NLL it is that vote binarized at 0.5.  With variance, NCC and the
+    variance sums are scored against the rater variance heatmap, and the
+    dataset summary gains the sums' Spearman and distance correlations.
     """
     if len(maps) != len(rater_masks):
         raise ValueError(f"{len(maps)} map sets but {len(rater_masks)} rater stacks")
+    variance = maps.shape[1] >= 2
     n_min = 4 if variance else 1  # the correlations need four images
     if len(maps) < n_min:
         raise ValueError(f"need at least {n_min} images, got {len(maps)}")
@@ -212,7 +203,7 @@ def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray],
         "mean_nll": float(np.mean([r["nll"] for r in per_image])),
     }
     if variance:
-        dataset.update(image_level_correlation([r["sv_model"] for r in per_image],
-                                               [r["sv_gt"] for r in per_image]),
+        sv_model, sv_gt = ([r[k] for r in per_image] for k in ("sv_model", "sv_gt"))
+        dataset.update(sr=spearman(sv_model, sv_gt), dc=distance_correlation(sv_model, sv_gt),
                        mean_ncc=float(np.mean([r["ncc"] for r in per_image])))
     return MetricReport(per_image=per_image, dataset=dataset)

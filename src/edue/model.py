@@ -7,13 +7,14 @@ skip concatenation, and conv / norm / relu.  Each head is a 1x1 conv on its
 decoder level, nearest-upsampled to input resolution before the sigmoid, so
 head variance is defined per input pixel.
 
-One layer spec serves both network kinds: ``_heads`` places the heads,
-and init, checkpoint loading, the forward pass and the parameter count
-all read it.  The multi-head model has a head on each of its ``n_e - 1``
-decoder levels; the head count is derived, not configured.  The ensemble
-member (``build_single_head_model``), the one-output U-Net the
-deep-ensemble baseline trains copies of, decodes the same trunk one level
-further, to full resolution, with one head there.
+One layer spec, ``_param_shapes``, serves both network kinds: init,
+checkpoint loading and the parameter count read it.  The forward pass
+reads only its head table, ``_heads``: which decoder levels carry a head,
+and so how deep to decode.  The multi-head model has a head on each of
+its ``n_e - 1`` decoder levels; the head count is derived, not
+configured.  The ensemble member (``build_single_head_model``), the
+one-output U-Net the deep-ensemble baseline trains copies of, decodes the
+same trunk one level further, to full resolution, with one head there.
 
 ``ModelConfig`` has no defaults: it defines the ``model.json`` format, and
 runs build it from ``RunConfig.model_config``.
@@ -85,9 +86,6 @@ class Model:
     @property
     def n_heads(self) -> int:
         return len(_heads(self.config, self.kind))
-
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
 
 def _heads(config: ModelConfig, kind: str) -> dict[int, str]:
@@ -239,7 +237,7 @@ def aggregate_heads(probs) -> tuple[np.ndarray, np.ndarray]:
     return stacked.mean(axis=0), stacked.var(axis=0)
 
 
-def parameter_count(config: ModelConfig, kind: str = "multi_head") -> int:
+def parameter_count(config: ModelConfig, kind: str) -> int:
     """Closed-form parameter count for a config, without building it."""
     return sum(math.prod(shape) for shape in _param_shapes(config, kind).values())
 

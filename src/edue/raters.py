@@ -266,10 +266,6 @@ def generate_dataset(params: SceneParams, n_images: int,
     return samples, manifest
 
 
-def _noise_field(rng: np.random.Generator, shape, level: float) -> np.ndarray:
-    return rng.normal(0.0, level, shape)
-
-
 def _box_blur(image: np.ndarray, radius: int) -> np.ndarray:
     if radius <= 0:
         return image.copy()
@@ -304,7 +300,7 @@ def distort(image: np.ndarray, kind: str, level: float,
     if level == 0:
         return image.copy()
     if kind == "gauss_noise":
-        return np.clip(image + _noise_field(rng, image.shape, level), 0.0, 1.0)
+        return np.clip(image + rng.normal(0.0, level, image.shape), 0.0, 1.0)
     if kind == "blur":
         return _box_blur(image, int(round(level)))
     if kind == "intensity_shift":

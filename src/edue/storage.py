@@ -34,7 +34,6 @@ from .model import Model, load_checkpoint, save_checkpoint
 from .raters import RaterSample
 
 __all__ = [
-    "DataError",
     "write_csv",
     "save_dataset",
     "load_dataset",
@@ -79,7 +78,7 @@ def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
     directory.mkdir(parents=True, exist_ok=True)
     doc = dict(manifest)
     doc["format"] = DATASET_FORMAT
-    images = [dict(entry) for entry in doc.get("images", [{}] * len(samples))]
+    images = [dict(entry) for entry in doc["images"]]
     if len(images) != len(samples):
         raise DataError(f"manifest lists {len(images)} images, "
                         f"got {len(samples)} samples")
@@ -203,6 +202,7 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
     json_value(config.get("batch_size"), int, f"{where} config", "batch_size", minimum=1)
     for key in ("structure", "head_skip", "seed"):
         json_value(meta.get(key), int, where, key, minimum=0)
+    json_value(meta.get("structure_name"), str, where, "structure_name")
     models = [load_checkpoint(d) for d in model_dirs(directory, n_models)]
     head_skip = meta["head_skip"]
     need = 2 if ARMS[meta["arm"]].uncertainty else 1

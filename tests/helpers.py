@@ -15,6 +15,11 @@ def weights_hash(model) -> int:
     return acc
 
 
+def n_params(model) -> int:
+    """The number of scalars a built model holds, counted from its arrays."""
+    return sum(p.data.size for p in model.params.values())
+
+
 def rater_agreement(masks: np.ndarray) -> dict:
     """Mean pairwise Dice across raters, plus the full pair matrix."""
     masks = np.asarray(masks)

@@ -134,9 +134,9 @@ def desk_arms(desk_data):
         arms["edue"].append(edue_models)
         arms["le"].append(le_models)
         arms["single"].append(single_model)
-        reports["edue"].append(evaluate_arm("edue", edue_models, test_samples,
+        reports["edue"].append(evaluate_arm(edue_models, test_samples,
                                             batch_size=DESK.batch_size))
-        reports["le"].append(evaluate_arm("le", le_models, test_samples,
+        reports["le"].append(evaluate_arm(le_models, test_samples,
                                           batch_size=DESK.batch_size))
         reports["single"].append(_single_rater_nll(single_model, test_samples))
     elapsed = time.perf_counter() - t0

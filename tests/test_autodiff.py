@@ -799,6 +799,45 @@ def test_bce_clamps_saturated_probabilities():
 
 
 # ---------------------------------------------------------------------------
+# leaves without a gradient
+
+
+FROZEN_OPS = {
+    "conv2d": (lambda x, w, b: conv2d(x, w, b, stride=1, padding=1),
+               [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
+    "channel_norm": (channel_norm, [(2, 3, 5, 5), (3,), (3,)]),
+    "bce_loss": (bce_loss, [(2, 1, 4, 4), (2, 1, 4, 4)]),
+}
+
+
+@pytest.mark.parametrize("op, frozen", [("conv2d", 0), ("conv2d", 1), ("conv2d", 2),
+                                        ("channel_norm", 0), ("channel_norm", 1),
+                                        ("channel_norm", 2), ("bce_loss", 0)])
+def test_a_leaf_without_gradient_keeps_none(op, frozen):
+    # (x, kernel, bias), (x, gain, shift) or (probs, targets): the frozen
+    # leaf's grad stays None and every other gradient keeps its bits
+    fn, shapes = FROZEN_OPS[op]
+    rng = np.random.default_rng(29)
+    arrays = [rng.uniform(0.05, 0.95, shape) for shape in shapes]
+    g = np.asarray(rng.standard_normal(fn(*map(Tensor, arrays)).data.shape))
+
+    def grads(needs):
+        leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+        with Tape() as tape:
+            out = fn(*leaves)
+        (_, backward), = tape.records
+        backward(g.astype(out.data.dtype))
+        return [leaf.grad for leaf in leaves]
+
+    every = grads([True] * len(shapes))
+    some = grads([i != frozen for i in range(len(shapes))])
+    assert some[frozen] is None
+    for i in range(len(shapes)):
+        if i != frozen:
+            np.testing.assert_array_equal(bits(some[i]), bits(every[i]))
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 

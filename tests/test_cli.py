@@ -16,7 +16,8 @@ from edue.container import load_container, save_container
 from edue.disagreement import binarize_majority, soft_majority
 from edue.metrics import nll
 from edue.model import prob_maps
-from edue.storage import DataError, load_checkpoint_dir, load_dataset
+from edue.container import DataError
+from edue.storage import load_checkpoint_dir, load_dataset
 
 
 TINY = {
@@ -343,6 +344,10 @@ class TestMalformedFiles:
                               lambda d: d.pop("seed")),
         "meta_structure_list": ("de", "de/train_meta.json", "structure",
                                 lambda d: d.update(structure=[1])),
+        "meta_structure_name_missing": ("edue", "edue/train_meta.json", "structure_name",
+                                        lambda d: d.pop("structure_name")),
+        "meta_structure_name_number": ("de", "de/train_meta.json", "structure_name",
+                                       lambda d: d.update(structure_name=0)),
         "manifest_entry_number": ("edue", "data/manifest.json", "images",
                                   lambda d: d["images"].__setitem__(1, 3)),
         "manifest_images_number": ("edue", "data/manifest.json", "images",
@@ -482,6 +487,43 @@ class TestCheckpointConfigMismatch:
         assert code == 2
         assert err.startswith(f"data error: {weights}: entry {entry!r} {message}")
         assert str(checkpoint / "model.json") in err
+        assert not out.exists()
+
+
+class TestStructureMismatch:
+    """A checkpoint is scored only on the structure it was trained on: a
+    dataset whose structure at the checkpoint's index has another name,
+    or has no structure there, is refused naming both and train_meta.json."""
+
+    def data(self, tmp_path, structure):
+        cfg = tmp_path / f"{structure}.json"
+        cfg.write_text(json.dumps({**TINY, "structure": structure, "input_size": [32, 32],
+                                   "epochs": 1}))
+        out = tmp_path / f"data_{structure}"
+        assert main(["gen-data", "--config", str(cfg), "--n", "5", "--out", str(out)]) == 0
+        return cfg, out
+
+    # (trained on, structure index and name, scored on, the dataset's structures)
+    CASES = {"blob_on_nested": ("single_blob", "0", "blob", "nested", "['disc', 'cup']"),
+             "cup_on_blob": ("nested", "1", "cup", "single_blob", "['blob']")}
+
+    @pytest.mark.parametrize("command", ["eval", "qc"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_two_naming_both_structures(self, tmp_path, capsys, case, command):
+        trained, k, name, scored, names = self.CASES[case]
+        cfg, train_data = self.data(tmp_path, trained)
+        ckpt = tmp_path / "m"
+        assert main(["train", "--config", str(cfg), "--data", str(train_data),
+                     "--structure", k, "--out", str(ckpt)]) == 0
+        _, data = self.data(tmp_path, scored)
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = main([command, "--model", str(ckpt), "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"data error: {ckpt / 'train_meta.json'}: checkpoint was trained "
+                       f"on structure {k}, {name!r}, but dataset {data} has "
+                       f"structures {names}\n")
         assert not out.exists()
 
 

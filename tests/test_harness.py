@@ -36,7 +36,7 @@ from edue.model import (
 )
 from edue.raters import distort, generate_dataset
 
-from helpers import weights_hash
+from helpers import n_params, weights_hash
 
 
 def tiny_config(**kwargs):
@@ -68,13 +68,33 @@ def fixed_output_member(config, prob):
     return model
 
 
+class TestArmTable:
+    # what each predictor builds, and whether it skips the config's head_skip
+    PREDICTORS = {"multi_head": ("multi_head", True),
+                  "ensemble": ("single_head_full", False),
+                  "single_head": ("single_head_full", False)}
+
+    @pytest.mark.parametrize("name", sorted(ARMS))
+    def test_derived_flags_follow_the_predictor(self, name):
+        arm = ARMS[name]
+        kind, skips = self.PREDICTORS[arm.predictor]
+        config = tiny_config(head_skip=1)
+        seeds = range(config.de_members if arm.predictor == "ensemble" else 1)
+        models = [arm.build(config.model_config(seed=s)) for s in seeds]
+        assert {m.kind for m in models} == {kind}
+        assert arm.skipped_heads(config) == (1 if skips else 0)
+        maps = prob_maps(models, np.zeros((1, 1, 16, 16)), arm.skipped_heads(config),
+                         batch_size=1)
+        assert arm.uncertainty == (maps.shape[1] >= 2)
+
+
 class TestTrainingArms:
     def test_le_baseline_same_architecture_no_disagreement_term(self):
         items = to_train_items(make_samples(6))
         (le,), (trace,) = train_arm("le", tiny_config(), items, seed=3)
         (ed,), _ = train_arm("edue", tiny_config(), items, seed=3)
         assert le.kind == "multi_head"
-        assert le.parameter_count() == ed.parameter_count()
+        assert n_params(le) == n_params(ed)
         for stats in trace:
             assert stats.mean_rmse == 0.0
             np.testing.assert_allclose(stats.mean_total, stats.mean_bce, rtol=1e-6)
@@ -223,7 +243,7 @@ def untrained_arm(name, members=2):
     """An arm's untrained models: one, or `members` for an ensemble."""
     arm = ARMS[name]
     return [arm.build(tiny_model(seed=11 + i))
-            for i in range(members if arm.ensemble else 1)]
+            for i in range(members if arm.predictor == "ensemble" else 1)]
 
 
 class TestBatchedPrediction:
@@ -271,7 +291,7 @@ class TestBatchedPrediction:
         config = preset("desk").model_config(seed=3)
         config = replace(config, in_channels=c, input_size=(h, w))
         models = [ARMS[name].build(replace(config, seed=3 + i))
-                  for i in range(2 if ARMS[name].ensemble else 1)]
+                  for i in range(2 if ARMS[name].predictor == "ensemble" else 1)]
         rng = np.random.default_rng(17)
         images = rng.random((12, c, h, w))
         base = prob_maps(models, images, batch_size=4)
@@ -580,7 +600,7 @@ class TestOodExperiment:
                             lambda maps: float(zlib.crc32(np.asarray(maps).tobytes())))
         config = preset("desk")
         models = [ARMS[name].build(config.model_config(seed=5 + i))
-                  for i in range(2 if ARMS[name].ensemble else 1)]
+                  for i in range(2 if ARMS[name].predictor == "ensemble" else 1)]
         pool, _ = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
         # a batch of 32 puts each set in one chunk
         for n, batch_size, fractions in itertools.product(
@@ -657,7 +677,7 @@ class TestRunComparison:
         assert edue_row["passes_per_image"] == 1.0
         assert le_row["passes_per_image"] == 1.0
         assert de_row["passes_per_image"] == 2.0
-        member_count = build_single_head_model(tiny_model()).parameter_count()
+        member_count = n_params(build_single_head_model(tiny_model()))
         assert de_row["parameter_count"] == 2 * member_count
         assert edue_row["parameter_count"] < de_row["parameter_count"] / 2
 

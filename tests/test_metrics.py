@@ -16,7 +16,6 @@ from edue.metrics import (
     _average_ranks,
     distance_correlation,
     evaluate_predictions,
-    image_level_correlation,
     ncc,
     nll,
     soft_dice,
@@ -390,21 +389,21 @@ class TestSoftDice:
 
 
 class TestImageLevelCorrelation:
+    # the two correlations evaluate_predictions gives its per-image variance
+    # sums (test_sr_matches_direct_call checks that it calls these)
     def test_identity(self):
         sv = [1.0, 3.0, 2.0, 5.0, 4.0]
-        out = image_level_correlation(sv, sv)
-        assert out["sr"] == pytest.approx(1.0, abs=1e-12)
-        assert out["dc"] == pytest.approx(1.0, abs=1e-12)
+        assert spearman(sv, sv) == pytest.approx(1.0, abs=1e-12)
+        assert distance_correlation(sv, sv) == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_null(self):
         rng = np.random.default_rng(13)
         sv = rng.uniform(1, 10, size=100)
-        out = image_level_correlation(sv, rng.permutation(sv))
-        assert abs(out["sr"]) < 0.3
+        assert abs(spearman(sv, rng.permutation(sv))) < 0.3
 
     def test_needs_four_images(self):
-        with pytest.raises(ValueError):
-            image_level_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="at least 4 values"):
+            distance_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 def reference_evaluate(maps, rater_masks, variance):
@@ -433,9 +432,9 @@ def reference_evaluate(maps, rater_masks, variance):
         "mean_nll": float(np.mean([r["nll"] for r in per_image])),
     }
     if variance:
-        corr = image_level_correlation([r["sv_model"] for r in per_image],
-                                       [r["sv_gt"] for r in per_image])
-        dataset.update(sr=corr["sr"], dc=corr["dc"],
+        sv_model = [r["sv_model"] for r in per_image]
+        sv_gt = [r["sv_gt"] for r in per_image]
+        dataset.update(sr=spearman(sv_model, sv_gt), dc=distance_correlation(sv_model, sv_gt),
                        mean_ncc=float(np.mean([r["ncc"] for r in per_image])))
     return per_image, dataset
 
@@ -483,7 +482,7 @@ class TestEvaluatePredictions:
 
     def test_without_variance_scores_the_first_map(self):
         maps, stacks = self.records(n=3, seed=6)
-        report = evaluate_predictions(maps, stacks, variance=False)
+        report = evaluate_predictions(maps[:, :1], stacks)
         assert set(report.per_image[0]) == {"id", "soft_dice", "nll"}
         assert set(report.dataset) == {"mean_dice", "mean_nll"}
         soft = stacks[1].mean(axis=0)
@@ -511,8 +510,10 @@ class TestEvaluatePredictions:
     @pytest.mark.parametrize("variance, m", [(False, 1), (False, 2), (False, 3),
                                              (True, 2), (True, 3)])
     def test_equals_the_per_image_reference_path(self, variance, m, dtype):
+        # without variance the reference scores the first of m maps, and
+        # evaluate_predictions gets that map alone
         maps, stacks = self.records(n=6, seed=7, m=m, dtype=dtype)
-        report = evaluate_predictions(maps, stacks, variance=variance)
+        report = evaluate_predictions(maps if variance else maps[:, :1], stacks)
         per_image, dataset = reference_evaluate(maps, stacks, variance)
         assert report.per_image == per_image
         assert report.dataset == dataset
@@ -524,7 +525,7 @@ class TestEvaluatePredictions:
         # 8192-element summation buffer
         maps, stacks = self.records(n=n, seed=8, dtype=np.float32, size=size)
         for variance in (True, False):
-            report = evaluate_predictions(maps, stacks, variance=variance)
+            report = evaluate_predictions(maps if variance else maps[:, :1], stacks)
             per_image, dataset = reference_evaluate(maps, stacks, variance)
             assert report.per_image == per_image
             assert report.dataset == dataset
@@ -541,44 +542,48 @@ class TestEvaluatePredictions:
 
     @pytest.mark.parametrize("variance", [True, False])
     def test_bad_records_raise_the_per_image_messages(self, variance):
-        maps, stacks = self.records(n=6, seed=10)
+        maps, stacks = self.records(n=6, seed=10, m=3 if variance else 1)
         stacks[4] = stacks[4][:, :6, :6]
         with pytest.raises(ValueError, match=r"shape mismatch: \(8, 8\) vs \(6, 6\)"):
-            evaluate_predictions(maps, stacks, variance=variance)
-        maps, stacks = self.records(n=6, seed=10)
+            evaluate_predictions(maps, stacks)
+        maps, stacks = self.records(n=6, seed=10, m=3 if variance else 1)
         maps[3] += 1.5
         with pytest.raises(ValueError, match=r"pred must lie in \[0, 1\]"):
-            evaluate_predictions(maps, stacks, variance=variance)
+            evaluate_predictions(maps, stacks)
 
     @pytest.mark.parametrize("variance", [True, False])
     def test_first_faulty_image_names_the_error(self, variance):
         # several faults in one block: the first image's fault is reported,
         # and within an image the raters come before the pred range
-        maps, stacks = self.records(n=70, seed=11, size=32)
+        maps, stacks = self.records(n=70, seed=11, m=3 if variance else 1, size=32)
         maps[3] += 1.5
         stacks[5][0, 0, 0] = 0.5
         with pytest.raises(ValueError, match=r"pred must lie in \[0, 1\]"):
-            evaluate_predictions(maps, stacks, variance=variance)
+            evaluate_predictions(maps, stacks)
         stacks[3][0, 0, 0] = 0.5
         with pytest.raises(ValueError, match="rater masks must be binary"):
-            evaluate_predictions(maps, stacks, variance=variance)
+            evaluate_predictions(maps, stacks)
         stacks[2] = stacks[2][:, :6, :6]
         with pytest.raises(ValueError, match=r"shape mismatch: \(32, 32\) vs \(6, 6\)"):
-            evaluate_predictions(maps, stacks, variance=variance)
+            evaluate_predictions(maps, stacks)
 
     def test_variance_needs_two_maps(self):
-        with pytest.raises(ValueError, match=">= 2 maps"):
-            evaluate_predictions(*self.records(m=1))
+        # the map count sets the mode: one map is scored alone, two or
+        # more by their mean and variance
+        for m, keys in ((1, {"mean_dice", "mean_nll"}),
+                        (2, {"mean_dice", "mean_nll", "sr", "dc", "mean_ncc"})):
+            maps, stacks = self.records(m=m)
+            assert set(evaluate_predictions(maps, stacks).dataset) == keys
 
     def test_length_mismatch_raises(self):
         maps, stacks = self.records()
         with pytest.raises(ValueError, match="5 map sets but 4 rater stacks"):
             evaluate_predictions(maps, stacks[:4])
         with pytest.raises(ValueError, match="4 map sets but 5 rater stacks"):
-            evaluate_predictions(maps[:4], stacks, variance=False)
+            evaluate_predictions(maps[:4, :1], stacks)
 
     def test_too_few_images(self):
         maps, stacks = self.records(n=3)
         with pytest.raises(ValueError, match="at least 4 images"):
             evaluate_predictions(maps, stacks)
-        assert len(evaluate_predictions(maps[:1], stacks[:1], variance=False).per_image) == 1
+        assert len(evaluate_predictions(maps[:1, :1], stacks[:1]).per_image) == 1

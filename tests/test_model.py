@@ -20,7 +20,7 @@ from edue.model import (
     save_checkpoint,
 )
 
-from helpers import weights_hash
+from helpers import n_params, weights_hash
 
 DESK = preset("desk").model_config()  # n_e=4, 1 channel in, base 8, growth 2, 32x32
 BUILDERS = {"multi_head": build_model, "single_head_full": build_single_head_model}
@@ -45,10 +45,8 @@ class TestParameterCount:
         # Heads (1x1 conv to one channel): 33 + 17 + 9 = 59
         expected = 680 + 3520 + 13952 + 55552 + 36960 + 9264 + 2328 + 59
         assert expected == 122315
-        assert parameter_count(DESK) == 122315
-        model = build_model(DESK)
-        assert model.parameter_count() == 122315
-        assert sum(p.data.size for p in model.params.values()) == 122315
+        assert parameter_count(DESK, "multi_head") == 122315
+        assert n_params(build_model(DESK)) == 122315
 
     def test_single_head_member_is_larger(self):
         # The ensemble member extends the decoder to full resolution: one
@@ -56,15 +54,15 @@ class TestParameterCount:
         expected = 122315 - 59 + 1176 + 9
         assert parameter_count(DESK, kind="single_head_full") == expected
         member = build_single_head_model(DESK)
-        assert member.parameter_count() == expected
-        assert build_model(DESK).parameter_count() < member.parameter_count()
+        assert n_params(member) == expected
+        assert n_params(build_model(DESK)) < n_params(member)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_count_matches_built_model_at_full_scale(self, name, kind):
         cfg = preset(name).model_config()
         model = BUILDERS[kind](cfg)
-        assert model.parameter_count() == parameter_count(cfg, kind)
+        assert n_params(model) == parameter_count(cfg, kind)
         assert model.n_heads == (cfg.n_e - 1 if kind == "multi_head" else 1)
 
 
@@ -144,7 +142,7 @@ class TestForward:
     def test_shape_invariant_under_width_doubling(self):
         wide = build_model(replace(DESK, base_channels=16))
         # conv kernels quadruple; biases and norms only double
-        assert wide.parameter_count() > 3.9 * build_model(DESK).parameter_count()
+        assert n_params(wide) > 3.9 * n_params(build_model(DESK))
         outs = forward(wide, desk_input())
         assert [p.data.shape for p in outs] == [(2, 1, 32, 32)] * 3
 
@@ -174,7 +172,7 @@ class TestForward:
     def test_full_scale_forward_shapes(self):
         cfg = preset("riga-like").model_config()
         model = build_model(cfg)
-        assert model.parameter_count() == parameter_count(cfg)
+        assert n_params(model) == parameter_count(cfg, "multi_head")
         assert model.n_heads == 5
         rng = np.random.default_rng(0)
         outs = forward(model, Tensor(rng.normal(size=(1, 3, 256, 256))))
@@ -336,7 +334,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m", member)
         loaded = load_checkpoint(tmp_path / "m")
         assert loaded.kind == "single_head_full"
-        assert loaded.parameter_count() == member.parameter_count()
+        assert n_params(loaded) == n_params(member)
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_load_draws_no_init(self, tmp_path, monkeypatch, kind):
