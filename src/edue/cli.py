@@ -14,8 +14,8 @@ output goes to files (every report is written as strict, sorted-key
 JSON plus a CSV a plotting tool can consume directly).  Reports are
 byte-identical across reruns with the same inputs and seed.
 
-Seed precedence: --seed flag, then the EDUE_SEED environment variable,
-then the config's seed field.
+Seed precedence: --seed, then the EDUE_SEED environment variable, then
+the config's (ood: the checkpoint's) seed; compare's come from --seeds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ShapeError
 from .config import (ConfigError, MAX_IMAGES, MAX_INPUT_SIDE, PRESET_NAMES, RunConfig,
                      load_config, preset)
 from .container import ContainerError, DataError, entry_table, write_json
@@ -142,14 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     items = to_train_items(samples, structure=k)
     arm = args.arm.replace("-", "_")
     models, traces = train_arm(arm, config, items, seed)
-    meta = {
-        "config": config.as_dict(),
-        "seed": seed,
-        "structure": k,
-        "structure_name": structures[k],
-        "head_skip": ARMS[arm].skipped_heads(config),
-    }
-    save_checkpoint_dir(args.out, arm, models, traces, meta)
+    save_checkpoint_dir(args.out, arm, models, traces, config, seed, k, structures[k])
     last = traces[-1][-1]
     _note(f"trained {arm} ({len(models)} model(s), {config.epochs} epochs); "
           f"final mean loss {last.mean_total:.4f}; checkpoint in {args.out}")
@@ -322,8 +314,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--preset", choices=PRESET_NAMES,
                        help="named configuration preset (default: desk)")
     group.add_argument("--config", help="path to a RunConfig JSON file")
-    sub.add_argument("--seed", type=int, help="overrides EDUE_SEED and the "
-                     "config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic multi-rater "
                                         "dataset directory")
     _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="overrides EDUE_SEED and the config seed")
     p.add_argument("--n", type=int, help="number of images (default: the "
                    "config's n_train)")
     p.add_argument("--out", required=True, help="dataset directory to write")
@@ -343,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one arm on a dataset directory")
     _add_config_flags(p)
+    p.add_argument("--seed", type=int, help="overrides EDUE_SEED and the config seed")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="checkpoint directory to write")
     p.add_argument("--arm", choices=ARM_CHOICES, default="edue")
@@ -411,15 +403,13 @@ def main(argv=None) -> int:
         return _fail("config error", exc)
     except ContainerError as exc:
         return _fail("container error", exc)
-    except DataError as exc:
-        return _fail("data error", exc)
     except FileNotFoundError as exc:
         return _fail("missing file", exc)
     except FloatingPointError as exc:
         return _fail("training error", exc)
     except MemoryError as exc:
         return _fail("out of memory", exc)
-    except (ValueError, ShapeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail("data error", exc)
 
 

@@ -298,7 +298,7 @@ def run_comparison(train_samples: Sequence[RaterSample],
 
     Returns a JSON-ready report: per-seed metric tables for each arm
     plus mean/std aggregation over seeds, forward-pass counts per
-    prediction, and parameter counts.
+    prediction, and parameter counts.  The caller records the config.
     """
     config.validate()
     if not seeds:
@@ -309,7 +309,8 @@ def run_comparison(train_samples: Sequence[RaterSample],
 
     for seed in seeds:
         for name in arms:
-            row: dict = {"seed": seed, "structures": {}, "nll_values": []}
+            per_structure: dict = {}
+            nll = []
             for k, struct in enumerate(structures):
                 items = to_train_items(train_samples, structure=k)
                 models, _ = train_arm(name, config, items, seed)
@@ -318,18 +319,17 @@ def run_comparison(train_samples: Sequence[RaterSample],
                                       head_skip=ARMS[name].skipped_heads(config),
                                       batch_size=config.batch_size)
                 passes_used = sum(m.trunk_passes for m in models) - passes_before
-                row["structures"][struct] = {
+                per_structure[struct] = {
                     "sr": report.dataset["sr"],
                     "dc": report.dataset["dc"],
                     "ncc": report.dataset["mean_ncc"],
                     "dice": report.dataset["mean_dice"],
                 }
-                row["nll_values"].append(report.dataset["mean_nll"])
-                row["passes_per_image"] = passes_used / len(test_samples)
-            row["nll"] = float(np.mean(row["nll_values"]))
-            del row["nll_values"]
-            row["parameter_count"] = sum(parameter_count(m.config, m.kind) for m in models)
-            arms[name]["per_seed"].append(row)
+                nll.append(report.dataset["mean_nll"])
+            arms[name]["per_seed"].append({
+                "seed": seed, "structures": per_structure, "nll": float(np.mean(nll)),
+                "passes_per_image": passes_used / len(test_samples),
+                "parameter_count": sum(parameter_count(m.config, m.kind) for m in models)})
 
     for name, arm in arms.items():
         flat: dict[str, list[float]] = {}
@@ -345,10 +345,5 @@ def run_comparison(train_samples: Sequence[RaterSample],
     return {
         "seeds": list(seeds),
         "structures": structures,
-        "settings": {
-            "epochs": config.epochs, "batch_size": config.batch_size,
-            "lr": config.lr, "alpha": config.alpha, "beta": config.beta,
-            "de_members": config.de_members, "head_skip": config.head_skip,
-        },
         "arms": arms,
     }

@@ -252,18 +252,15 @@ def generate_sample(params: SceneParams, rng: np.random.Generator) -> RaterSampl
 
 def generate_dataset(params: SceneParams, n_images: int,
                      rng: np.random.Generator) -> tuple[list[RaterSample], dict]:
-    """n_images independent samples plus a JSON-ready manifest."""
+    """n_images independent samples plus the generator's manifest keys,
+    params and structures; storage.save_dataset adds the image list."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     samples = [generate_sample(params, rng) for _ in range(n_images)]
-    manifest = {
-        "n_images": n_images,
+    return samples, {
         "params": asdict(params),
         "structures": list(params.structure_names()),
-        "images": [{"delta_used": s.delta_used, "n_raters": int(s.masks.shape[1])}
-                   for s in samples],
     }
-    return samples, manifest
 
 
 def _box_blur(image: np.ndarray, radius: int) -> np.ndarray:

@@ -2,30 +2,33 @@
 
 A dataset directory holds one tensor container per image (the image,
 every structure's rater masks, and the clean reference mask) plus a
-manifest.json describing the whole set.  Loading checks every
-``masks/<structure>`` entry once: two or more binary masks (the rater
-contract, ``disagreement.rater_masks``), each the size of the image,
-and the same rater count for every structure; each ``true/<structure>``
-must be the size of the image too.
-Entries no structure names, such as an old ``heatmap/*``, are ignored.
-A checkpoint directory holds the weights container(s), a loss-trace
-CSV, and a train_meta.json that makes it self-describing: eval needs
-no flags beyond the two paths.
+manifest.json: the caller's keys, n_images, and one {file, delta_used,
+n_raters} entry per image.  Loading checks every ``masks/<structure>``
+entry once: two or more binary masks (the rater contract,
+``disagreement.rater_masks``), each the size of the image, and the same
+rater count for every structure; each ``true/<structure>`` must be the
+size of the image too.  Entries no structure names, such as an old
+``heatmap/*``, are ignored.  A checkpoint directory holds the weights
+container(s), a loss-trace CSV (``member`` plus the ``EpochStats``
+fields), and a train_meta.json that makes it self-describing: eval
+needs no flags beyond the two paths.
 
-All writes are atomic (write to a temporary file, then rename), and
-all JSON goes through ``container.write_json`` (strict, sorted keys,
-trailing newline), so a rerun with the same seed reproduces every file
-byte for byte.
+This module alone writes each of those files.  All writes are atomic
+(write to a temporary file, then rename), and all JSON goes through
+``container.write_json`` (strict, sorted keys, trailing newline), so a
+rerun with the same seed reproduces every file byte for byte.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .container import (DataError, atomic_write_text, json_value, load_container,
                         read_json_object, save_container, write_json)
 from .disagreement import EpochStats, rater_masks
@@ -73,22 +76,17 @@ def _image_entries(sample: RaterSample) -> dict[str, np.ndarray]:
 
 def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
                  manifest: dict) -> None:
-    """One container per image plus a manifest describing the set."""
+    """One container per image plus a manifest built on the caller's keys."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    doc = dict(manifest)
-    doc["format"] = DATASET_FORMAT
-    images = [dict(entry) for entry in doc["images"]]
-    if len(images) != len(samples):
-        raise DataError(f"manifest lists {len(images)} images, "
-                        f"got {len(samples)} samples")
+    images = []
     for i, sample in enumerate(samples):
         filename = f"img_{i:04d}.edt"
         save_container(directory / filename, _image_entries(sample))
-        images[i]["file"] = filename
-    doc["images"] = images
-    doc["n_images"] = len(samples)
-    write_json(directory / "manifest.json", doc)
+        images.append({"file": filename, "delta_used": sample.delta_used,
+                       "n_raters": int(sample.masks.shape[1])})
+    write_json(directory / "manifest.json", {**manifest, "format": DATASET_FORMAT,
+                                             "images": images, "n_images": len(samples)})
 
 
 def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]:
@@ -153,11 +151,6 @@ def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]
 # checkpoint directories
 
 
-def _trace_rows(member: int, trace: Sequence[EpochStats]) -> list[tuple]:
-    return [(member, s.epoch, s.mean_total, s.mean_bce, s.mean_rmse)
-            for s in trace]
-
-
 def model_dirs(directory: Path, n_models: int) -> list[Path]:
     """A lone model lives in the checkpoint directory itself; ensemble
     members get one member_i/ subdirectory each."""
@@ -169,7 +162,8 @@ def model_dirs(directory: Path, n_models: int) -> list[Path]:
 def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
                         models: Sequence[Model],
                         traces: Sequence[Sequence[EpochStats]],
-                        meta: dict) -> None:
+                        config: RunConfig, seed: int, structure: int,
+                        structure_name: str) -> None:
     """Weights plus loss trace plus a self-describing train_meta.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -177,13 +171,13 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     for i, (model_dir, model, trace) in enumerate(
             zip(model_dirs(directory, len(models)), models, traces)):
         save_checkpoint(model_dir, model)
-        rows += _trace_rows(i, trace)
+        rows += [(i, *astuple(stats)) for stats in trace]
     write_csv(directory / "loss.csv",
-              ["member", "epoch", "mean_total", "mean_bce", "mean_rmse"], rows)
-    doc = dict(meta)
-    doc["arm"] = arm
-    doc["n_members"] = len(models)
-    write_json(directory / "train_meta.json", doc)
+              ["member", *(f.name for f in fields(EpochStats))], rows)
+    write_json(directory / "train_meta.json", {
+        "arm": arm, "n_members": len(models), "config": config.as_dict(), "seed": seed,
+        "structure": structure, "structure_name": structure_name,
+        "head_skip": ARMS[arm].skipped_heads(config)})
 
 
 def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:

@@ -5,18 +5,21 @@ import hashlib
 import os
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from edue.cli import main
+from edue.cli import build_parser, main
+from edue.config import load_config
 from edue.container import load_container, save_container
-from edue.disagreement import binarize_majority, soft_majority
+from edue.disagreement import EpochStats, binarize_majority, soft_majority
 from edue.metrics import nll
 from edue.model import prob_maps
 from edue.container import DataError
+from edue.raters import generate_dataset
 from edue.storage import load_checkpoint_dir, load_dataset
 
 
@@ -70,13 +73,22 @@ def dir_digest(directory):
 
 
 class TestGenData:
-    def test_writes_manifest_and_one_file_per_image(self, dataset):
+    def test_writes_manifest_and_one_file_per_image(self, dataset, cfg_path):
         manifest = json.loads((dataset / "manifest.json").read_text())
         assert manifest["format"] == "edue-dataset-v1"
         assert manifest["n_images"] == 6
         assert manifest["seed"] == 9
         files = sorted(p.name for p in dataset.glob("*.edt"))
         assert files == [f"img_{i:04d}.edt" for i in range(6)]
+        # each images entry describes the sample in its file, as generated
+        params = load_config(cfg_path).scene_params(seed=9)
+        generated, _ = generate_dataset(params, 6, np.random.default_rng(9))
+        loaded, _ = load_dataset(dataset)
+        for entry, name, made, sample in zip(manifest["images"], files, generated, loaded):
+            assert np.array_equal(sample.masks, made.masks)
+            assert entry == {"file": name, "delta_used": made.delta_used,
+                             "n_raters": sample.masks.shape[1]}
+            assert sample.delta_used == made.delta_used
 
     def test_round_trip_through_loader(self, dataset):
         samples, manifest = load_dataset(dataset)
@@ -168,6 +180,17 @@ class TestTrain:
         lines = (checkpoint / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "member,epoch,mean_total,mean_bce,mean_rmse"
         assert len(lines) == 1 + TINY["epochs"]
+
+    @pytest.mark.parametrize("arm", ["edue", "le", "de", "single-rater"])
+    def test_record_keys_and_columns(self, tmp_path, cfg_path, dataset, arm):
+        out = tmp_path / arm
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(out), "--arm", arm]) == 0
+        meta = json.loads((out / "train_meta.json").read_text())
+        assert set(meta) == {"arm", "n_members", "config", "structure",
+                             "structure_name", "head_skip", "seed"}
+        header = (out / "loss.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["member"] + [f.name for f in fields(EpochStats)]
 
     def test_de_checkpoint_has_member_dirs(self, tmp_path, cfg_path, dataset):
         out = tmp_path / "de"
@@ -738,11 +761,19 @@ class TestCompare:
                      "--test-data", str(test_data),
                      "--out", str(out), "--seeds", "0"]) == 0
         doc = json.loads(out.read_text())
+        # the run config is recorded once, as "config"
+        assert set(doc) == {"seeds", "structures", "arms", "preset", "config"}
         assert set(doc["arms"]) == {"edue", "le", "de"}
         assert doc["seeds"] == [0]
         lines = (tmp_path / "cmp.csv").read_text().strip().splitlines()
         assert lines[0] == "arm,metric,mean,std"
         assert len(lines) == 1 + 3 * 5  # three arms, five metric columns
+
+    def test_seeds_come_from_seeds_alone(self):
+        args = build_parser().parse_args(["compare", "--train-data", "d", "--test-data",
+                                          "t", "--out", "c.json", "--seed", "2"])
+        assert not hasattr(args, "seed")
+        assert args.seeds == "2"  # argparse reads a prefix of --seeds
 
     def test_bad_seeds(self, tmp_path, cfg_path, dataset, capsys):
         code = main(["compare", "--config", cfg_path,

@@ -339,11 +339,13 @@ class TestGenerateDataset:
     def test_mix_is_binomial(self):
         params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
         samples, manifest = generate_dataset(params, 100, np.random.default_rng(11))
-        high = sum(1 for s in samples if s.delta_used == 3.0)
-        assert 35 <= high <= 65  # 3 sigma around 50
-        assert manifest["n_images"] == 100
-        assert len(manifest["images"]) == 100
-        assert manifest["images"][0]["n_raters"] == 4
+        assert len(samples) == 100
+        deltas = [s.delta_used for s in samples]
+        assert set(deltas) == {0.5, 3.0}
+        assert 35 <= deltas.count(3.0) <= 65  # 3 sigma around 50
+        assert all(s.masks.shape[1] == 4 for s in samples)
+        # the image list is storage.save_dataset's to write, from the samples
+        assert set(manifest) == {"params", "structures"}
 
     def test_disagreement_varies_across_images(self):
         params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
