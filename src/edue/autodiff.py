@@ -3,10 +3,11 @@
 Tensors wrap numpy arrays; the canonical layout for network math is
 rank-4 ``(batch, channels, height, width)``.  Operations executed while a
 :class:`Tape` is active record a backward rule onto it; ``tape.backward``
-replays the rules in exact reverse order.  Gradients accumulate across
-backward calls; zeroing them is the caller's duty.  A forward-only pass
-may run inside a :class:`Workspace`, whose one scratch buffer conv2d then
-reuses instead of allocating its column matrix afresh on every call.
+consumes the tape, popping the rules in exact reverse order, so each op's
+saved arrays are freed as soon as its rule has run.  Leaf gradients
+accumulate across tapes; zeroing them is the caller's duty.  A forward-only
+pass may run inside a :class:`Workspace`, whose one scratch buffer conv2d
+then reuses instead of allocating its column matrix afresh on every call.
 
 Only the op set the segmentation network and its losses need is
 implemented.  No broadcasting: elementwise ops require identical shapes.
@@ -110,11 +111,12 @@ class Tape:
     Used as a context manager, one at a time per thread; ops executed
     inside append their backward rule, so the record order is a
     topological order of the compute DAG and reverse iteration is a valid
-    backpropagation schedule.
+    backpropagation schedule.  One backward spends the tape.
     """
 
     def __init__(self):
         self.records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.spent = False
 
     def __enter__(self) -> "Tape":
         assert Tape.active() is None, "a tape is already recording"
@@ -134,19 +136,21 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         """Populate gradients of every recorded tensor reachable from root.
 
-        Seeds the root with a gradient of ones and visits records in exact
-        reverse recording order.  Gradients of this tape's own op outputs
-        are per-pass scratch and reset on entry; leaf gradients accumulate
-        across calls (caller resets them).
+        Seeds the root with a gradient of ones and pops records in exact
+        reverse recording order, dropping each rule, its saved arrays and
+        its output's gradient once the rule has run; a spent tape raises.
+        Leaf gradients accumulate across tapes (caller resets them).
         """
-        for out, _ in self.records:
-            if out.grad is not None:
-                out.grad[...] = 0.0
+        if self.spent:
+            raise RuntimeError("Tape.backward: this tape was already used by a backward pass")
+        self.spent = True
         root.ensure_grad()
         root.grad += np.ones_like(root.data)
-        for out, backward_fn in reversed(self.records):
+        while self.records:
+            out, backward_fn = self.records.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
+                out.grad = None
 
 
 class Workspace:
@@ -425,9 +429,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     out = out.reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def backward(g):
+        nonlocal cols
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * ho * wo, cout)
         _accum(bias, g2.sum(axis=0))
         _accum(kernel, (g2.T @ cols).reshape(kernel.data.shape))
+        cols = None  # free the columns before dcols takes as much
         if x.requires_grad:
             dcols = (g2 @ w2).reshape(bsz, ho, wo, cin, kh, kw)
             dxt = np.zeros(padded, dtype=dtype)

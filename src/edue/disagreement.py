@@ -186,7 +186,10 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
           sampler: Callable = sample_labels) -> tuple[Model, list[EpochStats]]:
     """Mini-batch Adam training; labels are resampled every epoch.
 
-    Every item must meet the rater contract (see ``rater_masks``).  A
+    Every item must meet the rater contract (see ``rater_masks``).  Its
+    label stack, and its rater heatmap when beta > 0 (the RMSE term alone
+    reads it), are built once, in the tensor dtype.  Each step's backward
+    spends its tape, freeing the step's saved arrays before Adam runs.  A
     non-finite loss aborts with the epoch and batch index.  Returns the
     (mutated in place) model and the per-epoch mean loss trace.
     """
@@ -201,8 +204,8 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
     dtype = ad.default_dtype()
     images = [np.asarray(it.image, dtype=dtype) for it in items]
     # Labels and rater variance are fixed per image, so build them once.
-    labels = [label_stack(it.masks) for it in items]
-    heatmaps = [gt_heatmap(it.masks)[None] for it in items]
+    labels = [label_stack(it.masks).astype(dtype) for it in items]
+    heatmaps = [gt_heatmap(it.masks)[None].astype(dtype) for it in items] if weights.beta > 0 else []
 
     opt = ad.Adam(model.params, lr=lr)
     trace: list[EpochStats] = []
@@ -218,7 +221,7 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
             x = Tensor(np.stack([images[r] for r in rows]))
             head_targets = [np.stack([labels[r][picks[r][i]][None] for r in rows])
                             for i in range(n_heads)]
-            h_gt = np.stack([heatmaps[r] for r in rows])
+            h_gt = np.stack([heatmaps[r] for r in rows]) if heatmaps else None
             try:
                 with Tape() as tape:
                     outs = forward(model, x)

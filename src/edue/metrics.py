@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disagreement import binarize_majority, gt_heatmap, soft_majority
+from .disagreement import binarize_majority, rater_masks as checked_stack
 from .model import aggregate_heads
 
 __all__ = [
@@ -181,18 +181,18 @@ def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray]) ->
             pred, heat = aggregate_heads(np.swapaxes(block, 0, 1))
         else:
             pred = np.asarray(block[:, 0], dtype=np.float64)
-        soft = []
+        stacks = []
         for m, bad in zip(masks, _out_of_range(pred)):  # each image's checks in turn
-            soft.append(soft_majority(m))
-            if soft[-1].shape != pred.shape[1:]:
-                raise ValueError(f"shape mismatch: {pred.shape[1:]} vs {soft[-1].shape}")
+            stacks.append(checked_stack(m))
+            if stacks[-1].shape[1:] != pred.shape[1:]:
+                raise ValueError(f"shape mismatch: {pred.shape[1:]} vs {stacks[-1].shape[1:]}")
             if bad:
                 raise ValueError("pred must lie in [0, 1]")
-        soft = np.stack(soft)
+        soft = np.stack([m.mean(axis=0) for m in stacks])
         cols = {"soft_dice": _dice_rows(pred, soft),
                 "nll": _nll_rows(pred, binarize_majority(soft))}
         if variance:
-            gt_heat = np.stack([gt_heatmap(m) for m in masks])
+            gt_heat = np.stack([m.var(axis=0) for m in stacks])
             cols.update(sv_model=heat.sum(axis=(1, 2)), sv_gt=gt_heat.sum(axis=(1, 2)),
                         ncc=_ncc_rows(heat, gt_heat))
         for j in range(len(block)):

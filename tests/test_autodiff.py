@@ -749,14 +749,24 @@ def test_two_consumer_node_accumulates_both_paths():
     np.testing.assert_allclose(y.grad, 2.0 * 3.0 / 2.0 + 1.0 / 2.0)
 
 
-def test_backward_twice_accumulates():
+def test_leaf_grads_accumulate_across_tapes():
+    # training without zero_grad between steps relies on this
+    x = Tensor(np.ones((1, 1, 1, 2)), requires_grad=True)
+    for _ in range(2):
+        with Tape() as tape:
+            tape.backward(mean_all(x))
+    np.testing.assert_array_equal(x.grad, 2.0 * np.full((1, 1, 1, 2), 0.5))
+
+
+def test_backward_on_a_spent_tape_raises():
     x = Tensor(np.ones((1, 1, 1, 2)), requires_grad=True)
     with Tape() as tape:
         loss = mean_all(x)
         tape.backward(loss)
-        first = x.grad.copy()
-        tape.backward(loss)
-    np.testing.assert_allclose(x.grad, 2.0 * first)
+        assert tape.records == []
+        with pytest.raises(RuntimeError, match="tape was already used"):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.full((1, 1, 1, 2), 0.5))
 
 
 def test_no_tape_means_no_recording():
