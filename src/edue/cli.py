@@ -89,6 +89,7 @@ def _note(message: str) -> None:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=True)
     config = _resolve_config(args)
     seed = _resolve_seed(args, config.seed)
     n = args.n if args.n is not None else config.n_train
@@ -101,14 +102,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     save_dataset(args.out, samples, manifest)
     _note(f"wrote {n} images to {args.out}")
     return 0
-
-
-def _structure_index(args: argparse.Namespace, structures: list[str]) -> int:
-    k = args.structure
-    if not 0 <= k < len(structures):
-        raise DataError(f"structure index {k} out of range; dataset has "
-                        f"{structures}")
-    return k
 
 
 def _check_images(samples, data_dir: str, in_channels: int,
@@ -131,13 +124,16 @@ def _config_source(args: argparse.Namespace, config: RunConfig) -> str:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=True)
     config = _resolve_config(args)
     seed = _resolve_seed(args, config.seed)
     samples, manifest = load_dataset(args.data)
     _check_images(samples, args.data, config.in_channels, config.input_size,
                   _config_source(args, config))
     structures = list(manifest["structures"])
-    k = _structure_index(args, structures)
+    k = args.structure
+    if not 0 <= k < len(structures):
+        raise DataError(f"structure index {k} out of range; dataset has {structures}")
     items = to_train_items(samples, structure=k)
     arm = args.arm.replace("-", "_")
     models, traces = train_arm(arm, config, items, seed)
@@ -155,7 +151,7 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _load_predictor(args: argparse.Namespace, uncertainty: bool):
-    """(arm, models, train_meta, samples) for a checkpoint and a dataset;
+    """(models, train_meta, samples) for a checkpoint and a dataset;
     uncertainty=True refuses arms that predict one map."""
     models, meta = load_checkpoint_dir(args.model)
     arm = meta["arm"]
@@ -172,24 +168,31 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool):
         raise DataError(f"{Path(args.model) / 'train_meta.json'}: checkpoint was trained on "
                         f"structure {k}, {meta['structure_name']!r}, but dataset "
                         f"{args.data} has structures {structures}")
-    return arm, models, meta, samples
+    return models, meta, samples
 
 
 def _evaluate(args: argparse.Namespace, uncertainty: bool):
-    """The one scoring call behind eval and qc: the report keys naming the
-    predictor (arm, structure, train_meta), and the MetricReport."""
-    arm, models, meta, samples = _load_predictor(args, uncertainty)
+    """The one scoring call behind eval and qc: the report key naming the
+    predictor (train_meta, which holds its arm and structure), and the
+    MetricReport."""
+    models, meta, samples = _load_predictor(args, uncertainty)
     report = evaluate_arm(models, samples, structure=meta["structure"],
                           head_skip=meta["head_skip"],
                           batch_size=meta["config"]["batch_size"])
-    return {"arm": arm, "structure": meta["structure_name"], "train_meta": meta}, report
+    return {"train_meta": meta}, report
 
 
-def _check_out_dir(out: str) -> None:
-    """Refuse a report path whose directory is missing, before any work."""
-    parent = Path(out).parent
-    if not parent.is_dir():
-        raise ConfigError(f"--out directory {parent} does not exist or is not a directory")
+def _check_out(out: str, directory: bool = False) -> None:
+    """Refuse, before any work, an --out of the wrong kind: a report path
+    that is a directory or whose directory is missing, or a dataset or
+    checkpoint directory that is a file."""
+    path = Path(out)
+    if directory and path.exists() and not path.is_dir():
+        raise ConfigError(f"--out {out} is a file, not a directory")
+    if not directory and path.is_dir():
+        raise ConfigError(f"--out {out} is a directory, not a report file")
+    if not directory and not path.parent.is_dir():
+        raise ConfigError(f"--out directory {path.parent} does not exist or is not a directory")
 
 
 def _write_report(out: str, doc: dict, header: list, rows: list) -> Path:
@@ -201,7 +204,7 @@ def _write_report(out: str, doc: dict, header: list, rows: list) -> Path:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
     doc, report = _evaluate(args, uncertainty=False)
     columns = list(report.per_image[0])  # id, mask metrics, then any variance metrics
     out = _write_report(args.out, {**doc, "per_image": report.per_image,
@@ -212,8 +215,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_qc(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
     threshold = _finite("--dice-threshold", args.dice_threshold)
+    if not 0.0 < threshold <= 1.0:  # soft Dice lies in [0, 1]
+        raise ConfigError(f"--dice-threshold must be in (0, 1], got {threshold}")
     doc, report = _evaluate(args, uncertainty=True)
     curve = quality_control([rec["soft_dice"] for rec in report.per_image],
                             [rec["sv_model"] for rec in report.per_image], threshold)
@@ -241,7 +246,7 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 
 
 def cmd_ood(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
     level = _finite("--level", args.level)
     if level < 0:
         raise ConfigError(f"--level must be >= 0, got {level}")
@@ -249,7 +254,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
         raise ConfigError(f"--level is a blur radius in pixels and must be at "
                           f"most {MAX_INPUT_SIDE}, got {level}")
     fractions = _parse_fractions(args.fractions)
-    arm, models, meta, samples = _load_predictor(args, uncertainty=True)
+    models, meta, samples = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, meta["seed"])
     report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
@@ -257,8 +262,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
                             head_skip=meta["head_skip"],
                             batch_size=meta["config"]["batch_size"])
     stats = ["min", "q1", "median", "q3", "max", "mean"]
-    out = _write_report(args.out, {"arm": arm, "seed": seed, "train_meta": meta,
-                                   **asdict(report)},
+    out = _write_report(args.out, {"seed": seed, "train_meta": meta, **asdict(report)},
                         ["fraction", "n_distorted"] + stats,
                         [[row["fraction"], row["n_distorted"]]
                          + [row["summary"][s] for s in stats]
@@ -268,7 +272,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
     config = _resolve_config(args)
     try:
         seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())

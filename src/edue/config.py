@@ -1,4 +1,4 @@
-"""Run configuration: one flat, hand-validated JSON document per run.
+"""Run configuration: one flat JSON document per run, checked when it is built.
 
 A RunConfig bundles everything a run needs: model shape, loss weights,
 scene parameters for the generator, and the training schedule.  It is
@@ -87,7 +87,7 @@ class RunConfig:
         return self._build(SceneParams, seed, image_size=self.input_size,
                            channels=self.in_channels)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.preset not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {self.preset!r}; "
                               f"expected one of {sorted(PRESET_NAMES)}")
@@ -95,10 +95,10 @@ class RunConfig:
             raise ConfigError(f"n_train must be in [1, {MAX_IMAGES}], got {self.n_train}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        try:
-            self.model_config().validate()
-            self.scene_params().validate()
-            LossWeights(alpha=self.alpha, beta=self.beta).validate()
+        try:  # each of these checks itself when it is built
+            self.model_config()
+            self.scene_params()
+            LossWeights(alpha=self.alpha, beta=self.beta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if max(self.input_size) > MAX_INPUT_SIDE:
@@ -154,7 +154,7 @@ def preset(name: str) -> RunConfig:
 
 
 def from_dict(doc: dict, where: str = "config") -> RunConfig:
-    """Build and validate a RunConfig from a JSON-shaped dict.
+    """Build a RunConfig, which checks itself, from a JSON-shaped dict.
 
     Values start from the named preset (default "desk"); every other
     key overrides one field.  Unknown keys and wrongly typed, non-finite or
@@ -167,14 +167,12 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     if unknown:
         raise ConfigError(f"{where}: unknown config keys: {', '.join(unknown)}")
     overrides = typed_fields(doc, RunConfig, where, ConfigError)
-    # a preset name that is not in the table adds nothing; validate refuses it
-    config = RunConfig(**{**_PRESETS.get(overrides.get("preset", "desk"), {}),
-                          **overrides})
+    # a preset name that is not in the table adds nothing; RunConfig refuses it
     try:
-        config.validate()
+        return RunConfig(**{**_PRESETS.get(overrides.get("preset", "desk"), {}),
+                            **overrides})
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return config
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:

@@ -62,7 +62,7 @@ class LossWeights:
     alpha: float
     beta: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(f"loss weights must be >= 0, got alpha={self.alpha}, beta={self.beta}")
         if self.alpha == 0 and self.beta == 0:
@@ -155,7 +155,6 @@ def total_loss(heads: Sequence[Tensor], head_targets: Sequence[np.ndarray],
     h_gt holds the batch's rater-variance heatmaps; it is read only when
     beta > 0.
     """
-    weights.validate()
     if len(head_targets) != len(heads):
         raise ValueError(f"got {len(head_targets)} targets for {len(heads)} heads")
     bce_sum = None
@@ -198,7 +197,6 @@ def train(model: Model, items: Sequence[TrainItem], *, epochs: int, batch_size: 
         raise ValueError("train: empty dataset")
     if epochs < 1 or batch_size < 1:
         raise ValueError(f"epochs and batch_size must be >= 1, got {epochs}, {batch_size}")
-    weights.validate()
     n_heads = model.n_heads
 
     dtype = ad.default_dtype()

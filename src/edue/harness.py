@@ -114,7 +114,6 @@ def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: in
     """Train one arm's models (one, or one per ensemble member) on the
     config's model shape and schedule, and return them with their
     per-epoch loss traces."""
-    config.validate()
     arm = ARMS[name]
     seeds = ([seed + 1000 * (i + 1) for i in range(config.de_members)]
              if arm.predictor == "ensemble" else [seed])
@@ -300,7 +299,6 @@ def run_comparison(train_samples: Sequence[RaterSample],
     plus mean/std aggregation over seeds, forward-pass counts per
     prediction, and parameter counts.  The caller records the config.
     """
-    config.validate()
     if not seeds:
         raise ValueError("run_comparison: need at least one seed")
     structures = list(train_samples[0].structure_names)

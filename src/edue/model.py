@@ -57,7 +57,7 @@ class ModelConfig:
     input_size: tuple[int, int]
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_e < 2:
             raise ValueError(f"n_e must be >= 2, got {self.n_e}")
         if self.in_channels < 1 or self.base_channels < 1 or self.channel_growth < 1:
@@ -144,13 +144,11 @@ def _init_params(config: ModelConfig, kind: str) -> dict[str, Tensor]:
 
 def build_model(config: ModelConfig) -> Model:
     """Multi-head model; deterministic weights given config.seed."""
-    config.validate()
     return Model(config, "multi_head", _init_params(config, "multi_head"))
 
 
 def build_single_head_model(config: ModelConfig) -> Model:
     """Full-resolution single-head U-Net on the same encoder trunk."""
-    config.validate()
     return Model(config, "single_head_full", _init_params(config, "single_head_full"))
 
 
@@ -265,8 +263,11 @@ def load_checkpoint(directory: str | Path) -> Model:
     odd = sorted({f.name for f in fields(ModelConfig)} ^ set(raw))
     if odd:
         raise DataError(f"{path}: key 'config' has missing or unknown keys {odd}")
-    config = ModelConfig(**typed_fields(raw, ModelConfig, f"{path}: config", DataError))
-    config.validate()
+    values = typed_fields(raw, ModelConfig, f"{path}: config", DataError)
+    try:
+        config = ModelConfig(**values)
+    except ValueError as exc:
+        raise DataError(f"{path}: config: {exc}") from None
     shapes = _param_shapes(config, header["kind"])
     weights_path = directory / "weights.edt"
     weights = load_container(weights_path)

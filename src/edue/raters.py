@@ -53,7 +53,7 @@ class SceneParams:
     channels: int
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         h, w = self.image_size
         if h < 16 or w < 16:
             raise ValueError(f"image_size must be at least 16x16, got {self.image_size}")
@@ -239,7 +239,6 @@ def _try_generate(params: SceneParams, rng: np.random.Generator) -> RaterSample 
 
 def generate_sample(params: SceneParams, rng: np.random.Generator) -> RaterSample:
     """One image plus rater masks; retries internally on degenerate blobs."""
-    params.validate()
     for _ in range(MAX_REGENERATIONS):
         sample = _try_generate(params, rng)
         if sample is not None:

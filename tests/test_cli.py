@@ -231,7 +231,8 @@ class TestEval:
         assert main(["eval", "--model", str(checkpoint), "--data", str(dataset),
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["arm"] == "edue"
+        assert doc["train_meta"]["arm"] == "edue"
+        assert "arm" not in doc and "structure" not in doc  # train_meta holds them
         assert len(doc["per_image"]) == 6
         assert set(doc["dataset"]) == {"sr", "dc", "mean_ncc", "mean_dice",
                                        "mean_nll"}
@@ -257,7 +258,7 @@ class TestEval:
         out = tmp_path / "de_report.json"
         assert main(["eval", "--model", str(ckpt), "--data", str(dataset),
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["arm"] == "de"
+        assert json.loads(out.read_text())["train_meta"]["arm"] == "de"
 
     def test_model_dir_without_meta(self, tmp_path, dataset, capsys):
         code = main(["eval", "--model", str(tmp_path), "--data", str(dataset),
@@ -510,6 +511,27 @@ class TestCheckpointConfigMismatch:
         assert code == 2
         assert err.startswith(f"data error: {weights}: entry {entry!r} {message}")
         assert str(checkpoint / "model.json") in err
+        assert not out.exists()
+
+    CONFIG_EDITS = {
+        "n_e": (1, "n_e must be >= 2, got 1"),
+        "input_size": ([30, 30], "input size (30, 30) must be divisible by 2^4"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_EDITS))
+    def test_bad_model_config_exits_two_naming_model_json(self, tmp_path, dataset,
+                                                          checkpoint, capsys, key):
+        value, message = self.CONFIG_EDITS[key]
+        path = checkpoint / "model.json"
+        header = json.loads(path.read_text())
+        header["config"][key] = value
+        path.write_text(json.dumps(header))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = main(["eval", "--model", str(checkpoint), "--data", str(dataset),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {path}: config: {message}\n"
         assert not out.exists()
 
 
@@ -839,17 +861,21 @@ class TestUsageErrors:
                                            f"finite number, got {value}\n")
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--fractions", "0,1.5", "--fractions must lie in [0, 1], got 1.5"),
-        ("--fractions", "-0.5", "--fractions must lie in [0, 1], got -0.5"),
-        ("--fractions", "0.5,nan", "--fractions must lie in [0, 1], got nan"),
-        ("--level", "-1", "--level must be >= 0, got -1.0"),
-    ], ids=["fraction_above_one", "fraction_negative", "fraction_nan", "level_negative"])
-    def test_ood_flag_out_of_range_exits_two_before_loading(self, tmp_path, capsys,
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("ood", "--fractions", "0,1.5", "--fractions must lie in [0, 1], got 1.5"),
+        ("ood", "--fractions", "-0.5", "--fractions must lie in [0, 1], got -0.5"),
+        ("ood", "--fractions", "0.5,nan", "--fractions must lie in [0, 1], got nan"),
+        ("ood", "--level", "-1", "--level must be >= 0, got -1.0"),
+        ("qc", "--dice-threshold", "0", "--dice-threshold must be in (0, 1], got 0.0"),
+        ("qc", "--dice-threshold", "-0.1", "--dice-threshold must be in (0, 1], got -0.1"),
+        ("qc", "--dice-threshold", "1.5", "--dice-threshold must be in (0, 1], got 1.5"),
+    ], ids=["fraction_above_one", "fraction_negative", "fraction_nan", "level_negative",
+            "dice_threshold_zero", "dice_threshold_negative", "dice_threshold_above_one"])
+    def test_ood_flag_out_of_range_exits_two_before_loading(self, tmp_path, capsys, command,
                                                             flag, value, message):
         # the model and data paths do not exist: the flag check must come
         # first, so the message names the flag, not them
-        code = main(["ood", "--model", str(tmp_path / "ghost"), "--data",
+        code = main([command, "--model", str(tmp_path / "ghost"), "--data",
                      str(tmp_path / "ghost"), "--out", str(tmp_path / "r.json"),
                      flag, value])
         assert code == 2
@@ -885,6 +911,36 @@ class TestUsageErrors:
             f"config error: --out directory {missing} does not exist or is "
             f"not a directory\n")
         assert not missing.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "ghost", "--data", "ghost"],
+        ["qc", "--model", "ghost", "--data", "ghost"],
+        ["ood", "--model", "ghost", "--data", "ghost"],
+        ["compare", "--train-data", "ghost", "--test-data", "ghost"],
+    ], ids=["eval", "qc", "ood", "compare"])
+    def test_out_directory_exits_two_before_loading(self, tmp_path, capsys, argv):
+        # a report path that is an existing directory: refused first, by name,
+        # not after the work when the write fails
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {tmp_path} is a directory, not a report file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--preset", "desk", "--n", "2"],
+        ["train", "--preset", "desk", "--data", "ghost"],
+    ], ids=["gen-data", "train"])
+    def test_out_file_exits_two_before_any_work(self, tmp_path, capsys, argv):
+        # the data path does not exist either: the --out check must come
+        # first, so the message names --out, not the data
+        out = tmp_path / "taken"
+        out.write_text("x")
+        code = main(argv + ["--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {out} is a file, not a directory\n")
+        assert out.read_text() == "x"
 
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -1,9 +1,9 @@
-"""Tests for run configuration: presets, overrides, hand validation."""
+"""Tests for run configuration: presets, overrides, checks on construction."""
 
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from edue.config import (
     preset,
     save_config,
 )
+from edue.disagreement import LossWeights
 from edue.harness import ARMS
 from edue.model import build_model
 
@@ -30,7 +31,7 @@ class TestPresets:
 
     def test_desk_preset_is_minutes_scale(self):
         cfg = preset("desk")
-        cfg.validate()
+        replace(cfg)  # the checks run again, and pass
         assert cfg.input_size == (32, 32)
         assert cfg.n_e == 4
         assert build_model(cfg.model_config()).n_heads == 3
@@ -41,7 +42,7 @@ class TestPresets:
 
     def test_riga_like_preset_constants(self):
         cfg = preset("riga-like")
-        cfg.validate()
+        replace(cfg)  # the checks run again, and pass
         assert cfg.n_e == 6
         assert build_model(cfg.model_config()).n_heads == 5
         assert cfg.input_size == (256, 256)
@@ -53,7 +54,7 @@ class TestPresets:
 
     def test_hecktor_like_preset_constants(self):
         cfg = preset("hecktor-like")
-        cfg.validate()
+        replace(cfg)  # the checks run again, and pass
         assert cfg.epochs == 120 and cfg.batch_size == 32
         assert cfg.lr == 5e-5 and cfg.beta == 2.5
         assert cfg.de_members == 5
@@ -62,7 +63,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_leaves_two_heads(self, name):
         cfg = preset(name)
-        cfg.validate()
+        replace(cfg)  # the checks run again, and pass
         assert cfg.n_e - 1 - cfg.head_skip >= 2
 
     def test_head_skip_must_leave_two_heads(self):
@@ -239,5 +240,45 @@ def test_from_dict_returns_valid_config_or_config_error(doc):
         cfg = from_dict(doc)
     except ConfigError:
         return
-    cfg.validate()
+    replace(cfg)  # the checks run again, and pass
     assert all(math.isfinite(getattr(cfg, key)) for key in FLOAT_KEYS)
+
+
+# Each config type checks itself when it is built, so no instance of it
+# holds a bad value: replace() of a valid instance runs the checks again.
+# The bad values are the ones the tests of each type use.
+DESK = preset("desk")
+BAD_VALUES = [
+    (DESK.model_config(), {"n_e": 1}, "n_e must be >= 2, got 1"),
+    (DESK.model_config(), {"input_size": (36, 36)}, "must be divisible by 2^4"),
+    (DESK.scene_params(), {"n_raters": 1}, "n_raters must be in [2, 16], got 1"),
+    (DESK.scene_params(), {"n_raters": 17}, "n_raters must be in [2, 16], got 17"),
+    (DESK.scene_params(), {"delta_low": 3.0, "delta_high": 1.0},
+     "need 0 <= delta_low <= delta_high, got 3.0, 1.0"),
+    (DESK.scene_params(), {"delta_high": 8.0}, "delta_high=8.0 too large"),
+    (DESK.scene_params(), {"ambiguity_mix": 1.5}, "ambiguity_mix must be in [0, 1]"),
+    (DESK.scene_params(), {"structure": "donut"}, "unknown structure 'donut'"),
+    (DESK.scene_params(), {"image_size": (8, 8)}, "image_size must be at least 16x16"),
+    (DESK.scene_params(), {"channels": 0}, "channels must be >= 1"),
+    (LossWeights(1.0, 1.0), {"alpha": 0.0, "beta": 0.0}, "cannot both be zero"),
+    (LossWeights(1.0, 1.0), {"alpha": -1.0}, "loss weights must be >= 0"),
+    (DESK, {"epochs": 0}, "epochs and batch_size must be >= 1"),
+    (DESK, {"lr": 0.0}, "lr must be positive"),
+    (DESK, {"de_members": 1}, "deep ensemble needs >= 2 members, got 1"),
+    (DESK, {"head_skip": -1}, "head_skip must be >= 0"),
+    (DESK, {"head_skip": 2}, "head_skip 2 must leave at least 2 of the 3 heads"),
+    (DESK, {"alpha": -0.5}, "loss weights must be >= 0, got alpha=-0.5"),
+    (DESK, {"seed": -1}, "seed must be >= 0, got -1"),
+    (DESK, {"preset": "warehouse"}, "unknown preset 'warehouse'"),
+]
+
+
+@pytest.mark.parametrize(
+    "valid, change, message", BAD_VALUES,
+    ids=[f"{type(valid).__name__}-" + ",".join(f"{k}={v}" for k, v in change.items())
+         for valid, change, _ in BAD_VALUES])
+def test_every_config_type_refuses_a_bad_value_when_built(valid, change, message):
+    replace(valid)
+    error = ConfigError if isinstance(valid, RunConfig) else ValueError
+    with pytest.raises(error, match=re.escape(message)):
+        replace(valid, **change)

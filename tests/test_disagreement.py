@@ -315,9 +315,9 @@ class TestTotalLoss:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="both"):
-            LossWeights(alpha=0.0, beta=0.0).validate()
+            LossWeights(alpha=0.0, beta=0.0)
         with pytest.raises(ValueError, match=">= 0"):
-            LossWeights(alpha=-1.0, beta=1.0).validate()
+            LossWeights(alpha=-1.0, beta=1.0)
 
     def test_target_count_mismatch(self):
         probs = [np.full((1, 1, 2, 2), 0.5)] * 2

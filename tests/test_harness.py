@@ -128,17 +128,17 @@ class TestTrainingArms:
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            tiny_config(epochs=0).validate()
+            tiny_config(epochs=0)
         with pytest.raises(ValueError):
-            tiny_config(lr=0.0).validate()
+            tiny_config(lr=0.0)
         with pytest.raises(ValueError):
-            tiny_config(de_members=1).validate()
+            tiny_config(de_members=1)
         with pytest.raises(ValueError):
-            tiny_config(head_skip=-1).validate()
+            tiny_config(head_skip=-1)
         with pytest.raises(ValueError):
-            tiny_config(alpha=-0.5).validate()
+            tiny_config(alpha=-0.5)
         with pytest.raises(ValueError, match="seed"):
-            tiny_config(seed=-1).validate()
+            tiny_config(seed=-1)
 
     # Every EpochStats field of each model, two epochs on a fixed toy set.
     # 1e-4 relative absorbs BLAS reordering; a changed rater draw, target or

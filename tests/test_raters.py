@@ -128,18 +128,18 @@ class TestGenerateSample:
 
     def test_validation_errors(self):
         bad = [
-            replace(DESK, n_raters=1),
-            replace(DESK, n_raters=17),
-            replace(DESK, delta_low=3.0, delta_high=1.0),
-            replace(DESK, delta_high=8.0),
-            replace(DESK, ambiguity_mix=1.5),
-            replace(DESK, structure="donut"),
-            replace(DESK, image_size=(8, 8)),
-            replace(DESK, channels=0),
+            dict(n_raters=1),
+            dict(n_raters=17),
+            dict(delta_low=3.0, delta_high=1.0),
+            dict(delta_high=8.0),
+            dict(ambiguity_mix=1.5),
+            dict(structure="donut"),
+            dict(image_size=(8, 8)),
+            dict(channels=0),
         ]
-        for params in bad:
+        for changes in bad:  # the params refuse the values before any scene is drawn
             with pytest.raises(ValueError):
-                generate_sample(params, np.random.default_rng(0))
+                replace(DESK, **changes)
 
 
 def flood_reference(mask, seed):
