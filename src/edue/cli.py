@@ -26,7 +26,6 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .raters import DISTORTION_KINDS, generate_dataset
 from .storage import (
     load_checkpoint_dir,
     load_dataset,
-    model_dirs,
     save_checkpoint_dir,
     save_dataset,
     write_csv,
@@ -57,10 +55,18 @@ __all__ = ["main", "build_parser"]
 ARM_CHOICES = tuple(name.replace("_", "-") for name in ARMS)
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    return preset(args.preset or "desk")
+def _resolve_config(args: argparse.Namespace, arms=()) -> RunConfig:
+    """The --config file or --preset, refused naming its source if one of
+    arms cannot train with it: an arm that forces beta to 0 needs alpha > 0."""
+    config = (load_config(args.config) if args.config is not None
+              else preset(args.preset or "desk"))
+    for name in arms:
+        try:
+            ARMS[name].loss_weights(config)
+        except ValueError:
+            raise ConfigError(f"{_config_source(args, config)}: key 'alpha' must be > 0 "
+                              f"for arm {name!r}, which forces beta to 0") from None
+    return config
 
 
 def _resolve_seed(args: argparse.Namespace, config_seed: int) -> int:
@@ -104,16 +110,15 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_images(samples, data_dir: str, in_channels: int,
-                  input_size: Sequence[int], source: str) -> None:
+def _check_images(samples, data_dir: str, config: RunConfig, source) -> None:
     """Refuse a dataset whose images the network cannot take, before any
     work, naming the dataset and the config key of source that differs."""
-    want = (in_channels, *input_size)
+    want = (config.in_channels, *config.input_size)
     for sample in samples:
         shape = np.shape(sample.image)
         if shape != want:
-            key, value = (("in_channels", in_channels) if shape[:-2] != want[:1]
-                          else ("input_size", list(input_size)))
+            key, value = (("in_channels", config.in_channels) if shape[:-2] != want[:1]
+                          else ("input_size", list(config.input_size)))
             raise DataError(f"dataset {data_dir} has images of shape {shape}, but "
                             f"key {key!r} in {source} is {value}; the network "
                             f"takes (channels, height, width) = {want}")
@@ -125,17 +130,16 @@ def _config_source(args: argparse.Namespace, config: RunConfig) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=True)
-    config = _resolve_config(args)
+    arm = args.arm.replace("-", "_")
+    config = _resolve_config(args, [arm])
     seed = _resolve_seed(args, config.seed)
     samples, manifest = load_dataset(args.data)
-    _check_images(samples, args.data, config.in_channels, config.input_size,
-                  _config_source(args, config))
+    _check_images(samples, args.data, config, _config_source(args, config))
     structures = list(manifest["structures"])
     k = args.structure
     if not 0 <= k < len(structures):
         raise DataError(f"structure index {k} out of range; dataset has {structures}")
     items = to_train_items(samples, structure=k)
-    arm = args.arm.replace("-", "_")
     models, traces = train_arm(arm, config, items, seed)
     save_checkpoint_dir(args.out, arm, models, traces, config, seed, k, structures[k])
     last = traces[-1][-1]
@@ -151,34 +155,33 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _load_predictor(args: argparse.Namespace, uncertainty: bool):
-    """(models, train_meta, samples) for a checkpoint and a dataset;
-    uncertainty=True refuses arms that predict one map."""
-    models, meta = load_checkpoint_dir(args.model)
-    arm = meta["arm"]
-    if uncertainty and not ARMS[arm].uncertainty:
-        raise DataError(f"{args.command} needs uncertainty, but arm {arm!r} "
+    """(models, train_meta, samples, prediction keywords) for a checkpoint
+    and a dataset; the keywords are the head_skip and batch_size of the
+    stored config.  uncertainty=True refuses arms that predict one map."""
+    models, meta, config = load_checkpoint_dir(args.model)
+    arm = ARMS[meta["arm"]]
+    if uncertainty and not arm.uncertainty:
+        raise DataError(f"{args.command} needs uncertainty, but arm {meta['arm']!r} "
                         f"predicts one map and has no uncertainty")
     k = meta["structure"]
     samples, manifest = load_dataset(args.data)
-    for model, model_dir in zip(models, model_dirs(Path(args.model), len(models))):
-        _check_images(samples, args.data, model.config.in_channels,
-                      model.config.input_size, str(model_dir / "model.json"))
+    meta_path = Path(args.model) / "train_meta.json"
+    _check_images(samples, args.data, config, meta_path)
     structures = list(manifest["structures"])
     if k >= len(structures) or structures[k] != meta["structure_name"]:
-        raise DataError(f"{Path(args.model) / 'train_meta.json'}: checkpoint was trained on "
+        raise DataError(f"{meta_path}: checkpoint was trained on "
                         f"structure {k}, {meta['structure_name']!r}, but dataset "
                         f"{args.data} has structures {structures}")
-    return models, meta, samples
+    return models, meta, samples, {"head_skip": arm.skipped_heads(config),
+                                   "batch_size": config.batch_size}
 
 
 def _evaluate(args: argparse.Namespace, uncertainty: bool):
     """The one scoring call behind eval and qc: the report key naming the
     predictor (train_meta, which holds its arm and structure), and the
     MetricReport."""
-    models, meta, samples = _load_predictor(args, uncertainty)
-    report = evaluate_arm(models, samples, structure=meta["structure"],
-                          head_skip=meta["head_skip"],
-                          batch_size=meta["config"]["batch_size"])
+    models, meta, samples, predict = _load_predictor(args, uncertainty)
+    report = evaluate_arm(models, samples, structure=meta["structure"], **predict)
     return {"train_meta": meta}, report
 
 
@@ -254,13 +257,11 @@ def cmd_ood(args: argparse.Namespace) -> int:
         raise ConfigError(f"--level is a blur radius in pixels and must be at "
                           f"most {MAX_INPUT_SIDE}, got {level}")
     fractions = _parse_fractions(args.fractions)
-    models, meta, samples = _load_predictor(args, uncertainty=True)
+    models, meta, samples, predict = _load_predictor(args, uncertainty=True)
     seed = _resolve_seed(args, meta["seed"])
     report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
-                            fractions=fractions,
-                            head_skip=meta["head_skip"],
-                            batch_size=meta["config"]["batch_size"])
+                            fractions=fractions, **predict)
     stats = ["min", "q1", "median", "q3", "max", "mean"]
     out = _write_report(args.out, {"seed": seed, "train_meta": meta, **asdict(report)},
                         ["fraction", "n_distorted"] + stats,
@@ -273,20 +274,19 @@ def cmd_ood(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _check_out(args.out)
-    config = _resolve_config(args)
+    config = _resolve_config(args, [name for name, arm in ARMS.items() if arm.uncertainty])
     try:
         seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
     except ValueError:
         seeds = ()
-    if not seeds or min(seeds) < 0:
-        raise ConfigError(f"--seeds must be comma-separated non-negative "
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds must be comma-separated distinct non-negative "
                           f"integers, got {args.seeds!r}")
     train_samples, _ = load_dataset(args.train_data)
     test_samples, _ = load_dataset(args.test_data)
     for samples, data_dir in ((train_samples, args.train_data),
                               (test_samples, args.test_data)):
-        _check_images(samples, data_dir, config.in_channels, config.input_size,
-                      _config_source(args, config))
+        _check_images(samples, data_dir, config, _config_source(args, config))
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)
     report["preset"] = config.preset
     report["config"] = config.as_dict()

@@ -110,15 +110,16 @@ class RunConfig:
             raise ConfigError(f"base_channels * channel_growth ** (n_e - 1), the widest "
                               f"layer, must be at most {MAX_CHANNELS}, got {widest}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+            raise ConfigError("'epochs' and 'batch_size' must be >= 1")
         if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+            raise ConfigError(f"'lr' must be positive, got {self.lr}")
         if self.de_members < 2:
-            raise ConfigError(f"deep ensemble needs >= 2 members, got {self.de_members}")
+            raise ConfigError(f"'de_members': a deep ensemble needs >= 2 members, "
+                              f"got {self.de_members}")
         if self.head_skip < 0:
-            raise ConfigError("head_skip must be >= 0")
+            raise ConfigError(f"'head_skip' must be >= 0, got {self.head_skip}")
         if self.head_skip > self.n_e - 3:  # the multi-head net has n_e - 1 heads
-            raise ConfigError(f"head_skip {self.head_skip} must leave at least 2 of "
+            raise ConfigError(f"'head_skip' {self.head_skip} must leave at least 2 of "
                               f"the {self.n_e - 1} heads (at most {self.n_e - 3})")
 
     def as_dict(self) -> dict:
@@ -165,7 +166,7 @@ def from_dict(doc: dict, where: str = "config") -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
-        raise ConfigError(f"{where}: unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"{where}: unknown config keys: {', '.join(map(repr, unknown))}")
     overrides = typed_fields(doc, RunConfig, where, ConfigError)
     # a preset name that is not in the table adds nothing; RunConfig refuses it
     try:

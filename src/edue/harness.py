@@ -67,27 +67,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Arm:
-    """How one arm is built, trained and scored.
+    """How one arm is built, trained, stored and scored.
 
     ``predictor`` is what it trains: one ``"multi_head"`` model, an
     ``"ensemble"`` of ``de_members`` single-head models (seeded
-    ``seed + 1000 * (i + 1)``) or one ``"single_head"`` model.  ``build``,
-    ``skipped_heads`` (only a multi-head model skips heads) and
-    ``uncertainty`` (two or more maps; only such arms support qc, ood and
-    compare) follow from it.  ``labels`` returns the label sampler;
-    ``disagreement`` keeps beta, else it is forced to 0.
+    ``seed + 1000 * (i + 1)``) or one ``"single_head"`` model.  Its network
+    ``kind``, ``build``, ``member_seeds``, ``skipped_heads`` (only a
+    multi-head model skips heads) and ``uncertainty`` (two or more maps;
+    only such arms support qc, ood and compare) follow from it, for
+    training and the checkpoint loader alike.  ``labels`` returns the label
+    sampler; ``disagreement`` keeps beta, else ``loss_weights`` zeroes it.
     """
     predictor: str  # "multi_head" | "ensemble" | "single_head"
     labels: Callable[[], Callable]
     disagreement: bool = False
 
     @property
+    def kind(self) -> str:
+        return "multi_head" if self.predictor == "multi_head" else "single_head_full"
+
+    @property
     def build(self) -> Callable[[ModelConfig], Model]:
-        return build_model if self.predictor == "multi_head" else build_single_head_model
+        return build_model if self.kind == "multi_head" else build_single_head_model
 
     @property
     def uncertainty(self) -> bool:
         return self.predictor != "single_head"
+
+    def member_seeds(self, config: RunConfig, seed: int) -> list[int]:
+        return ([seed + 1000 * (i + 1) for i in range(config.de_members)]
+                if self.predictor == "ensemble" else [seed])
+
+    def loss_weights(self, config: RunConfig) -> LossWeights:
+        return LossWeights(config.alpha, config.beta if self.disagreement else 0.0)
 
     def skipped_heads(self, config: RunConfig) -> int:
         return config.head_skip if self.predictor == "multi_head" else 0
@@ -115,11 +127,9 @@ def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: in
     config's model shape and schedule, and return them with their
     per-epoch loss traces."""
     arm = ARMS[name]
-    seeds = ([seed + 1000 * (i + 1) for i in range(config.de_members)]
-             if arm.predictor == "ensemble" else [seed])
-    weights = LossWeights(config.alpha, config.beta if arm.disagreement else 0.0)
+    weights = arm.loss_weights(config)
     models, traces = [], []
-    for model_seed in seeds:
+    for model_seed in arm.member_seeds(config, seed):
         model, trace = train(arm.build(config.model_config(seed=model_seed)), items,
                              epochs=config.epochs, batch_size=config.batch_size,
                              lr=config.lr, weights=weights,

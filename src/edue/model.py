@@ -16,14 +16,15 @@ configured.  The ensemble member (``build_single_head_model``), the
 one-output U-Net the deep-ensemble baseline trains copies of, decodes the
 same trunk one level further, to full resolution, with one head there.
 
-``ModelConfig`` has no defaults: it defines the ``model.json`` format, and
-runs build it from ``RunConfig.model_config``.
+``ModelConfig`` has no defaults: runs build it from
+``RunConfig.model_config``, and a checkpoint's loader rebuilds it from the
+config its ``train_meta.json`` records (see ``edue.storage``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,8 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import (DataError, json_value, load_container, read_json_object,
-                        save_container, typed_fields, write_json)
+from .container import DataError, load_container, save_container
 
 __all__ = [
     "ModelConfig",
@@ -241,48 +241,32 @@ def parameter_count(config: ModelConfig, kind: str) -> int:
 
 
 def save_checkpoint(directory: str | Path, model: Model) -> None:
-    """Write weights.edt plus a model.json header describing the config."""
+    """Write weights.edt; the caller records the config and kind that
+    rebuild it."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_container(directory / "weights.edt",
                    {name: p.data for name, p in model.params.items()})
-    write_json(directory / "model.json",
-               {"kind": model.kind, "config": asdict(model.config)})
 
 
-def load_checkpoint(directory: str | Path) -> Model:
-    """A model straight from weights.edt, checked against its layer spec."""
-    directory = Path(directory)
-    path = directory / "model.json"
-    header = read_json_object(path)
-    kinds = ["multi_head", "single_head_full"]
-    if not isinstance(header.get("kind"), str) or header["kind"] not in kinds:
-        raise DataError(f"{path}: key 'kind' must be one of {kinds}, "
-                        f"got {header.get('kind')!r}")
-    raw = json_value(header.get("config"), dict, f"{path}:", "config")
-    odd = sorted({f.name for f in fields(ModelConfig)} ^ set(raw))
-    if odd:
-        raise DataError(f"{path}: key 'config' has missing or unknown keys {odd}")
-    values = typed_fields(raw, ModelConfig, f"{path}: config", DataError)
-    try:
-        config = ModelConfig(**values)
-    except ValueError as exc:
-        raise DataError(f"{path}: config: {exc}") from None
-    shapes = _param_shapes(config, header["kind"])
-    weights_path = directory / "weights.edt"
+def load_checkpoint(directory: str | Path, config: ModelConfig, kind: str,
+                    source: str | Path) -> Model:
+    """A model straight from weights.edt, checked against the layer spec of
+    config and kind, which come from source (named in every refusal)."""
+    shapes = _param_shapes(config, kind)
+    weights_path = Path(directory) / "weights.edt"
     weights = load_container(weights_path)
     odd = sorted(set(shapes) ^ set(weights))
     if odd:
         name = odd[0]
-        problem = (f"is missing, but the config in {path} needs it" if name in shapes
-                   else f"is not a parameter of the config in {path}")
+        problem = (f"is missing, but the config in {source} needs it" if name in shapes
+                   else f"is not a parameter of the config in {source}")
         raise DataError(f"{weights_path}: entry {name!r} {problem}")
     for name, arr in weights.items():
         if arr.shape != shapes[name]:
             raise DataError(f"{weights_path}: entry {name!r} has shape {arr.shape}, "
-                            f"but the config in {path} gives {shapes[name]}")
+                            f"but the config in {source} gives {shapes[name]}")
         if not np.isfinite(arr).all():  # relu would hide a NaN weight's channel
             raise DataError(f"{weights_path}: entry {name!r} has non-finite values")
-    return Model(config, header["kind"],
-                 {name: Tensor(weights[name], requires_grad=True, name=name)
-                  for name in shapes})
+    return Model(config, kind, {name: Tensor(weights[name], requires_grad=True, name=name)
+                                for name in shapes})

@@ -8,10 +8,11 @@ entry once: two or more binary masks (the rater contract,
 ``disagreement.rater_masks``), each the size of the image, and the same
 rater count for every structure; each ``true/<structure>`` must be the
 size of the image too.  Entries no structure names, such as an old
-``heatmap/*``, are ignored.  A checkpoint directory holds the weights
-container(s), a loss-trace CSV (``member`` plus the ``EpochStats``
-fields), and a train_meta.json that makes it self-describing: eval
-needs no flags beyond the two paths.
+``heatmap/*``, are ignored.  A checkpoint directory holds weights.edt
+(or one member_i/weights.edt per ensemble member), a loss-trace CSV
+(``member`` plus the ``EpochStats`` fields), and a train_meta.json whose
+arm, config and seed rebuild every member: eval needs no flags beyond
+the two paths.
 
 This module alone writes each of those files.  All writes are atomic
 (write to a temporary file, then rename), and all JSON goes through
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig, from_dict
 from .container import (DataError, atomic_write_text, json_value, load_container,
                         read_json_object, save_container, write_json)
 from .disagreement import EpochStats, rater_masks
@@ -66,14 +67,6 @@ def write_csv(path: str | os.PathLike, header: Sequence[str],
 # dataset directories
 
 
-def _image_entries(sample: RaterSample) -> dict[str, np.ndarray]:
-    entries = {"image": np.asarray(sample.image)}
-    for k, name in enumerate(sample.structure_names):
-        entries[f"masks/{name}"] = np.asarray(sample.masks[k], dtype=np.float64)
-        entries[f"true/{name}"] = np.asarray(sample.true_mask[k])
-    return entries
-
-
 def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
                  manifest: dict) -> None:
     """One container per image plus a manifest built on the caller's keys."""
@@ -82,7 +75,11 @@ def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
     images = []
     for i, sample in enumerate(samples):
         filename = f"img_{i:04d}.edt"
-        save_container(directory / filename, _image_entries(sample))
+        entries = {"image": np.asarray(sample.image)}
+        for k, name in enumerate(sample.structure_names):
+            entries[f"masks/{name}"] = np.asarray(sample.masks[k], dtype=np.float64)
+            entries[f"true/{name}"] = np.asarray(sample.true_mask[k])
+        save_container(directory / filename, entries)
         images.append({"file": filename, "delta_used": sample.delta_used,
                        "n_raters": int(sample.masks.shape[1])})
     write_json(directory / "manifest.json", {**manifest, "format": DATASET_FORMAT,
@@ -176,14 +173,16 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
               ["member", *(f.name for f in fields(EpochStats))], rows)
     write_json(directory / "train_meta.json", {
         "arm": arm, "n_members": len(models), "config": config.as_dict(), "seed": seed,
-        "structure": structure, "structure_name": structure_name,
-        "head_skip": ARMS[arm].skipped_heads(config)})
+        "structure": structure, "structure_name": structure_name})
 
 
-def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict]:
-    """Returns (models, train_meta dict); one model unless an ensemble.
-    Checks every train_meta.json key eval, qc and ood read, each required;
-    head_skip must leave 2 maps, or 1 for an arm without uncertainty."""
+def load_checkpoint_dir(directory: str | os.PathLike
+                        ) -> tuple[list[Model], dict, RunConfig]:
+    """Returns (models, train_meta dict, run config); one model unless an
+    ensemble.  Every train_meta.json key is required, and so is every
+    config key: the arm and config rebuild each member's shape, kind and
+    seed, and n_members must be the arm's member count.  Other files,
+    such as an older layout's model.json, are ignored."""
     directory = Path(directory)
     meta_path = directory / "train_meta.json"
     meta = read_json_object(meta_path)
@@ -191,17 +190,22 @@ def load_checkpoint_dir(directory: str | os.PathLike) -> tuple[list[Model], dict
     if not isinstance(meta.get("arm"), str) or meta["arm"] not in ARMS:
         raise DataError(f"{where} key 'arm' must be one of {sorted(ARMS)}, "
                         f"got {meta.get('arm')!r}")
-    n_models = json_value(meta.get("n_members"), int, where, "n_members", minimum=1)
-    config = json_value(meta.get("config"), dict, where, "config")
-    json_value(config.get("batch_size"), int, f"{where} config", "batch_size", minimum=1)
-    for key in ("structure", "head_skip", "seed"):
+    raw = json_value(meta.get("config"), dict, where, "config")
+    missing = sorted({f.name for f in fields(RunConfig)} - set(raw))
+    if missing:
+        raise DataError(f"{where} config key {missing[0]!r} is missing")
+    try:
+        config = from_dict(raw, f"{meta_path}: config")
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    for key in ("structure", "seed"):
         json_value(meta.get(key), int, where, key, minimum=0)
     json_value(meta.get("structure_name"), str, where, "structure_name")
-    models = [load_checkpoint(d) for d in model_dirs(directory, n_models)]
-    head_skip = meta["head_skip"]
-    need = 2 if ARMS[meta["arm"]].uncertainty else 1
-    n_maps = sum(max(m.n_heads - head_skip, 0) for m in models)
-    if n_maps < need:
-        raise DataError(f"{where} key 'head_skip' {head_skip} leaves {n_maps} "
-                        f"map(s); arm {meta['arm']!r} needs at least {need}")
-    return models, meta
+    arm = ARMS[meta["arm"]]
+    seeds = arm.member_seeds(config, meta["seed"])
+    if json_value(meta.get("n_members"), int, where, "n_members") != len(seeds):
+        raise DataError(f"{where} key 'n_members' must be {len(seeds)} for arm "
+                        f"{meta['arm']!r}, got {meta['n_members']}")
+    models = [load_checkpoint(d, config.model_config(seed=s), arm.kind, meta_path)
+              for d, s in zip(model_dirs(directory, len(seeds)), seeds)]
+    return models, meta, config

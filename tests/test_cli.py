@@ -5,7 +5,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from edue.cli import build_parser, main
-from edue.config import load_config
+from edue.config import RunConfig, load_config
 from edue.container import load_container, save_container
 from edue.disagreement import EpochStats, binarize_majority, soft_majority
 from edue.metrics import nll
 from edue.model import prob_maps
 from edue.container import DataError
 from edue.raters import generate_dataset
-from edue.storage import load_checkpoint_dir, load_dataset
+from edue.harness import ARMS
+from edue.storage import load_checkpoint_dir, load_dataset, model_dirs
 
 
 TINY = {
@@ -171,8 +172,8 @@ class TestSeedPrecedence:
 
 class TestTrain:
     def test_checkpoint_layout(self, checkpoint):
-        assert (checkpoint / "weights.edt").is_file()
-        assert (checkpoint / "model.json").is_file()
+        assert sorted(p.name for p in checkpoint.iterdir()) == [
+            "loss.csv", "train_meta.json", "weights.edt"]
         meta = json.loads((checkpoint / "train_meta.json").read_text())
         assert meta["arm"] == "edue"
         assert meta["seed"] == 9
@@ -188,7 +189,7 @@ class TestTrain:
                      "--out", str(out), "--arm", arm]) == 0
         meta = json.loads((out / "train_meta.json").read_text())
         assert set(meta) == {"arm", "n_members", "config", "structure",
-                             "structure_name", "head_skip", "seed"}
+                             "structure_name", "seed"}
         header = (out / "loss.csv").read_text().splitlines()[0]
         assert header.split(",") == ["member"] + [f.name for f in fields(EpochStats)]
 
@@ -196,8 +197,8 @@ class TestTrain:
         out = tmp_path / "de"
         assert main(["train", "--config", cfg_path, "--data", str(dataset),
                      "--out", str(out), "--arm", "de"]) == 0
-        assert (out / "member_0" / "weights.edt").is_file()
-        assert (out / "member_1" / "weights.edt").is_file()
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+            "loss.csv", "member_0/weights.edt", "member_1/weights.edt", "train_meta.json"]
         meta = json.loads((out / "train_meta.json").read_text())
         assert meta["arm"] == "de" and meta["n_members"] == 2
         rows = (out / "loss.csv").read_text().strip().splitlines()[1:]
@@ -310,7 +311,7 @@ class TestEveryArm:
         out = tmp_path / "eval.json"
         assert main(["eval", "--model", str(ckpt), "--data", str(dataset),
                      "--out", str(out)]) == 0
-        (model,), _ = load_checkpoint_dir(ckpt)
+        (model,), _, _ = load_checkpoint_dir(ckpt)
         samples, _ = load_dataset(dataset)
         # eval predicts in chunks of the training batch size
         maps = prob_maps([model], np.stack([s.image for s in samples]),
@@ -336,14 +337,15 @@ def _train_edue_and_de(root, cfg_path, dataset):
 
 class TestMalformedFiles:
     CASES = {
-        "model_kind_missing": ("edue", "edue/model.json", "kind",
-                               lambda d: d.pop("kind")),
-        "model_config_missing": ("edue", "edue/model.json", "config",
+        # a member's network kind and shape now come from train_meta.json
+        "model_kind_missing": ("edue", "edue/train_meta.json", "arm",
+                               lambda d: d.pop("arm")),
+        "model_config_missing": ("de", "de/train_meta.json", "config",
                                  lambda d: d.pop("config")),
-        "model_kind_unknown": ("edue", "edue/model.json", "kind",
-                               lambda d: d.update(kind="three_headed")),
-        "member_kind_missing": ("de", "de/member_0/model.json", "kind",
-                                lambda d: d.pop("kind")),
+        "model_kind_unknown": ("edue", "edue/train_meta.json", "arm",
+                               lambda d: d.update(arm="three_headed")),
+        "member_kind_missing": ("de", "de/train_meta.json", "arm",
+                                lambda d: d.pop("arm")),
         "manifest_file_missing": ("edue", "data/manifest.json", "file",
                                   lambda d: d["images"][2].pop("file")),
         "manifest_delta_missing": ("edue", "data/manifest.json", "delta_used",
@@ -359,11 +361,11 @@ class TestMalformedFiles:
         "meta_batch_size_float": ("edue", "edue/train_meta.json", "batch_size",
                                   lambda d: d["config"].update(batch_size=4.0)),
         "meta_head_skip_list": ("edue", "edue/train_meta.json", "head_skip",
-                                lambda d: d.update(head_skip=[1])),
+                                lambda d: d["config"].update(head_skip=[1])),
         "meta_structure_missing": ("de", "de/train_meta.json", "structure",
                                    lambda d: d.pop("structure")),
         "meta_head_skip_missing": ("edue", "edue/train_meta.json", "head_skip",
-                                   lambda d: d.pop("head_skip")),
+                                   lambda d: d["config"].pop("head_skip")),
         "meta_seed_missing": ("edue", "edue/train_meta.json", "seed",
                               lambda d: d.pop("seed")),
         "meta_structure_list": ("de", "de/train_meta.json", "structure",
@@ -382,18 +384,28 @@ class TestMalformedFiles:
                                  lambda d: d["images"][0].update(file=3)),
         "manifest_delta_list": ("edue", "data/manifest.json", "delta_used",
                                 lambda d: d["images"][3].update(delta_used=[1])),
-        "model_input_size_number": ("edue", "edue/model.json", "input_size",
+        "model_input_size_number": ("edue", "edue/train_meta.json", "input_size",
                                     lambda d: d["config"].update(input_size=3)),
-        "model_n_e_string": ("edue", "edue/model.json", "n_e",
+        "model_n_e_string": ("edue", "edue/train_meta.json", "n_e",
                              lambda d: d["config"].update(n_e="4")),
-        "model_seed_list": ("edue", "edue/model.json", "seed",
+        "model_seed_list": ("edue", "edue/train_meta.json", "seed",
                             lambda d: d["config"].update(seed=[1])),
-        "member_head_hidden": ("de", "de/member_1/model.json", "head_hidden",
+        "member_head_hidden": ("de", "de/train_meta.json", "head_hidden",
                                lambda d: d["config"].update(head_hidden=0)),
-        "member_n_d": ("de", "de/member_1/model.json", "n_d",
+        "member_n_d": ("de", "de/train_meta.json", "n_d",
                        lambda d: d["config"].update(n_d=2)),
         "meta_head_skip_too_big": ("edue", "edue/train_meta.json", "head_skip",
-                                   lambda d: d.update(head_skip=2)),
+                                   lambda d: d["config"].update(head_skip=2)),
+        "meta_n_members_too_few": ("de", "de/train_meta.json", "n_members",
+                                   lambda d: d.update(n_members=1)),
+        "meta_n_members_for_one_model": ("edue", "edue/train_meta.json", "n_members",
+                                         lambda d: d.update(n_members=2)),
+        "meta_lr_negative": ("edue", "edue/train_meta.json", "lr",
+                             lambda d: d["config"].update(lr=-1)),
+        "meta_epochs_zero": ("de", "de/train_meta.json", "epochs",
+                             lambda d: d["config"].update(epochs=0)),
+        "meta_de_members_one": ("de", "de/train_meta.json", "de_members",
+                                lambda d: d["config"].update(de_members=1)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -410,8 +422,7 @@ class TestMalformedFiles:
         assert err.startswith("data error: ")
         assert str(tmp_path / rel) in err and repr(key) in err
 
-    JSON_FILES = ["data/manifest.json", "edue/model.json", "edue/train_meta.json",
-                  "de/member_1/model.json"]
+    JSON_FILES = ["data/manifest.json", "edue/train_meta.json", "de/train_meta.json"]
 
     def eval_with_text(self, tmp_path, cfg_path, dataset, capsys, rel, text):
         """(exit code, stderr) of eval after rel's text is replaced."""
@@ -510,7 +521,7 @@ class TestCheckpointConfigMismatch:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"data error: {weights}: entry {entry!r} {message}")
-        assert str(checkpoint / "model.json") in err
+        assert str(checkpoint / "train_meta.json") in err
         assert not out.exists()
 
     CONFIG_EDITS = {
@@ -519,13 +530,11 @@ class TestCheckpointConfigMismatch:
     }
 
     @pytest.mark.parametrize("key", sorted(CONFIG_EDITS))
-    def test_bad_model_config_exits_two_naming_model_json(self, tmp_path, dataset,
+    def test_bad_model_config_exits_two_naming_train_meta(self, tmp_path, dataset,
                                                           checkpoint, capsys, key):
         value, message = self.CONFIG_EDITS[key]
-        path = checkpoint / "model.json"
-        header = json.loads(path.read_text())
-        header["config"][key] = value
-        path.write_text(json.dumps(header))
+        path = checkpoint / "train_meta.json"
+        _edit_json(path, lambda d: d["config"].update({key: value}))
         capsys.readouterr()
         out = tmp_path / "r.json"
         code = main(["eval", "--model", str(checkpoint), "--data", str(dataset),
@@ -613,15 +622,15 @@ class TestImageShapeMismatch:
         out = tmp_path / "r.json"
         self.assert_refused(capsys, [command, "--model", str(checkpoint), "--data",
                                      str(data), "--out", str(out)] + flags,
-                            data, key, checkpoint / "model.json", out)
+                            data, key, checkpoint / "train_meta.json", out)
 
-    def test_ensemble_names_its_member_file(self, tmp_path, cfg_path, dataset, capsys):
+    def test_ensemble_names_its_train_meta(self, tmp_path, cfg_path, dataset, capsys):
         _train_edue_and_de(tmp_path, cfg_path, dataset)
         data = self.other_dataset(tmp_path, "input_size")
         out = tmp_path / "r.json"
         self.assert_refused(capsys, ["eval", "--model", str(tmp_path / "de"), "--data",
                                      str(data), "--out", str(out)],
-                            data, "input_size", tmp_path / "de/member_0/model.json", out)
+                            data, "input_size", tmp_path / "de/train_meta.json", out)
 
     @pytest.mark.parametrize("key", sorted(OTHER))
     def test_train_on_other_images(self, tmp_path, cfg_path, capsys, key, no_forward):
@@ -661,11 +670,10 @@ def trained_tree(tmp_path_factory):
 JSON_OBJECTS = [
     ("data/manifest.json", ()),
     ("data/manifest.json", ("images", 0)),
-    ("edue/model.json", ()),
-    ("edue/model.json", ("config",)),
     ("edue/train_meta.json", ()),
+    ("edue/train_meta.json", ("config",)),
     ("de/train_meta.json", ()),
-    ("de/member_1/model.json", ()),
+    ("de/train_meta.json", ("config",)),
 ]
 
 
@@ -728,6 +736,73 @@ def test_replacing_any_json_value_exits_zero_or_two(trained_tree, data):
         return doc
 
     assert _eval_edited_copy(trained_tree, rel, edit) in (0, 2), (rel, trail)
+
+
+def _eval_copy(tree, tmp_path, capsys, arm, edit):
+    """(exit code, stderr, checkpoint copy) of eval on a copy of tree's
+    arm checkpoint after edit(copy) ran, with the tree's dataset."""
+    ckpt = tmp_path / arm
+    shutil.copytree(tree / arm, ckpt)
+    edit(ckpt)
+    capsys.readouterr()
+    code = main(["eval", "--model", str(ckpt), "--data", str(tree / "data"),
+                 "--out", str(tmp_path / "r.json")])
+    return code, capsys.readouterr().err, ckpt
+
+
+@pytest.mark.parametrize("key", sorted(f.name for f in fields(RunConfig)))
+@pytest.mark.parametrize("arm", ["edue", "de"])
+def test_deleting_any_config_key_exits_two(trained_tree, tmp_path, capsys, arm, key):
+    """Every config key is required: a preset default must never stand in
+    for a trained value."""
+    def edit(ckpt):
+        _edit_json(ckpt / "train_meta.json", lambda d: d["config"].pop(key))
+
+    code, err, ckpt = _eval_copy(trained_tree, tmp_path, capsys, arm, edit)
+    assert code == 2
+    assert err == f"data error: {ckpt / 'train_meta.json'}: config key {key!r} is missing\n"
+
+
+def test_n_members_short_of_de_members_exits_two(tmp_path, dataset, capsys):
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({**TINY, "de_members": 3, "epochs": 1}))
+    ckpt = tmp_path / "de3"
+    assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                 "--out", str(ckpt), "--arm", "de"]) == 0
+    path = ckpt / "train_meta.json"
+    _edit_json(path, lambda d: d.update(n_members=2))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(ckpt), "--data", str(dataset),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"data error: {path}: key 'n_members' must be 3 "
+                                       f"for arm 'de', got 2\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("arm", ["edue", "de"])
+def test_older_layout_scores_the_same(trained_tree, tmp_path, capsys, arm):
+    """A checkpoint that also has the older layout's files, a model.json
+    beside each weights.edt and a head_skip key in train_meta.json, is
+    scored the same: those files and keys are ignored."""
+    code, _, _ = _eval_copy(trained_tree, tmp_path / "now", capsys, arm, lambda ckpt: None)
+    assert code == 0
+    now = json.loads((tmp_path / "now/r.json").read_text())
+
+    def older(ckpt):
+        models, meta, config = load_checkpoint_dir(ckpt)
+        for model, model_dir in zip(models, model_dirs(ckpt, len(models))):
+            (model_dir / "model.json").write_text(json.dumps(
+                {"kind": model.kind, "config": asdict(model.config)}))
+        _edit_json(ckpt / "train_meta.json",
+                   lambda d: d.update(head_skip=ARMS[arm].skipped_heads(config)))
+
+    code, _, _ = _eval_copy(trained_tree, tmp_path / "old", capsys, arm, older)
+    assert code == 0
+    old = json.loads((tmp_path / "old/r.json").read_text())
+    assert old.pop("train_meta") == {**now.pop("train_meta"), "head_skip": 0}
+    assert old == now
+    assert (tmp_path / "old/r.csv").read_bytes() == (tmp_path / "now/r.csv").read_bytes()
 
 
 class TestQcAndOod:
@@ -869,15 +944,19 @@ class TestUsageErrors:
         ("qc", "--dice-threshold", "0", "--dice-threshold must be in (0, 1], got 0.0"),
         ("qc", "--dice-threshold", "-0.1", "--dice-threshold must be in (0, 1], got -0.1"),
         ("qc", "--dice-threshold", "1.5", "--dice-threshold must be in (0, 1], got 1.5"),
+        ("compare", "--seeds", "1,1", "--seeds must be comma-separated distinct "
+                                      "non-negative integers, got '1,1'"),
     ], ids=["fraction_above_one", "fraction_negative", "fraction_nan", "level_negative",
-            "dice_threshold_zero", "dice_threshold_negative", "dice_threshold_above_one"])
+            "dice_threshold_zero", "dice_threshold_negative", "dice_threshold_above_one",
+            "seeds_repeated"])
     def test_ood_flag_out_of_range_exits_two_before_loading(self, tmp_path, capsys, command,
                                                             flag, value, message):
         # the model and data paths do not exist: the flag check must come
         # first, so the message names the flag, not them
-        code = main([command, "--model", str(tmp_path / "ghost"), "--data",
-                     str(tmp_path / "ghost"), "--out", str(tmp_path / "r.json"),
-                     flag, value])
+        ghost = str(tmp_path / "ghost")
+        paths = (["--train-data", ghost, "--test-data", ghost] if command == "compare"
+                 else ["--model", ghost, "--data", ghost])
+        code = main([command, *paths, "--out", str(tmp_path / "r.json"), flag, value])
         assert code == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "r.json").exists()
@@ -941,6 +1020,40 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"config error: --out {out} is a file, not a directory\n")
         assert out.read_text() == "x"
+
+    def alpha_zero_config(self, tmp_path):
+        cfg = tmp_path / "alpha0.json"
+        cfg.write_text(json.dumps({**TINY, "alpha": 0}))
+        return cfg
+
+    @pytest.mark.parametrize("arm", ["le", "de", "single-rater"])
+    def test_alpha_zero_for_an_arm_without_beta_exits_two_before_loading(
+            self, tmp_path, capsys, arm):
+        # the data path does not exist: the config check must come first
+        cfg = self.alpha_zero_config(tmp_path)
+        code = main(["train", "--config", str(cfg), "--data", str(tmp_path / "ghost"),
+                     "--out", str(tmp_path / "m"), "--arm", arm])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: key 'alpha' must be > 0 for arm "
+            f"{arm.replace('-', '_')!r}, which forces beta to 0\n")
+        assert not (tmp_path / "m").exists()
+
+    def test_alpha_zero_still_trains_edue(self, tmp_path, dataset):
+        cfg = self.alpha_zero_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(tmp_path / "m"), "--arm", "edue"]) == 0
+
+    def test_compare_with_alpha_zero_exits_two_before_loading(self, tmp_path, capsys):
+        cfg = self.alpha_zero_config(tmp_path)
+        ghost = str(tmp_path / "ghost")
+        code = main(["compare", "--config", str(cfg), "--train-data", ghost,
+                     "--test-data", ghost, "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: key 'alpha' must be > 0 for arm 'le', "
+            f"which forces beta to 0\n")
+        assert not (tmp_path / "c.json").exists()
 
     def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

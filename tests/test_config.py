@@ -89,13 +89,13 @@ class TestFromDict:
         assert cfg.n_e == 4  # untouched preset value
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys: epoch"):
+        with pytest.raises(ConfigError, match="unknown config keys: 'epoch'"):
             from_dict({"epoch": 3})
-        with pytest.raises(ConfigError, match="unknown config keys: head_hidden"):
+        with pytest.raises(ConfigError, match="unknown config keys: 'head_hidden'"):
             from_dict({"head_hidden": 0})
-        with pytest.raises(ConfigError, match="unknown config keys: n_d"):
+        with pytest.raises(ConfigError, match="unknown config keys: 'n_d'"):
             from_dict({"n_d": 3})
-        with pytest.raises(ConfigError, match="unknown config keys: n_test"):
+        with pytest.raises(ConfigError, match="unknown config keys: 'n_test'"):
             from_dict({"n_test": 100})
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -262,11 +262,11 @@ BAD_VALUES = [
     (DESK.scene_params(), {"channels": 0}, "channels must be >= 1"),
     (LossWeights(1.0, 1.0), {"alpha": 0.0, "beta": 0.0}, "cannot both be zero"),
     (LossWeights(1.0, 1.0), {"alpha": -1.0}, "loss weights must be >= 0"),
-    (DESK, {"epochs": 0}, "epochs and batch_size must be >= 1"),
-    (DESK, {"lr": 0.0}, "lr must be positive"),
-    (DESK, {"de_members": 1}, "deep ensemble needs >= 2 members, got 1"),
-    (DESK, {"head_skip": -1}, "head_skip must be >= 0"),
-    (DESK, {"head_skip": 2}, "head_skip 2 must leave at least 2 of the 3 heads"),
+    (DESK, {"epochs": 0}, "'epochs' and 'batch_size' must be >= 1"),
+    (DESK, {"lr": 0.0}, "'lr' must be positive, got 0.0"),
+    (DESK, {"de_members": 1}, "'de_members': a deep ensemble needs >= 2 members, got 1"),
+    (DESK, {"head_skip": -1}, "'head_skip' must be >= 0, got -1"),
+    (DESK, {"head_skip": 2}, "'head_skip' 2 must leave at least 2 of the 3 heads"),
     (DESK, {"alpha": -0.5}, "loss weights must be >= 0, got alpha=-0.5"),
     (DESK, {"seed": -1}, "seed must be >= 0, got -1"),
     (DESK, {"preset": "warehouse"}, "unknown preset 'warehouse'"),

@@ -79,9 +79,10 @@ class TestArmTable:
         arm = ARMS[name]
         kind, skips = self.PREDICTORS[arm.predictor]
         config = tiny_config(head_skip=1)
-        seeds = range(config.de_members if arm.predictor == "ensemble" else 1)
+        seeds = arm.member_seeds(config, 7)
+        assert seeds == ([1007, 2007] if arm.predictor == "ensemble" else [7])
         models = [arm.build(config.model_config(seed=s)) for s in seeds]
-        assert {m.kind for m in models} == {kind}
+        assert arm.kind == kind and {m.kind for m in models} == {kind}
         assert arm.skipped_heads(config) == (1 if skips else 0)
         maps = prob_maps(models, np.zeros((1, 1, 16, 16)), arm.skipped_heads(config),
                          batch_size=1)

@@ -320,7 +320,8 @@ class TestCheckpoint:
         images = desk_input(batch=1).data
         before = aggregate_heads(prob_maps([model], images, batch_size=1)[0])
         save_checkpoint(tmp_path / "ckpt", model)
-        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == ["weights.edt"]
+        loaded = load_checkpoint(tmp_path / "ckpt", model.config, "multi_head", "meta")
         assert loaded.kind == "multi_head"
         assert loaded.config == model.config
         for name in model.params:
@@ -332,7 +333,7 @@ class TestCheckpoint:
     def test_roundtrip_single_head(self, tmp_path):
         member = build_single_head_model(DESK)
         save_checkpoint(tmp_path / "m", member)
-        loaded = load_checkpoint(tmp_path / "m")
+        loaded = load_checkpoint(tmp_path / "m", DESK, "single_head_full", "meta")
         assert loaded.kind == "single_head_full"
         assert n_params(loaded) == n_params(member)
 
@@ -344,7 +345,7 @@ class TestCheckpoint:
         def no_init(*args, **kwargs):
             raise AssertionError("load_checkpoint drew an init")
         monkeypatch.setattr("edue.model._init_params", no_init)
-        loaded = load_checkpoint(tmp_path / "c")
+        loaded = load_checkpoint(tmp_path / "c", model.config, kind, "meta")
         for name, p in model.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
@@ -352,7 +353,7 @@ class TestCheckpoint:
     def test_loaded_params_match_a_built_model(self, tmp_path, kind):
         model = BUILDERS[kind](DESK)
         save_checkpoint(tmp_path / "c", model)
-        loaded = load_checkpoint(tmp_path / "c")
+        loaded = load_checkpoint(tmp_path / "c", DESK, kind, "meta")
         # Adam and save_checkpoint iterate params in this order
         assert list(loaded.params) == list(model.params)
         for name, p in model.params.items():
@@ -366,7 +367,6 @@ class TestCheckpoint:
     def test_mismatched_weights_rejected(self, tmp_path):
         model = build_model(DESK)
         save_checkpoint(tmp_path / "c", model)
-        header = (tmp_path / "c" / "model.json").read_text()
-        (tmp_path / "c" / "model.json").write_text(header.replace('"base_channels": 8', '"base_channels": 16'))
         with pytest.raises(ValueError, match="(entries|shape)"):
-            load_checkpoint(tmp_path / "c")
+            load_checkpoint(tmp_path / "c", replace(DESK, base_channels=16), "multi_head",
+                            "meta")
