@@ -1,10 +1,10 @@
-"""Run every README command on three small datasets, writing into OUT.
+"""Run every README command on four small datasets, writing into OUT.
 
     python scripts/pipeline.py OUT
 
 The datasets are a desk single-blob set, a desk nested set (trained on
-its second structure, the cup) and a 4-image riga-like set, each with
-its own test set.  On each,
+its second structure, the cup), a 4-image riga-like set and a 4-image
+hecktor-like set, so every preset runs; each has its own test set.  On each,
 every arm is trained and evaluated, and every arm with uncertainty runs
 `qc` and `ood` with `gauss_noise` and with `blur`; the desk single-blob
 set also runs `compare` and `inspect`.  Every command runs as its own
@@ -35,6 +35,7 @@ SETS = {
     "desk": ({"preset": "desk", "epochs": 3}, 48, 16, 0),
     "desk-nested": ({"preset": "desk", "structure": "nested", "epochs": 3}, 48, 16, 1),
     "riga-like": ({"preset": "riga-like", "epochs": 2, "batch_size": 2}, 4, 5, 0),
+    "hecktor-like": ({"preset": "hecktor-like", "epochs": 2, "batch_size": 2}, 4, 5, 0),
 }
 
 

@@ -14,8 +14,8 @@ output goes to files (every report is written as strict, sorted-key
 JSON plus a CSV a plotting tool can consume directly).  Reports are
 byte-identical across reruns with the same inputs and seed.
 
-Seed precedence: --seed, then the EDUE_SEED environment variable, then
-the config's (ood: the checkpoint's) seed; compare's come from --seeds.
+Seed precedence: --seed, then EDUE_SEED, then the config's seed (ood: the
+checkpoint config's), set as the run config's; compare's come from --seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,8 @@ ARM_CHOICES = tuple(name.replace("_", "-") for name in ARMS)
 
 def _resolve_config(args: argparse.Namespace, arms=()) -> RunConfig:
     """The --config file or --preset, refused naming its source if one of
-    arms cannot train with it: an arm that forces beta to 0 needs alpha > 0."""
+    arms cannot train with it: an arm that forces beta to 0 needs alpha > 0.
+    A command with a --seed flag gets its resolved seed as the config's."""
     config = (load_config(args.config) if args.config is not None
               else preset(args.preset or "desk"))
     for name in arms:
@@ -66,7 +67,7 @@ def _resolve_config(args: argparse.Namespace, arms=()) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{_config_source(args, config)}: key 'alpha' must be > 0 "
                               f"for arm {name!r}, which forces beta to 0") from None
-    return config
+    return replace(config, seed=_resolve_seed(args, config.seed)) if "seed" in args else config
 
 
 def _resolve_seed(args: argparse.Namespace, config_seed: int) -> int:
@@ -97,14 +98,12 @@ def _note(message: str) -> None:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=True)
     config = _resolve_config(args)
-    seed = _resolve_seed(args, config.seed)
     n = args.n if args.n is not None else config.n_train
     if not 1 <= n <= MAX_IMAGES:
         raise ConfigError(f"--n must be in [1, {MAX_IMAGES}], got {n}")
-    params = config.scene_params(seed=seed)
-    samples, manifest = generate_dataset(params, n, np.random.default_rng(seed))
-    manifest["seed"] = seed
-    manifest["preset"] = config.preset
+    samples, manifest = generate_dataset(config.scene_params(), n,
+                                         np.random.default_rng(config.seed))
+    manifest.update(seed=config.seed, preset=config.preset)
     save_dataset(args.out, samples, manifest)
     _note(f"wrote {n} images to {args.out}")
     return 0
@@ -132,7 +131,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=True)
     arm = args.arm.replace("-", "_")
     config = _resolve_config(args, [arm])
-    seed = _resolve_seed(args, config.seed)
     samples, manifest = load_dataset(args.data)
     _check_images(samples, args.data, config, _config_source(args, config))
     structures = list(manifest["structures"])
@@ -140,8 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not 0 <= k < len(structures):
         raise DataError(f"structure index {k} out of range; dataset has {structures}")
     items = to_train_items(samples, structure=k)
-    models, traces = train_arm(arm, config, items, seed)
-    save_checkpoint_dir(args.out, arm, models, traces, config, seed, k, structures[k])
+    models, traces = train_arm(arm, config, items)
+    save_checkpoint_dir(args.out, arm, models, traces, config, k, structures[k])
     last = traces[-1][-1]
     _note(f"trained {arm} ({len(models)} model(s), {config.epochs} epochs); "
           f"final mean loss {last.mean_total:.4f}; checkpoint in {args.out}")
@@ -258,7 +256,7 @@ def cmd_ood(args: argparse.Namespace) -> int:
                           f"most {MAX_INPUT_SIDE}, got {level}")
     fractions = _parse_fractions(args.fractions)
     models, meta, samples, predict = _load_predictor(args, uncertainty=True)
-    seed = _resolve_seed(args, meta["seed"])
+    seed = _resolve_seed(args, meta["config"]["seed"])
     report = ood_experiment(models, samples, args.kind, level,
                             rng=np.random.default_rng(seed),
                             fractions=fractions, **predict)
@@ -288,7 +286,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                               (test_samples, args.test_data)):
         _check_images(samples, data_dir, config, _config_source(args, config))
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)
-    report["preset"] = config.preset
     report["config"] = config.as_dict()
     rows = [[arm, metric, stats["mean"], stats["std"]]
             for arm in sorted(report["arms"])
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="0,0.5,1",
                    help="comma-separated distorted fractions")
     p.add_argument("--seed", type=int, help="overrides EDUE_SEED and the "
-                   "checkpoint seed")
+                   "checkpoint config's seed")
     p.set_defaults(func=cmd_ood)
 
     p = sub.add_parser("compare", help="train and evaluate all arms over seeds")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .container import read_json_object, typed_fields, write_json
+from .container import check_minimums, read_json_object, typed_fields, write_json
 from .disagreement import LossWeights
 from .model import ModelConfig
 from .raters import SceneParams
@@ -43,6 +43,8 @@ class ConfigError(ValueError):
 MAX_INPUT_SIDE = 4096  # one float32 map channel at 4096 x 4096 is 64 MiB
 MAX_CHANNELS = 4096  # a 4096-channel 3x3 conv kernel alone is 604 MB
 MAX_IMAGES = 100_000  # gen-data holds every scene in memory before writing
+# SceneParams fields whose RunConfig key has another name
+_SCENE_KEYS = {"image_size": "input_size", "channels": "in_channels"}
 
 
 @dataclass(frozen=True)
@@ -74,50 +76,44 @@ class RunConfig:
     head_skip: int = 0
     n_train: int = 200  # dataset size when gen-data has no --n
 
-    def _build(self, cls, seed: int | None, **renamed):
-        """cls from the fields of the same name, plus renamed ones."""
-        names = {f.name for f in fields(cls)} - set(renamed) - {"seed"}
-        return cls(**{name: getattr(self, name) for name in names}, **renamed,
-                   seed=self.seed if seed is None else seed)
+    def _build(self, cls, keys: dict):
+        """cls from the fields of the same name, or of the name keys maps it to."""
+        return cls(**{f.name: getattr(self, keys.get(f.name, f.name)) for f in fields(cls)})
 
-    def model_config(self, seed: int | None = None) -> ModelConfig:
-        return self._build(ModelConfig, seed)
+    def model_config(self) -> ModelConfig:
+        return self._build(ModelConfig, {})
 
-    def scene_params(self, seed: int | None = None) -> SceneParams:
-        return self._build(SceneParams, seed, image_size=self.input_size,
-                           channels=self.in_channels)
+    def scene_params(self) -> SceneParams:
+        return self._build(SceneParams, _SCENE_KEYS)
 
     def __post_init__(self) -> None:
         if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {self.preset!r}; "
-                              f"expected one of {sorted(PRESET_NAMES)}")
+            raise ConfigError(f"'preset' must be one of {sorted(PRESET_NAMES)}, "
+                              f"got {self.preset!r}")
         if not 1 <= self.n_train <= MAX_IMAGES:
-            raise ConfigError(f"n_train must be in [1, {MAX_IMAGES}], got {self.n_train}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"'n_train' must be in [1, {MAX_IMAGES}], got {self.n_train}")
+        check_minimums(self, {"seed": 0}, ConfigError)
         try:  # each of these checks itself when it is built
             self.model_config()
             self.scene_params()
             LossWeights(alpha=self.alpha, beta=self.beta)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            message = str(exc)
+            for field, key in _SCENE_KEYS.items():  # name this config's key
+                message = message.replace(repr(field), repr(key))
+            raise ConfigError(message) from exc
         if max(self.input_size) > MAX_INPUT_SIDE:
-            raise ConfigError(f"input_size sides must be at most {MAX_INPUT_SIDE}, "
+            raise ConfigError(f"'input_size' sides must be at most {MAX_INPUT_SIDE}, "
                               f"got {list(self.input_size)}")
         # sides of 16 to 4096 divisible by 2^n_e keep n_e <= 12 here
         widest = self.base_channels * self.channel_growth ** (self.n_e - 1)
         if widest > MAX_CHANNELS:
-            raise ConfigError(f"base_channels * channel_growth ** (n_e - 1), the widest "
-                              f"layer, must be at most {MAX_CHANNELS}, got {widest}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("'epochs' and 'batch_size' must be >= 1")
+            raise ConfigError(f"'base_channels' * 'channel_growth' ** ('n_e' - 1), the "
+                              f"widest layer, must be at most {MAX_CHANNELS}, got {widest}")
+        check_minimums(self, {"epochs": 1, "batch_size": 1}, ConfigError)
         if self.lr <= 0:
             raise ConfigError(f"'lr' must be positive, got {self.lr}")
-        if self.de_members < 2:
-            raise ConfigError(f"'de_members': a deep ensemble needs >= 2 members, "
-                              f"got {self.de_members}")
-        if self.head_skip < 0:
-            raise ConfigError(f"'head_skip' must be >= 0, got {self.head_skip}")
+        check_minimums(self, {"de_members": 2, "head_skip": 0}, ConfigError)
         if self.head_skip > self.n_e - 3:  # the multi-head net has n_e - 1 heads
             raise ConfigError(f"'head_skip' {self.head_skip} must leave at least 2 of "
                               f"the {self.n_e - 1} heads (at most {self.n_e - 3})")

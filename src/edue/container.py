@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["ContainerError", "DataError", "save_container", "load_container",
-           "entry_table", "atomic_write_bytes", "atomic_write_text",
+           "entry_table", "atomic_write_bytes", "atomic_write_text", "check_minimums",
            "write_json", "read_json_object", "json_value", "typed_fields"]
 
 MAGIC = b"EDT1"
@@ -157,6 +157,13 @@ def typed_fields(doc: dict, cls, where: str, error: type[Exception]) -> dict:
     hints = typing.get_type_hints(cls)
     return {key: json_value(value, hints[key], where, key, error)
             for key, value in doc.items()}
+
+
+def check_minimums(obj, minimums: dict, error: type[Exception] = ValueError) -> None:
+    """Refuse, naming it, the first field of obj below its minimum."""
+    for key, low in minimums.items():
+        if getattr(obj, key) < low:
+            raise error(f"{key!r} must be >= {low}, got {getattr(obj, key)}")
 
 
 def save_container(path: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .container import check_minimums
 from .model import Model, forward
 
 __all__ = [
@@ -63,10 +64,9 @@ class LossWeights:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(f"loss weights must be >= 0, got alpha={self.alpha}, beta={self.beta}")
+        check_minimums(self, {"alpha": 0, "beta": 0})
         if self.alpha == 0 and self.beta == 0:
-            raise ValueError("alpha and beta cannot both be zero")
+            raise ValueError("'alpha' and 'beta' cannot both be zero")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ once, regrouping images only into chunks of the size they would have had.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +71,7 @@ class Arm:
 
     ``predictor`` is what it trains: one ``"multi_head"`` model, an
     ``"ensemble"`` of ``de_members`` single-head models (seeded
-    ``seed + 1000 * (i + 1)``) or one ``"single_head"`` model.  Its network
+    ``config.seed + 1000 * (i + 1)``) or one ``"single_head"`` model.  Its network
     ``kind``, ``build``, ``member_seeds``, ``skipped_heads`` (only a
     multi-head model skips heads) and ``uncertainty`` (two or more maps;
     only such arms support qc, ood and compare) follow from it, for
@@ -94,9 +94,9 @@ class Arm:
     def uncertainty(self) -> bool:
         return self.predictor != "single_head"
 
-    def member_seeds(self, config: RunConfig, seed: int) -> list[int]:
-        return ([seed + 1000 * (i + 1) for i in range(config.de_members)]
-                if self.predictor == "ensemble" else [seed])
+    def member_seeds(self, config: RunConfig) -> list[int]:
+        return ([config.seed + 1000 * (i + 1) for i in range(config.de_members)]
+                if self.predictor == "ensemble" else [config.seed])
 
     def loss_weights(self, config: RunConfig) -> LossWeights:
         return LossWeights(config.alpha, config.beta if self.disagreement else 0.0)
@@ -121,16 +121,16 @@ def to_train_items(samples: Sequence[RaterSample], structure: int = 0) -> list[T
     return [TrainItem(image=s.image, masks=s.masks[structure]) for s in samples]
 
 
-def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem], seed: int
+def train_arm(name: str, config: RunConfig, items: Sequence[TrainItem]
               ) -> tuple[list[Model], list[list[EpochStats]]]:
-    """Train one arm's models (one, or one per ensemble member) on the
-    config's model shape and schedule, and return them with their
-    per-epoch loss traces."""
+    """Train one arm's models (one, or one per ensemble member, each seeded
+    by Arm.member_seeds) on the config's model shape and schedule, and
+    return them with their per-epoch loss traces."""
     arm = ARMS[name]
     weights = arm.loss_weights(config)
     models, traces = [], []
-    for model_seed in arm.member_seeds(config, seed):
-        model, trace = train(arm.build(config.model_config(seed=model_seed)), items,
+    for model_seed in arm.member_seeds(config):
+        model, trace = train(arm.build(replace(config.model_config(), seed=model_seed)), items,
                              epochs=config.epochs, batch_size=config.batch_size,
                              lr=config.lr, weights=weights,
                              rng=np.random.default_rng(model_seed), sampler=arm.labels())
@@ -321,7 +321,7 @@ def run_comparison(train_samples: Sequence[RaterSample],
             nll = []
             for k, struct in enumerate(structures):
                 items = to_train_items(train_samples, structure=k)
-                models, _ = train_arm(name, config, items, seed)
+                models, _ = train_arm(name, replace(config, seed=seed), items)
                 passes_before = sum(m.trunk_passes for m in models)
                 report = evaluate_arm(models, test_samples, structure=k,
                                       head_skip=ARMS[name].skipped_heads(config),

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .container import DataError, load_container, save_container
+from .container import DataError, check_minimums, load_container, save_container
 
 __all__ = [
     "ModelConfig",
@@ -58,13 +58,11 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_e < 2:
-            raise ValueError(f"n_e must be >= 2, got {self.n_e}")
-        if self.in_channels < 1 or self.base_channels < 1 or self.channel_growth < 1:
-            raise ValueError("channel counts and growth must be positive")
+        check_minimums(self, {"n_e": 2, "in_channels": 1, "base_channels": 1, "channel_growth": 1})
         # shifts rather than h % (1 << n_e), which builds a huge int for a huge n_e
         if any(s >> self.n_e << self.n_e != s for s in self.input_size):
-            raise ValueError(f"input size {self.input_size} must be divisible by 2^{self.n_e}")
+            raise ValueError(f"'input_size' must be divisible by 2^{self.n_e}, "
+                             f"got {self.input_size}")
 
     def encoder_channels(self) -> list[int]:
         return [self.base_channels * self.channel_growth ** i for i in range(self.n_e)]

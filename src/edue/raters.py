@@ -20,6 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .container import check_minimums
+
 __all__ = [
     "SceneParams",
     "RaterSample",
@@ -56,22 +58,21 @@ class SceneParams:
     def __post_init__(self) -> None:
         h, w = self.image_size
         if h < 16 or w < 16:
-            raise ValueError(f"image_size must be at least 16x16, got {self.image_size}")
+            raise ValueError(f"'image_size' must be at least 16x16, got {self.image_size}")
         if not 2 <= self.n_raters <= 16:
-            raise ValueError(f"n_raters must be in [2, 16], got {self.n_raters}")
+            raise ValueError(f"'n_raters' must be in [2, 16], got {self.n_raters}")
         if not 0.0 <= self.delta_low <= self.delta_high:
-            raise ValueError(f"need 0 <= delta_low <= delta_high, got "
-                             f"{self.delta_low}, {self.delta_high}")
+            raise ValueError(f"need 0 <= 'delta_low' <= 'delta_high', got "
+                             f"{self.delta_low} and {self.delta_high}")
         if 4 * self.delta_high >= min(h, w):
-            raise ValueError(f"delta_high={self.delta_high} too large for {self.image_size}")
+            raise ValueError(f"'delta_high' {self.delta_high} must be under a quarter of "
+                             f"'image_size' {self.image_size}")
         if not 0.0 <= self.ambiguity_mix <= 1.0:
-            raise ValueError(f"ambiguity_mix must be in [0, 1], got {self.ambiguity_mix}")
-        if self.texture_noise < 0:
-            raise ValueError("texture_noise must be >= 0")
+            raise ValueError(f"'ambiguity_mix' must be in [0, 1], got {self.ambiguity_mix}")
+        check_minimums(self, {"texture_noise": 0})
         if self.structure not in ("single_blob", "nested"):
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+            raise ValueError(f"'structure' must be 'single_blob' or 'nested', got {self.structure!r}")
+        check_minimums(self, {"channels": 1})
 
     def structure_names(self) -> tuple[str, ...]:
         return ("blob",) if self.structure == "single_blob" else ("disc", "cup")

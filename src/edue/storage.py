@@ -11,8 +11,8 @@ size of the image too.  Entries no structure names, such as an old
 ``heatmap/*``, are ignored.  A checkpoint directory holds weights.edt
 (or one member_i/weights.edt per ensemble member), a loss-trace CSV
 (``member`` plus the ``EpochStats`` fields), and a train_meta.json whose
-arm, config and seed rebuild every member: eval needs no flags beyond
-the two paths.
+arm and config, the seed included, rebuild every member: eval needs no
+flags beyond the two paths.
 
 This module alone writes each of those files.  All writes are atomic
 (write to a temporary file, then rename), and all JSON goes through
@@ -23,7 +23,7 @@ rerun with the same seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -159,9 +159,8 @@ def model_dirs(directory: Path, n_models: int) -> list[Path]:
 def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
                         models: Sequence[Model],
                         traces: Sequence[Sequence[EpochStats]],
-                        config: RunConfig, seed: int, structure: int,
-                        structure_name: str) -> None:
-    """Weights plus loss trace plus a self-describing train_meta.json."""
+                        config: RunConfig, structure: int, structure_name: str) -> None:
+    """Weights, loss trace, and a train_meta.json whose config is the run's."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
@@ -172,7 +171,7 @@ def save_checkpoint_dir(directory: str | os.PathLike, arm: str,
     write_csv(directory / "loss.csv",
               ["member", *(f.name for f in fields(EpochStats))], rows)
     write_json(directory / "train_meta.json", {
-        "arm": arm, "n_members": len(models), "config": config.as_dict(), "seed": seed,
+        "arm": arm, "n_members": len(models), "config": config.as_dict(),
         "structure": structure, "structure_name": structure_name})
 
 
@@ -181,8 +180,8 @@ def load_checkpoint_dir(directory: str | os.PathLike
     """Returns (models, train_meta dict, run config); one model unless an
     ensemble.  Every train_meta.json key is required, and so is every
     config key: the arm and config rebuild each member's shape, kind and
-    seed, and n_members must be the arm's member count.  Other files,
-    such as an older layout's model.json, are ignored."""
+    seed, and n_members must be the arm's member count.  An older layout's
+    model.json and head_skip key are ignored; its seed must be the config's."""
     directory = Path(directory)
     meta_path = directory / "train_meta.json"
     meta = read_json_object(meta_path)
@@ -198,14 +197,16 @@ def load_checkpoint_dir(directory: str | os.PathLike
         config = from_dict(raw, f"{meta_path}: config")
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    for key in ("structure", "seed"):
-        json_value(meta.get(key), int, where, key, minimum=0)
+    if meta.get("seed", config.seed) != config.seed:  # an older checkpoint trained with it
+        raise DataError(f"{where} key 'seed' {meta['seed']!r} differs from config key 'seed' "
+                        f"{config.seed}; move key 'seed', which trained the members, into config")
+    json_value(meta.get("structure"), int, where, "structure", minimum=0)
     json_value(meta.get("structure_name"), str, where, "structure_name")
     arm = ARMS[meta["arm"]]
-    seeds = arm.member_seeds(config, meta["seed"])
+    seeds = arm.member_seeds(config)
     if json_value(meta.get("n_members"), int, where, "n_members") != len(seeds):
         raise DataError(f"{where} key 'n_members' must be {len(seeds)} for arm "
                         f"{meta['arm']!r}, got {meta['n_members']}")
-    models = [load_checkpoint(d, config.model_config(seed=s), arm.kind, meta_path)
+    models = [load_checkpoint(d, replace(config.model_config(), seed=s), arm.kind, meta_path)
               for d, s in zip(model_dirs(directory, len(seeds)), seeds)]
     return models, meta, config

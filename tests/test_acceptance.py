@@ -96,7 +96,7 @@ def announce(capsys):
 @pytest.fixture(scope="session")
 def desk_data():
     """200 train / 100 test images at the desk scale used by the gate."""
-    params = DESK.scene_params(seed=101)  # 32x32, 4 raters, delta 0.5 or 3.0
+    params = replace(DESK, seed=101).scene_params()  # 32x32, 4 raters, delta 0.5 or 3.0
     train_samples, _ = generate_dataset(params, 200, np.random.default_rng(101))
     test_samples, _ = generate_dataset(params, 100, np.random.default_rng(202))
     return train_samples, test_samples
@@ -128,9 +128,10 @@ def desk_arms(desk_data):
     reports = {"edue": [], "le": [], "single": []}
     t0 = time.perf_counter()
     for seed in SEEDS:
-        edue_models, _ = train_arm("edue", DESK, items, seed)
-        le_models, _ = train_arm("le", DESK, items, seed)
-        (single_model,), _ = train_arm("single_rater", DESK, items, seed)
+        config = replace(DESK, seed=seed)
+        edue_models, _ = train_arm("edue", config, items)
+        le_models, _ = train_arm("le", config, items)
+        (single_model,), _ = train_arm("single_rater", config, items)
         arms["edue"].append(edue_models)
         arms["le"].append(le_models)
         arms["single"].append(single_model)
@@ -148,7 +149,7 @@ def desk_ensembles(desk_data):
     """Three-member deep ensembles over the same three seeds."""
     train_samples, _ = desk_data
     items = to_train_items(train_samples)
-    return [train_arm("de", DESK, items, seed)[0] for seed in SEEDS]
+    return [train_arm("de", replace(DESK, seed=seed), items)[0] for seed in SEEDS]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,8 @@ def test_criterion_5_single_pass_and_parameter_ratio(announce):
     edue_passes = model.trunk_passes
 
     m = 3
-    members = [build_single_head_model(DESK.model_config(seed=i)) for i in range(m)]
+    members = [build_single_head_model(replace(DESK, seed=i).model_config())
+               for i in range(m)]
     aggregate_heads(prob_maps(members, image, batch_size=1)[0])
     de_passes = sum(mm.trunk_passes for mm in members)
 

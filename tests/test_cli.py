@@ -82,7 +82,7 @@ class TestGenData:
         files = sorted(p.name for p in dataset.glob("*.edt"))
         assert files == [f"img_{i:04d}.edt" for i in range(6)]
         # each images entry describes the sample in its file, as generated
-        params = load_config(cfg_path).scene_params(seed=9)
+        params = load_config(cfg_path).scene_params()  # the config's seed, 9
         generated, _ = generate_dataset(params, 6, np.random.default_rng(9))
         loaded, _ = load_dataset(dataset)
         for entry, name, made, sample in zip(manifest["images"], files, generated, loaded):
@@ -176,7 +176,7 @@ class TestTrain:
             "loss.csv", "train_meta.json", "weights.edt"]
         meta = json.loads((checkpoint / "train_meta.json").read_text())
         assert meta["arm"] == "edue"
-        assert meta["seed"] == 9
+        assert meta["config"]["seed"] == 9
         assert meta["structure_name"] == "blob"
         lines = (checkpoint / "loss.csv").read_text().strip().splitlines()
         assert lines[0] == "member,epoch,mean_total,mean_bce,mean_rmse"
@@ -188,10 +188,27 @@ class TestTrain:
         assert main(["train", "--config", cfg_path, "--data", str(dataset),
                      "--out", str(out), "--arm", arm]) == 0
         meta = json.loads((out / "train_meta.json").read_text())
-        assert set(meta) == {"arm", "n_members", "config", "structure",
-                             "structure_name", "seed"}
+        assert set(meta) == {"arm", "n_members", "config", "structure", "structure_name"}
         header = (out / "loss.csv").read_text().splitlines()[0]
         assert header.split(",") == ["member"] + [f.name for f in fields(EpochStats)]
+
+    @pytest.mark.parametrize("arm", ["edue", "de"])
+    def test_stored_config_reproduces_a_seed_flag_run(self, tmp_path, cfg_path, dataset,
+                                                     arm):
+        """train --seed 5 on a config whose seed is 9 stores seed 5 in its
+        config, and training again from that config alone gives the same bytes."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(first), "--arm", arm, "--seed", "5"]) == 0
+        stored = json.loads((first / "train_meta.json").read_text())["config"]
+        assert stored == {**load_config(cfg_path).as_dict(), "seed": 5}
+        cfg = tmp_path / "stored.json"
+        cfg.write_text(json.dumps(stored))
+        assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                     "--out", str(again), "--arm", arm]) == 0
+        for path in sorted(first.rglob("*")):
+            if path.is_file():
+                assert path.read_bytes() == (again / path.relative_to(first)).read_bytes()
 
     def test_de_checkpoint_has_member_dirs(self, tmp_path, cfg_path, dataset):
         out = tmp_path / "de"
@@ -367,7 +384,10 @@ class TestMalformedFiles:
         "meta_head_skip_missing": ("edue", "edue/train_meta.json", "head_skip",
                                    lambda d: d["config"].pop("head_skip")),
         "meta_seed_missing": ("edue", "edue/train_meta.json", "seed",
-                              lambda d: d.pop("seed")),
+                              lambda d: d["config"].pop("seed")),
+        # an older checkpoint's top-level seed trained its members
+        "meta_seed_differs": ("de", "de/train_meta.json", "seed",
+                              lambda d: d.update(seed=d["config"]["seed"] + 1)),
         "meta_structure_list": ("de", "de/train_meta.json", "structure",
                                 lambda d: d.update(structure=[1])),
         "meta_structure_name_missing": ("edue", "edue/train_meta.json", "structure_name",
@@ -525,8 +545,8 @@ class TestCheckpointConfigMismatch:
         assert not out.exists()
 
     CONFIG_EDITS = {
-        "n_e": (1, "n_e must be >= 2, got 1"),
-        "input_size": ([30, 30], "input size (30, 30) must be divisible by 2^4"),
+        "n_e": (1, "'n_e' must be >= 2, got 1"),
+        "input_size": ([30, 30], "'input_size' must be divisible by 2^4, got (30, 30)"),
     }
 
     @pytest.mark.parametrize("key", sorted(CONFIG_EDITS))
@@ -783,8 +803,9 @@ def test_n_members_short_of_de_members_exits_two(tmp_path, dataset, capsys):
 @pytest.mark.parametrize("arm", ["edue", "de"])
 def test_older_layout_scores_the_same(trained_tree, tmp_path, capsys, arm):
     """A checkpoint that also has the older layout's files, a model.json
-    beside each weights.edt and a head_skip key in train_meta.json, is
-    scored the same: those files and keys are ignored."""
+    beside each weights.edt, and its keys, head_skip and a top-level seed
+    equal to the config's, in train_meta.json, is scored the same: those
+    files and keys are ignored."""
     code, _, _ = _eval_copy(trained_tree, tmp_path / "now", capsys, arm, lambda ckpt: None)
     assert code == 0
     now = json.loads((tmp_path / "now/r.json").read_text())
@@ -795,12 +816,14 @@ def test_older_layout_scores_the_same(trained_tree, tmp_path, capsys, arm):
             (model_dir / "model.json").write_text(json.dumps(
                 {"kind": model.kind, "config": asdict(model.config)}))
         _edit_json(ckpt / "train_meta.json",
-                   lambda d: d.update(head_skip=ARMS[arm].skipped_heads(config)))
+                   lambda d: d.update(head_skip=ARMS[arm].skipped_heads(config),
+                                      seed=config.seed))
 
     code, _, _ = _eval_copy(trained_tree, tmp_path / "old", capsys, arm, older)
     assert code == 0
     old = json.loads((tmp_path / "old/r.json").read_text())
-    assert old.pop("train_meta") == {**now.pop("train_meta"), "head_skip": 0}
+    assert old.pop("train_meta") == {**now.pop("train_meta"), "head_skip": 0,
+                                     "seed": TINY["seed"]}
     assert old == now
     assert (tmp_path / "old/r.csv").read_bytes() == (tmp_path / "now/r.csv").read_bytes()
 
@@ -833,6 +856,15 @@ class TestQcAndOod:
         assert lines[0] == "fraction,n_distorted,min,q1,median,q3,max,mean"
         assert len(lines) == 4
 
+    def test_ood_draws_from_the_stored_config_seed(self, tmp_path, cfg_path, dataset):
+        ckpt = tmp_path / "seed5"
+        assert main(["train", "--config", cfg_path, "--data", str(dataset),
+                     "--out", str(ckpt), "--seed", "5"]) == 0
+        out = tmp_path / "ood.json"
+        assert main(["ood", "--model", str(ckpt), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 5
+
     @pytest.mark.parametrize("level", ["100", "4096"])
     def test_blur_radius_wider_than_the_image_runs(self, tmp_path, dataset,
                                                    checkpoint, level):
@@ -859,7 +891,7 @@ class TestCompare:
                      "--out", str(out), "--seeds", "0"]) == 0
         doc = json.loads(out.read_text())
         # the run config is recorded once, as "config"
-        assert set(doc) == {"seeds", "structures", "arms", "preset", "config"}
+        assert set(doc) == {"seeds", "structures", "arms", "config"}
         assert set(doc["arms"]) == {"edue", "le", "de"}
         assert doc["seeds"] == [0]
         lines = (tmp_path / "cmp.csv").read_text().strip().splitlines()
@@ -1103,6 +1135,7 @@ class TestUsageErrors:
         ('{"input_size": [1099511627776, 1099511627776]}', "input_size"),
         ('{"base_channels": 100000000}', "base_channels"),
         ('{"n_train": 100001}', "n_train"),
+        ('{"n_e": 2, "input_size": [8, 8]}', "input_size"),
     ])
     def test_config_file_error_names_file_and_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.json"
@@ -1112,7 +1145,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ")
-        assert str(bad) in err and key in err
+        assert str(bad) in err and repr(key) in err
         assert not (tmp_path / "x").exists()
 
 

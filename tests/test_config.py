@@ -72,7 +72,7 @@ class TestPresets:
             from_dict({"head_skip": 2})
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
+        with pytest.raises(ConfigError, match="'preset' must be one of"):
             preset("warehouse")
 
 
@@ -135,13 +135,13 @@ class TestFromDict:
             from_dict({"input_size": [30, 30]})  # not divisible by 2^n_e
 
     @pytest.mark.parametrize("doc, message", [
-        ({"input_size": [2 ** 40, 2 ** 40]}, "input_size sides must be at most 4096"),
-        ({"input_size": [8192, 32]}, "input_size sides must be at most 4096"),
-        ({"base_channels": 100_000_000}, "base_channels * channel_growth ** (n_e - 1)"),
-        ({"channel_growth": 20}, "base_channels * channel_growth ** (n_e - 1), the "
+        ({"input_size": [2 ** 40, 2 ** 40]}, "'input_size' sides must be at most 4096"),
+        ({"input_size": [8192, 32]}, "'input_size' sides must be at most 4096"),
+        ({"base_channels": 100_000_000}, "'base_channels' * 'channel_growth' ** ('n_e' - 1)"),
+        ({"channel_growth": 20}, "'base_channels' * 'channel_growth' ** ('n_e' - 1), the "
                                  "widest layer, must be at most 4096, got 64000"),
-        ({"n_train": 100_001}, "n_train must be in [1, 100000], got 100001"),
-    ])
+        ({"n_train": 100_001}, "'n_train' must be in [1, 100000], got 100001"),
+    ], ids=["input_size-2^40", "input_size-8192", "base_channels", "channel_growth", "n_train"])
     def test_oversized_values_rejected(self, doc, message):
         with pytest.raises(ConfigError, match="^" + re.escape(f"big.json: config: {message}")):
             from_dict(doc, where="big.json: config")
@@ -163,7 +163,7 @@ class TestDerivedConfigs:
         assert mc.base_channels == 16
         assert mc.input_size == cfg.input_size
         assert mc.seed == 4
-        assert cfg.model_config(seed=11).seed == 11
+        assert replace(cfg, seed=11).model_config().seed == 11
 
     def test_scene_params_mirror_fields(self):
         cfg = from_dict({"n_raters": 5, "delta_low": 0.2, "in_channels": 2})
@@ -249,27 +249,32 @@ def test_from_dict_returns_valid_config_or_config_error(doc):
 # The bad values are the ones the tests of each type use.
 DESK = preset("desk")
 BAD_VALUES = [
-    (DESK.model_config(), {"n_e": 1}, "n_e must be >= 2, got 1"),
-    (DESK.model_config(), {"input_size": (36, 36)}, "must be divisible by 2^4"),
-    (DESK.scene_params(), {"n_raters": 1}, "n_raters must be in [2, 16], got 1"),
-    (DESK.scene_params(), {"n_raters": 17}, "n_raters must be in [2, 16], got 17"),
+    (DESK.model_config(), {"n_e": 1}, "'n_e' must be >= 2, got 1"),
+    (DESK.model_config(), {"input_size": (36, 36)},
+     "'input_size' must be divisible by 2^4, got (36, 36)"),
+    (DESK.scene_params(), {"n_raters": 1}, "'n_raters' must be in [2, 16], got 1"),
+    (DESK.scene_params(), {"n_raters": 17}, "'n_raters' must be in [2, 16], got 17"),
     (DESK.scene_params(), {"delta_low": 3.0, "delta_high": 1.0},
-     "need 0 <= delta_low <= delta_high, got 3.0, 1.0"),
-    (DESK.scene_params(), {"delta_high": 8.0}, "delta_high=8.0 too large"),
-    (DESK.scene_params(), {"ambiguity_mix": 1.5}, "ambiguity_mix must be in [0, 1]"),
-    (DESK.scene_params(), {"structure": "donut"}, "unknown structure 'donut'"),
-    (DESK.scene_params(), {"image_size": (8, 8)}, "image_size must be at least 16x16"),
-    (DESK.scene_params(), {"channels": 0}, "channels must be >= 1"),
-    (LossWeights(1.0, 1.0), {"alpha": 0.0, "beta": 0.0}, "cannot both be zero"),
-    (LossWeights(1.0, 1.0), {"alpha": -1.0}, "loss weights must be >= 0"),
-    (DESK, {"epochs": 0}, "'epochs' and 'batch_size' must be >= 1"),
+     "need 0 <= 'delta_low' <= 'delta_high', got 3.0 and 1.0"),
+    (DESK.scene_params(), {"delta_high": 8.0},
+     "'delta_high' 8.0 must be under a quarter of 'image_size' (32, 32)"),
+    (DESK.scene_params(), {"ambiguity_mix": 1.5}, "'ambiguity_mix' must be in [0, 1], got 1.5"),
+    (DESK.scene_params(), {"structure": "donut"},
+     "'structure' must be 'single_blob' or 'nested', got 'donut'"),
+    (DESK.scene_params(), {"image_size": (8, 8)},
+     "'image_size' must be at least 16x16, got (8, 8)"),
+    (DESK.scene_params(), {"channels": 0}, "'channels' must be >= 1, got 0"),
+    (LossWeights(1.0, 1.0), {"alpha": 0.0, "beta": 0.0}, "'alpha' and 'beta' cannot both be zero"),
+    (LossWeights(1.0, 1.0), {"alpha": -1.0}, "'alpha' must be >= 0, got -1.0"),
+    (DESK, {"epochs": 0}, "'epochs' must be >= 1, got 0"),
     (DESK, {"lr": 0.0}, "'lr' must be positive, got 0.0"),
-    (DESK, {"de_members": 1}, "'de_members': a deep ensemble needs >= 2 members, got 1"),
+    (DESK, {"de_members": 1}, "'de_members' must be >= 2, got 1"),
     (DESK, {"head_skip": -1}, "'head_skip' must be >= 0, got -1"),
     (DESK, {"head_skip": 2}, "'head_skip' 2 must leave at least 2 of the 3 heads"),
-    (DESK, {"alpha": -0.5}, "loss weights must be >= 0, got alpha=-0.5"),
-    (DESK, {"seed": -1}, "seed must be >= 0, got -1"),
-    (DESK, {"preset": "warehouse"}, "unknown preset 'warehouse'"),
+    (DESK, {"alpha": -0.5}, "'alpha' must be >= 0, got -0.5"),
+    (DESK, {"seed": -1}, "'seed' must be >= 0, got -1"),
+    (DESK, {"preset": "warehouse"}, "'preset' must be one of ['desk', 'hecktor-like', "
+                                    "'riga-like'], got 'warehouse'"),
 ]
 
 
@@ -282,3 +287,33 @@ def test_every_config_type_refuses_a_bad_value_when_built(valid, change, message
     error = ConfigError if isinstance(valid, RunConfig) else ValueError
     with pytest.raises(error, match=re.escape(message)):
         replace(valid, **change)
+
+
+# One bad value per RunConfig field.  Whichever check refuses it, the
+# message names the config's own key, quoted: input_size's 16x16 floor is
+# the scene generator's rule, stated there for its image_size field.
+BAD_FIELD_VALUES = {
+    "preset": "x", "seed": -1, "n_e": 1, "in_channels": 0, "base_channels": 0,
+    "channel_growth": 0, "input_size": [0, 0], "alpha": -1.0, "beta": -1.0,
+    "n_raters": 1, "delta_low": -1.0, "delta_high": 100.0, "ambiguity_mix": 1.5,
+    "texture_noise": -1.0, "structure": "donut", "epochs": 0, "batch_size": 0,
+    "lr": 0.0, "de_members": 1, "head_skip": -1, "n_train": 0,
+}
+
+
+def test_bad_values_cover_every_field():
+    assert set(BAD_FIELD_VALUES) == {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_FIELD_VALUES))
+def test_from_dict_refusal_quotes_the_config_key(key):
+    with pytest.raises(ConfigError) as info:
+        from_dict({key: BAD_FIELD_VALUES[key]}, where="run.json: config")
+    assert str(info.value).startswith("run.json: config: ")
+    assert repr(key) in str(info.value)
+
+
+def test_scene_floor_names_input_size():
+    with pytest.raises(ConfigError, match=re.escape(
+            "config: 'input_size' must be at least 16x16, got (8, 8)")):
+        from_dict({"n_e": 2, "input_size": [8, 8]})

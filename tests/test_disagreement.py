@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from contextlib import contextmanager
 
 import numpy as np
@@ -377,7 +378,7 @@ class TestTrain:
 
     def run(self, items, seed=0, sampler=sample_labels, beta=1.0, epochs=3,
             batch_size=4, lr=1e-3):
-        model = build_model(preset("desk").model_config(seed=seed))
+        model = build_model(replace(preset("desk"), seed=seed).model_config())
         return train(model, items, epochs=epochs, batch_size=batch_size, lr=lr,
                      weights=LossWeights(alpha=1.0, beta=beta),
                      rng=np.random.default_rng(seed), sampler=sampler)
@@ -489,7 +490,7 @@ class TestTrainingStepMemory:
     HELD_MARGIN = 1 << 19  # 0.5 MiB
 
     def step(self, monkeypatch):
-        model = build_model(preset("desk").model_config(seed=0))
+        model = build_model(preset("desk").model_config())  # seed 0
         items = toy_items(8)
         x = Tensor(np.stack([it.image for it in items]))
         targets = [np.stack([label_stack(it.masks)[i % 3][None] for it in items])

@@ -78,10 +78,10 @@ class TestArmTable:
     def test_derived_flags_follow_the_predictor(self, name):
         arm = ARMS[name]
         kind, skips = self.PREDICTORS[arm.predictor]
-        config = tiny_config(head_skip=1)
-        seeds = arm.member_seeds(config, 7)
+        config = tiny_config(head_skip=1, seed=7)
+        seeds = arm.member_seeds(config)
         assert seeds == ([1007, 2007] if arm.predictor == "ensemble" else [7])
-        models = [arm.build(config.model_config(seed=s)) for s in seeds]
+        models = [arm.build(replace(config, seed=s).model_config()) for s in seeds]
         assert arm.kind == kind and {m.kind for m in models} == {kind}
         assert arm.skipped_heads(config) == (1 if skips else 0)
         maps = prob_maps(models, np.zeros((1, 1, 16, 16)), arm.skipped_heads(config),
@@ -92,8 +92,8 @@ class TestArmTable:
 class TestTrainingArms:
     def test_le_baseline_same_architecture_no_disagreement_term(self):
         items = to_train_items(make_samples(6))
-        (le,), (trace,) = train_arm("le", tiny_config(), items, seed=3)
-        (ed,), _ = train_arm("edue", tiny_config(), items, seed=3)
+        (le,), (trace,) = train_arm("le", tiny_config(seed=3), items)
+        (ed,), _ = train_arm("edue", tiny_config(seed=3), items)
         assert le.kind == "multi_head"
         assert n_params(le) == n_params(ed)
         for stats in trace:
@@ -102,7 +102,7 @@ class TestTrainingArms:
 
     def test_single_rater_baseline_is_single_head(self):
         items = to_train_items(make_samples(6))
-        (model,), (trace,) = train_arm("single_rater", tiny_config(), items, seed=1)
+        (model,), (trace,) = train_arm("single_rater", tiny_config(seed=1), items)
         assert model.kind == "single_head_full"
         assert model.n_heads == 1
         assert len(trace) == 2
@@ -110,7 +110,7 @@ class TestTrainingArms:
 
     def test_deep_ensemble_members_are_distinct(self):
         items = to_train_items(make_samples(6))
-        members, traces = train_arm("de", tiny_config(de_members=3), items, seed=5)
+        members, traces = train_arm("de", tiny_config(de_members=3, seed=5), items)
         assert len(members) == 3 and len(traces) == 3
         hashes = {weights_hash(m) for m in members}
         assert len(hashes) == 3
@@ -118,13 +118,13 @@ class TestTrainingArms:
 
     def test_deep_ensemble_rejects_fewer_than_two_members(self):
         items = to_train_items(make_samples(4))
-        with pytest.raises(ValueError, match=">= 2 members"):
-            train_arm("de", tiny_config(de_members=1), items, seed=0)
+        with pytest.raises(ValueError, match="'de_members' must be >= 2, got 1"):
+            train_arm("de", tiny_config(de_members=1), items)
 
     def test_training_is_deterministic_across_calls(self):
         items = to_train_items(make_samples(6))
-        (a,), _ = train_arm("edue", tiny_config(), items, seed=7)
-        (b,), _ = train_arm("edue", tiny_config(), items, seed=7)
+        (a,), _ = train_arm("edue", tiny_config(seed=7), items)
+        (b,), _ = train_arm("edue", tiny_config(seed=7), items)
         assert weights_hash(a) == weights_hash(b)
 
     def test_settings_validation(self):
@@ -160,7 +160,7 @@ class TestTrainingArms:
     @pytest.mark.parametrize("arm", sorted(PINNED))
     def test_epoch_stats_pinned(self, arm):
         items = to_train_items(make_samples(8))
-        _, traces = train_arm(arm, tiny_config(), items, seed=3)
+        _, traces = train_arm(arm, tiny_config(seed=3), items)
         got = [[(s.epoch, s.mean_total, s.mean_bce, s.mean_rmse) for s in trace]
                for trace in traces]
         assert [[row[0] for row in t] for t in got] == [[0, 1]] * len(self.PINNED[arm])
@@ -289,7 +289,7 @@ class TestBatchedPrediction:
         # of one size, an image's maps do not change with its neighbours or
         # its place.
         c, h, w = shape
-        config = preset("desk").model_config(seed=3)
+        config = replace(preset("desk"), seed=3).model_config()
         config = replace(config, in_channels=c, input_size=(h, w))
         models = [ARMS[name].build(replace(config, seed=3 + i))
                   for i in range(2 if ARMS[name].predictor == "ensemble" else 1)]
@@ -600,7 +600,7 @@ class TestOodExperiment:
         monkeypatch.setattr(harness, "agreement_score",
                             lambda maps: float(zlib.crc32(np.asarray(maps).tobytes())))
         config = preset("desk")
-        models = [ARMS[name].build(config.model_config(seed=5 + i))
+        models = [ARMS[name].build(replace(config, seed=5 + i).model_config())
                   for i in range(2 if ARMS[name].predictor == "ensemble" else 1)]
         pool, _ = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
         # a batch of 32 puts each set in one chunk

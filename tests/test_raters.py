@@ -1,5 +1,6 @@
 """Generator distribution checks, distortion bank, and agreement scores."""
 
+import re
 import time
 from dataclasses import replace
 
@@ -128,17 +129,21 @@ class TestGenerateSample:
 
     def test_validation_errors(self):
         bad = [
-            dict(n_raters=1),
-            dict(n_raters=17),
-            dict(delta_low=3.0, delta_high=1.0),
-            dict(delta_high=8.0),
-            dict(ambiguity_mix=1.5),
-            dict(structure="donut"),
-            dict(image_size=(8, 8)),
-            dict(channels=0),
+            (dict(n_raters=1), "'n_raters' must be in [2, 16], got 1"),
+            (dict(n_raters=17), "'n_raters' must be in [2, 16], got 17"),
+            (dict(delta_low=3.0, delta_high=1.0),
+             "need 0 <= 'delta_low' <= 'delta_high', got 3.0 and 1.0"),
+            (dict(delta_high=8.0),
+             "'delta_high' 8.0 must be under a quarter of 'image_size' (32, 32)"),
+            (dict(ambiguity_mix=1.5), "'ambiguity_mix' must be in [0, 1], got 1.5"),
+            (dict(texture_noise=-0.5), "'texture_noise' must be >= 0, got -0.5"),
+            (dict(structure="donut"),
+             "'structure' must be 'single_blob' or 'nested', got 'donut'"),
+            (dict(image_size=(8, 8)), "'image_size' must be at least 16x16, got (8, 8)"),
+            (dict(channels=0), "'channels' must be >= 1, got 0"),
         ]
-        for changes in bad:  # the params refuse the values before any scene is drawn
-            with pytest.raises(ValueError):
+        for changes, message in bad:  # refused before any scene is drawn
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
                 replace(DESK, **changes)
 
 
