@@ -6,8 +6,9 @@ The datasets are a desk single-blob set, a desk nested set (trained on
 its second structure, the cup), a 4-image riga-like set and a 4-image
 hecktor-like set, so every preset runs; each has its own test set.  On each,
 every arm is trained and evaluated, and every arm with uncertainty runs
-`qc` and `ood` with `gauss_noise` and with `blur`; the desk single-blob
-set also runs `compare` and `inspect`.  Every command runs as its own
+`qc` and `ood` with `gauss_noise` and with `blur`.  The two desk sets
+also run `compare`, so it scores one structure and two, and the desk
+single-blob set runs `inspect`.  Every command runs as its own
 process, with OUT as its working directory and relative paths, so two
 trees written from two checkouts can be compared with `diff -r`: a
 change that must keep outputs byte-identical leaves that diff empty.
@@ -83,8 +84,10 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name in SETS:
         run_set(out, name)
-    edue(out, "compare", "--config", "desk/config.json", "--train-data", "desk/train",
-         "--test-data", "desk/test", "--seeds", "1", "--out", "desk/compare.json")
+    for name in ("desk", "desk-nested"):
+        edue(out, "compare", "--config", f"{name}/config.json", "--train-data",
+             f"{name}/train", "--test-data", f"{name}/test", "--seeds", "1",
+             "--out", f"{name}/compare.json")
     edue(out, "inspect", "desk/train/img_0000.edt")
     return 0
 

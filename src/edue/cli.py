@@ -41,6 +41,7 @@ from .harness import (
     to_train_items,
     train_arm,
 )
+from .metrics import MIN_VARIANCE_IMAGES
 from .raters import DISTORTION_KINDS, generate_dataset
 from .storage import (
     load_checkpoint_dir,
@@ -101,17 +102,17 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else config.n_train
     if not 1 <= n <= MAX_IMAGES:
         raise ConfigError(f"--n must be in [1, {MAX_IMAGES}], got {n}")
-    samples, manifest = generate_dataset(config.scene_params(), n,
-                                         np.random.default_rng(config.seed))
-    manifest.update(seed=config.seed, preset=config.preset)
-    save_dataset(args.out, samples, manifest)
+    samples = generate_dataset(config.scene_params(), n, np.random.default_rng(config.seed))
+    save_dataset(args.out, samples, config)
     _note(f"wrote {n} images to {args.out}")
     return 0
 
 
-def _check_images(samples, data_dir: str, config: RunConfig, source) -> None:
-    """Refuse a dataset whose images the network cannot take, before any
-    work, naming the dataset and the config key of source that differs."""
+def _load_data(data_dir: str, config: RunConfig, source) -> tuple[list, dict]:
+    """The dataset's samples and manifest; one whose images the network
+    cannot take is refused before any work, naming the dataset and the
+    config key of source that differs."""
+    samples, manifest = load_dataset(data_dir)
     want = (config.in_channels, *config.input_size)
     for sample in samples:
         shape = np.shape(sample.image)
@@ -121,6 +122,7 @@ def _check_images(samples, data_dir: str, config: RunConfig, source) -> None:
             raise DataError(f"dataset {data_dir} has images of shape {shape}, but "
                             f"key {key!r} in {source} is {value}; the network "
                             f"takes (channels, height, width) = {want}")
+    return samples, manifest
 
 
 def _config_source(args: argparse.Namespace, config: RunConfig) -> str:
@@ -131,8 +133,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=True)
     arm = args.arm.replace("-", "_")
     config = _resolve_config(args, [arm])
-    samples, manifest = load_dataset(args.data)
-    _check_images(samples, args.data, config, _config_source(args, config))
+    samples, manifest = _load_data(args.data, config, _config_source(args, config))
     structures = list(manifest["structures"])
     k = args.structure
     if not 0 <= k < len(structures):
@@ -162,9 +163,8 @@ def _load_predictor(args: argparse.Namespace, uncertainty: bool):
         raise DataError(f"{args.command} needs uncertainty, but arm {meta['arm']!r} "
                         f"predicts one map and has no uncertainty")
     k = meta["structure"]
-    samples, manifest = load_dataset(args.data)
     meta_path = Path(args.model) / "train_meta.json"
-    _check_images(samples, args.data, config, meta_path)
+    samples, manifest = _load_data(args.data, config, meta_path)
     structures = list(manifest["structures"])
     if k >= len(structures) or structures[k] != meta["structure_name"]:
         raise DataError(f"{meta_path}: checkpoint was trained on "
@@ -280,13 +280,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds must be comma-separated distinct non-negative "
                           f"integers, got {args.seeds!r}")
-    train_samples, _ = load_dataset(args.train_data)
-    test_samples, _ = load_dataset(args.test_data)
-    for samples, data_dir in ((train_samples, args.train_data),
-                              (test_samples, args.test_data)):
-        _check_images(samples, data_dir, config, _config_source(args, config))
+    source = _config_source(args, config)
+    train_samples, train_manifest = _load_data(args.train_data, config, source)
+    test_samples, test_manifest = _load_data(args.test_data, config, source)
+    where = f"compare trains on {args.train_data} and scores on {args.test_data}"
+    if train_manifest["structures"] != test_manifest["structures"]:
+        raise DataError(f"{where}, whose structures differ: {train_manifest['structures']} "
+                        f"and {test_manifest['structures']}")
+    if len(test_samples) < MIN_VARIANCE_IMAGES:
+        raise DataError(f"{where}, which has {len(test_samples)} images; the variance "
+                        f"metrics need at least {MIN_VARIANCE_IMAGES}")
     report = run_comparison(train_samples, test_samples, config, seeds=seeds)
-    report["config"] = config.as_dict()
+    # seeds, not the config's seed, trained every arm
+    report["config"] = {k: v for k, v in config.as_dict().items() if k != "seed"}
     rows = [[arm, metric, stats["mean"], stats["std"]]
             for arm in sorted(report["arms"])
             for metric, stats in sorted(report["arms"][arm]["summary"].items())]
@@ -317,6 +323,13 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--config", help="path to a RunConfig JSON file")
 
 
+def _add_predictor_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", required=True, help="checkpoint directory")
+    sub.add_argument("--data", required=True, help="dataset directory")
+    sub.add_argument("--out", required=True, help="report JSON path (a CSV of "
+                     "its rows lands next to it)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edue",
@@ -344,24 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--model", required=True, help="checkpoint directory")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="report JSON path (a CSV of "
-                   "per-image rows lands next to it)")
+    _add_predictor_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("qc", help="quality-control curve from a checkpoint")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    _add_predictor_flags(p)
     p.add_argument("--dice-threshold", type=float, default=0.7,
                    help="dice below this marks a segmentation poor")
     p.set_defaults(func=cmd_qc)
 
     p = sub.add_parser("ood", help="agreement distributions under distortion")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    _add_predictor_flags(p)
     p.add_argument("--kind", choices=DISTORTION_KINDS, default="gauss_noise")
     p.add_argument("--level", type=float, default=0.3)
     p.add_argument("--fractions", default="0,0.5,1",

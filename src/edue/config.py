@@ -3,10 +3,10 @@
 A RunConfig bundles everything a run needs: model shape, loss weights,
 scene parameters for the generator, and the training schedule.  It is
 the only place that declares defaults; the model, scene and loss
-configs are built from it by field name.  Three presets cover the
-supported regimes: "desk" (small, minutes on one core) and two
-full-scale presets ("riga-like", "hecktor-like") sized for
-fundus-style and tumor-style workloads.
+configs share its field names and are built from it by name, so their
+refusals name its keys.  Three presets cover the supported regimes:
+"desk" (small, minutes on one core) and two full-scale presets
+("riga-like", "hecktor-like") sized for fundus- and tumor-style runs.
 
 A config file is a JSON object with an optional "preset" key plus any
 overrides.  Unknown keys are rejected rather than ignored: a typo in a
@@ -43,8 +43,6 @@ class ConfigError(ValueError):
 MAX_INPUT_SIDE = 4096  # one float32 map channel at 4096 x 4096 is 64 MiB
 MAX_CHANNELS = 4096  # a 4096-channel 3x3 conv kernel alone is 604 MB
 MAX_IMAGES = 100_000  # gen-data holds every scene in memory before writing
-# SceneParams fields whose RunConfig key has another name
-_SCENE_KEYS = {"image_size": "input_size", "channels": "in_channels"}
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,14 @@ class RunConfig:
     head_skip: int = 0
     n_train: int = 200  # dataset size when gen-data has no --n
 
-    def _build(self, cls, keys: dict):
-        """cls from the fields of the same name, or of the name keys maps it to."""
-        return cls(**{f.name: getattr(self, keys.get(f.name, f.name)) for f in fields(cls)})
+    def _build(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def model_config(self) -> ModelConfig:
-        return self._build(ModelConfig, {})
+        return self._build(ModelConfig)
 
     def scene_params(self) -> SceneParams:
-        return self._build(SceneParams, _SCENE_KEYS)
+        return self._build(SceneParams)
 
     def __post_init__(self) -> None:
         if self.preset not in PRESET_NAMES:
@@ -98,10 +95,7 @@ class RunConfig:
             self.scene_params()
             LossWeights(alpha=self.alpha, beta=self.beta)
         except ValueError as exc:
-            message = str(exc)
-            for field, key in _SCENE_KEYS.items():  # name this config's key
-                message = message.replace(repr(field), repr(key))
-            raise ConfigError(message) from exc
+            raise ConfigError(str(exc)) from exc
         if max(self.input_size) > MAX_INPUT_SIDE:
             raise ConfigError(f"'input_size' sides must be at most {MAX_INPUT_SIDE}, "
                               f"got {list(self.input_size)}")

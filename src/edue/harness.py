@@ -271,12 +271,12 @@ def ood_experiment(models: Sequence[Model], samples: Sequence[RaterSample], kind
         raise ValueError("ood_experiment: empty sample list")
     if batch_size < 1:
         raise ValueError(f"ood_experiment: batch_size must be >= 1, got {batch_size}")
+    if not all(0.0 <= f <= 1.0 for f in fractions):  # refuses NaN too
+        raise ValueError(f"fractions must lie in [0, 1], got {list(fractions)}")
     full = n - n % batch_size  # images before the short tail chunk
     clean: dict[int, float] = {}  # image index -> its clean agreement
     per_fraction = []
     for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fractions must lie in [0, 1], got {f}")
         k = math.ceil(f * n)
         chosen = sorted(rng.choice(n, size=k, replace=False).tolist()) if k else []
         distorted = {i: distort(samples[i].image, kind, level, rng) for i in chosen}

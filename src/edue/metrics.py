@@ -34,6 +34,7 @@ DICE_SMOOTHING = 1e-6
 # pixels per map times images that evaluate_predictions scores at once: 64
 # desk images, one 256 x 256 image; bounds its float64 temporaries
 _BLOCK_PIXELS = 64 * 32 * 32
+MIN_VARIANCE_IMAGES = 4  # images the correlations of variance sums need
 
 
 def _as_vectors(x, y, name: str, min_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +75,7 @@ def spearman(x, y) -> float:
 
 def distance_correlation(x, y) -> float:
     """Classical biased distance correlation in [0, 1]; 0 on degenerate input."""
-    xv, yv = _as_vectors(x, y, "distance_correlation input", 4)
+    xv, yv = _as_vectors(x, y, "distance_correlation input", MIN_VARIANCE_IMAGES)
 
     def double_centered(v: np.ndarray) -> np.ndarray:
         d = np.abs(v[:, None] - v[None, :])
@@ -170,7 +171,7 @@ def evaluate_predictions(maps: np.ndarray, rater_masks: Sequence[np.ndarray]) ->
     if len(maps) != len(rater_masks):
         raise ValueError(f"{len(maps)} map sets but {len(rater_masks)} rater stacks")
     variance = maps.shape[1] >= 2
-    n_min = 4 if variance else 1  # the correlations need four images
+    n_min = MIN_VARIANCE_IMAGES if variance else 1
     if len(maps) < n_min:
         raise ValueError(f"need at least {n_min} images, got {len(maps)}")
     per_image = []

@@ -16,7 +16,7 @@ the out-of-distribution inputs for robustness experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,19 @@ class DegenerateSceneError(ValueError):
 
 @dataclass(frozen=True)
 class SceneParams:
-    image_size: tuple[int, int]
+    input_size: tuple[int, int]
     n_raters: int
     delta_low: float
     delta_high: float
     ambiguity_mix: float
     texture_noise: float
     structure: str
-    channels: int
-    seed: int
+    in_channels: int
 
     def __post_init__(self) -> None:
-        h, w = self.image_size
+        h, w = self.input_size
         if h < 16 or w < 16:
-            raise ValueError(f"'image_size' must be at least 16x16, got {self.image_size}")
+            raise ValueError(f"'input_size' must be at least 16x16, got {self.input_size}")
         if not 2 <= self.n_raters <= 16:
             raise ValueError(f"'n_raters' must be in [2, 16], got {self.n_raters}")
         if not 0.0 <= self.delta_low <= self.delta_high:
@@ -66,13 +65,13 @@ class SceneParams:
                              f"{self.delta_low} and {self.delta_high}")
         if 4 * self.delta_high >= min(h, w):
             raise ValueError(f"'delta_high' {self.delta_high} must be under a quarter of "
-                             f"'image_size' {self.image_size}")
+                             f"'input_size' {self.input_size}")
         if not 0.0 <= self.ambiguity_mix <= 1.0:
             raise ValueError(f"'ambiguity_mix' must be in [0, 1], got {self.ambiguity_mix}")
         check_minimums(self, {"texture_noise": 0})
         if self.structure not in ("single_blob", "nested"):
             raise ValueError(f"'structure' must be 'single_blob' or 'nested', got {self.structure!r}")
-        check_minimums(self, {"channels": 1})
+        check_minimums(self, {"in_channels": 1})
 
     def structure_names(self) -> tuple[str, ...]:
         return ("blob",) if self.structure == "single_blob" else ("disc", "cup")
@@ -192,7 +191,7 @@ def _render(dist: np.ndarray, softness: float) -> np.ndarray:
 
 
 def _try_generate(params: SceneParams, rng: np.random.Generator) -> RaterSample | None:
-    h, w = params.image_size
+    h, w = params.input_size
     delta = params.delta_high if rng.uniform() < params.ambiguity_mix else params.delta_low
     coords = (np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64))
     center = (rng.uniform(0.35 * h, 0.65 * h), rng.uniform(0.35 * w, 0.65 * w))
@@ -227,7 +226,7 @@ def _try_generate(params: SceneParams, rng: np.random.Generator) -> RaterSample 
         intensity = 0.55 * _render(dists[0], softness) + 0.45 * _render(dists[1], softness)
     else:
         intensity = _render(dists[0], softness)
-    gains = np.linspace(1.0, 0.7, params.channels)[:, None, None]
+    gains = np.linspace(1.0, 0.7, params.in_channels)[:, None, None]
     image = intensity[None] * gains
     if params.texture_noise > 0:
         image = image + rng.normal(0.0, params.texture_noise, image.shape)
@@ -246,21 +245,17 @@ def generate_sample(params: SceneParams, rng: np.random.Generator) -> RaterSampl
             return sample
     raise DegenerateSceneError(
         f"degenerate blob (area < {MIN_BLOB_AREA} px) persisted through "
-        f"{MAX_REGENERATIONS} regenerations; input_size {list(params.image_size)} "
+        f"{MAX_REGENERATIONS} regenerations; input_size {list(params.input_size)} "
         f"is too small for structure {params.structure!r}")
 
 
 def generate_dataset(params: SceneParams, n_images: int,
-                     rng: np.random.Generator) -> tuple[list[RaterSample], dict]:
-    """n_images independent samples plus the generator's manifest keys,
-    params and structures; storage.save_dataset adds the image list."""
+                     rng: np.random.Generator) -> list[RaterSample]:
+    """n_images independent samples, drawn in turn from rng alone;
+    storage.save_dataset writes them with the manifest."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
-    samples = [generate_sample(params, rng) for _ in range(n_images)]
-    return samples, {
-        "params": asdict(params),
-        "structures": list(params.structure_names()),
-    }
+    return [generate_sample(params, rng) for _ in range(n_images)]
 
 
 def _box_blur(image: np.ndarray, radius: int) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 A dataset directory holds one tensor container per image (the image,
 every structure's rater masks, and the clean reference mask) plus a
-manifest.json: the caller's keys, n_images, and one {file, delta_used,
-n_raters} entry per image.  Loading checks every ``masks/<structure>``
-entry once: two or more binary masks (the rater contract,
-``disagreement.rater_masks``), each the size of the image, and the same
-rater count for every structure; each ``true/<structure>`` must be the
-size of the image too.  Entries no structure names, such as an old
-``heatmap/*``, are ignored.  A checkpoint directory holds weights.edt
+manifest.json: the scene params, structures, seed and preset of the run
+config that generated it, n_images, and one {file, delta_used, n_raters}
+entry per image.  Loading checks every ``masks/<structure>`` entry once:
+two or more binary masks (the rater contract, ``disagreement.rater_masks``),
+each the size of the image, and the same rater count for every
+structure; each ``true/<structure>`` must be the size of the image too.
+Entries no structure names, such as an old ``heatmap/*``, are ignored.  A checkpoint directory holds weights.edt
 (or one member_i/weights.edt per ensemble member), a loss-trace CSV
 (``member`` plus the ``EpochStats`` fields), and a train_meta.json whose
 arm and config, the seed included, rebuild every member: eval needs no
@@ -23,7 +23,7 @@ rerun with the same seed reproduces every file byte for byte.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -68,8 +68,8 @@ def write_csv(path: str | os.PathLike, header: Sequence[str],
 
 
 def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
-                 manifest: dict) -> None:
-    """One container per image plus a manifest built on the caller's keys."""
+                 config: RunConfig) -> None:
+    """One container per image plus a manifest from the config that made them."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     images = []
@@ -82,8 +82,11 @@ def save_dataset(directory: str | os.PathLike, samples: Sequence[RaterSample],
         save_container(directory / filename, entries)
         images.append({"file": filename, "delta_used": sample.delta_used,
                        "n_raters": int(sample.masks.shape[1])})
-    write_json(directory / "manifest.json", {**manifest, "format": DATASET_FORMAT,
-                                             "images": images, "n_images": len(samples)})
+    params = config.scene_params()
+    write_json(directory / "manifest.json", {
+        "params": asdict(params), "structures": list(params.structure_names()),
+        "seed": config.seed, "preset": config.preset,
+        "format": DATASET_FORMAT, "images": images, "n_images": len(samples)})
 
 
 def load_dataset(directory: str | os.PathLike) -> tuple[list[RaterSample], dict]:

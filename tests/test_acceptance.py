@@ -97,8 +97,8 @@ def announce(capsys):
 def desk_data():
     """200 train / 100 test images at the desk scale used by the gate."""
     params = replace(DESK, seed=101).scene_params()  # 32x32, 4 raters, delta 0.5 or 3.0
-    train_samples, _ = generate_dataset(params, 200, np.random.default_rng(101))
-    test_samples, _ = generate_dataset(params, 100, np.random.default_rng(202))
+    train_samples = generate_dataset(params, 200, np.random.default_rng(101))
+    test_samples = generate_dataset(params, 100, np.random.default_rng(202))
     return train_samples, test_samples
 
 

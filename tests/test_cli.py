@@ -5,7 +5,7 @@ import hashlib
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from edue.disagreement import EpochStats, binarize_majority, soft_majority
 from edue.metrics import nll
 from edue.model import prob_maps
 from edue.container import DataError
-from edue.raters import generate_dataset
+from edue.raters import SceneParams, generate_dataset
 from edue.harness import ARMS
 from edue.storage import load_checkpoint_dir, load_dataset, model_dirs
 
@@ -64,9 +64,9 @@ def checkpoint(tmp_path, cfg_path, dataset):
     return out
 
 
-def dir_digest(directory):
+def dir_digest(directory, pattern="*"):
     digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
+    for path in sorted(Path(directory).rglob(pattern)):
         if path.is_file():
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
@@ -83,7 +83,7 @@ class TestGenData:
         assert files == [f"img_{i:04d}.edt" for i in range(6)]
         # each images entry describes the sample in its file, as generated
         params = load_config(cfg_path).scene_params()  # the config's seed, 9
-        generated, _ = generate_dataset(params, 6, np.random.default_rng(9))
+        generated = generate_dataset(params, 6, np.random.default_rng(9))
         loaded, _ = load_dataset(dataset)
         for entry, name, made, sample in zip(manifest["images"], files, generated, loaded):
             assert np.array_equal(sample.masks, made.masks)
@@ -112,21 +112,50 @@ class TestGenData:
         assert dir_digest(a) == dir_digest(b)
         assert dir_digest(a) != dir_digest(c)
 
-    # Recorded before scene generation's component search was rewritten; a
-    # change to scene generation must reproduce these bytes or say why not.
-    @pytest.mark.parametrize("config, n, digest", [
-        ({"preset": "desk"}, 16,
-         "98b26cdfe988d17d587fc32db1c98ac093303b06e74421e5d517d4870221317d"),
-        ({"preset": "riga-like", "input_size": [64, 64]}, 6,
-         "639f3bf76a09917f62a61b3b993750dbfcf974d4498ba4935acef8fe5ea65c7a"),
-    ])
-    def test_dataset_bytes_are_pinned(self, tmp_path, config, n, digest):
+    def test_manifest_is_the_resolved_config(self, tmp_path, cfg_path):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", cfg_path, "--n", "2", "--seed", "5",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        config = replace(load_config(cfg_path), seed=5).as_dict()
+        assert set(manifest) == {"format", "images", "n_images", "params", "preset",
+                                 "seed", "structures"}
+        assert manifest["params"] == {f.name: config[f.name] for f in fields(SceneParams)}
+        assert "seed" not in manifest["params"]
+        assert (manifest["seed"], manifest["preset"]) == (5, config["preset"])
+        assert manifest["structures"] == ["blob"]
+
+    # name: (config, images, digest of the .edt files, digest of manifest.json).
+    # The .edt digests pin the scene bytes that whole-directory digests pinned
+    # since scene generation's component search was rewritten; the manifest
+    # digests were recorded when its params took the run config's key names
+    # and lost their seed.  A change to either must reproduce these bytes or
+    # say why not.
+    PINNED = {
+        "desk": ({"preset": "desk"}, 16,
+                 "ac722143f1df170a223626eab52e39bf1e103fe8c3ef87ef0e72c0afe36ddec9",
+                 "62118d38960bdf06e8b04a9a2e5074d58db4af2f9662848123f01830a0cd4651"),
+        "riga-like-64": ({"preset": "riga-like", "input_size": [64, 64]}, 6,
+                         "7ca1c2603081016d84ec48ec00170ed86ca5945073266b79701142f105c3cef6",
+                         "ec030a1a6ca11299613188aa9a6186f32a1d0d1eed050146b00b1e94b8cb91f3"),
+    }
+
+    def pinned_digest(self, tmp_path, name, pattern):
+        config, n = self.PINNED[name][:2]
         cfg = tmp_path / "pinned.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "data"
         assert main(["gen-data", "--config", str(cfg), "--n", str(n), "--seed", "5",
                      "--out", str(out)]) == 0
-        assert dir_digest(out) == digest
+        return dir_digest(out, pattern)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_scene_bytes_are_pinned(self, tmp_path, name):
+        assert self.pinned_digest(tmp_path, name, "*.edt") == self.PINNED[name][2]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_manifest_bytes_are_pinned(self, tmp_path, name):
+        assert self.pinned_digest(tmp_path, name, "manifest.json") == self.PINNED[name][3]
 
     def test_n_flag_overrides_config(self, tmp_path, cfg_path):
         out = tmp_path / "d"
@@ -890,13 +919,52 @@ class TestCompare:
                      "--test-data", str(test_data),
                      "--out", str(out), "--seeds", "0"]) == 0
         doc = json.loads(out.read_text())
-        # the run config is recorded once, as "config"
+        # the run config is recorded once, as "config", less the seed that
+        # "seeds" replaces
         assert set(doc) == {"seeds", "structures", "arms", "config"}
+        assert doc["config"] == {k: v for k, v in load_config(cfg_path).as_dict().items()
+                                 if k != "seed"}
         assert set(doc["arms"]) == {"edue", "le", "de"}
         assert doc["seeds"] == [0]
         lines = (tmp_path / "cmp.csv").read_text().strip().splitlines()
         assert lines[0] == "arm,metric,mean,std"
         assert len(lines) == 1 + 3 * 5  # three arms, five metric columns
+
+    def data(self, tmp_path, structure, n):
+        cfg = tmp_path / f"{structure}.json"
+        cfg.write_text(json.dumps({**TINY, "structure": structure, "input_size": [32, 32]}))
+        out = tmp_path / f"{structure}_{n}"
+        assert main(["gen-data", "--config", str(cfg), "--n", str(n), "--out", str(out)]) == 0
+        return cfg, out
+
+    # (training set structure, test set structure, test images, what the
+    # refusal says after naming both sets)
+    REFUSALS = {
+        "blob_test_for_nested": ("nested", "single_blob", 6,
+                                 "whose structures differ: ['disc', 'cup'] and ['blob']"),
+        "nested_test_for_blob": ("single_blob", "nested", 6,
+                                 "whose structures differ: ['blob'] and ['disc', 'cup']"),
+        "three_test_images": ("single_blob", "single_blob", 3,
+                              "which has 3 images; the variance metrics need at least 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refuses_a_test_set_it_cannot_score_before_training(self, tmp_path, capsys,
+                                                                monkeypatch, case):
+        trained, scored, n, reason = self.REFUSALS[case]
+        cfg, train_data = self.data(tmp_path, trained, 6)
+        _, test_data = self.data(tmp_path, scored, n)
+        calls = []
+        monkeypatch.setattr("edue.harness.train_arm", lambda *args: calls.append(args))
+        capsys.readouterr()
+        out = tmp_path / "c.json"
+        code = main(["compare", "--config", str(cfg), "--train-data", str(train_data),
+                     "--test-data", str(test_data), "--out", str(out), "--seeds", "1"])
+        assert calls == []
+        assert code == 2
+        assert capsys.readouterr().err == (f"data error: compare trains on {train_data} "
+                                           f"and scores on {test_data}, {reason}\n")
+        assert not out.exists()
 
     def test_seeds_come_from_seeds_alone(self):
         args = build_parser().parse_args(["compare", "--train-data", "d", "--test-data",
@@ -953,6 +1021,12 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "qc", "ood"])
+    def test_help_describes_the_predictor_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint directory" in out and "dataset directory" in out
 
     @pytest.mark.parametrize("command, flag, value", [
         ("qc", "--dice-threshold", "nan"),

@@ -170,8 +170,15 @@ class TestDerivedConfigs:
         sp = cfg.scene_params()
         assert sp.n_raters == 5
         assert sp.delta_low == 0.2
-        assert sp.channels == 2
-        assert sp.image_size == cfg.input_size
+
+    @pytest.mark.parametrize("derive", [RunConfig.model_config, RunConfig.scene_params])
+    def test_derived_fields_are_run_config_fields_of_the_same_name(self, derive):
+        cfg = from_dict({"preset": "riga-like", "seed": 4, "delta_low": 0.2})
+        derived = derive(cfg)
+        names = [f.name for f in fields(derived)]
+        assert set(names) <= {f.name for f in fields(RunConfig)}
+        assert {name: getattr(derived, name) for name in names} == {
+            name: getattr(cfg, name) for name in names}
 
     def test_arms_read_schedule_fields(self):
         cfg = from_dict({"beta": 3.5, "de_members": 4, "head_skip": 1})
@@ -257,13 +264,13 @@ BAD_VALUES = [
     (DESK.scene_params(), {"delta_low": 3.0, "delta_high": 1.0},
      "need 0 <= 'delta_low' <= 'delta_high', got 3.0 and 1.0"),
     (DESK.scene_params(), {"delta_high": 8.0},
-     "'delta_high' 8.0 must be under a quarter of 'image_size' (32, 32)"),
+     "'delta_high' 8.0 must be under a quarter of 'input_size' (32, 32)"),
     (DESK.scene_params(), {"ambiguity_mix": 1.5}, "'ambiguity_mix' must be in [0, 1], got 1.5"),
     (DESK.scene_params(), {"structure": "donut"},
      "'structure' must be 'single_blob' or 'nested', got 'donut'"),
-    (DESK.scene_params(), {"image_size": (8, 8)},
-     "'image_size' must be at least 16x16, got (8, 8)"),
-    (DESK.scene_params(), {"channels": 0}, "'channels' must be >= 1, got 0"),
+    (DESK.scene_params(), {"input_size": (8, 8)},
+     "'input_size' must be at least 16x16, got (8, 8)"),
+    (DESK.scene_params(), {"in_channels": 0}, "'in_channels' must be >= 1, got 0"),
     (LossWeights(1.0, 1.0), {"alpha": 0.0, "beta": 0.0}, "'alpha' and 'beta' cannot both be zero"),
     (LossWeights(1.0, 1.0), {"alpha": -1.0}, "'alpha' must be >= 0, got -1.0"),
     (DESK, {"epochs": 0}, "'epochs' must be >= 1, got 0"),
@@ -291,7 +298,7 @@ def test_every_config_type_refuses_a_bad_value_when_built(valid, change, message
 
 # One bad value per RunConfig field.  Whichever check refuses it, the
 # message names the config's own key, quoted: input_size's 16x16 floor is
-# the scene generator's rule, stated there for its image_size field.
+# the scene generator's rule, stated there under the same key.
 BAD_FIELD_VALUES = {
     "preset": "x", "seed": -1, "n_e": 1, "in_channels": 0, "base_channels": 0,
     "channel_growth": 0, "input_size": [0, 0], "alpha": -1.0, "beta": -1.0,

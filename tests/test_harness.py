@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import zlib
@@ -54,8 +55,7 @@ def tiny_model(seed=0):
 
 def make_samples(n, seed=0, structure="single_blob"):
     params = tiny_config(n_raters=3, structure=structure, seed=seed).scene_params()
-    samples, _ = generate_dataset(params, n, np.random.default_rng(seed))
-    return samples
+    return generate_dataset(params, n, np.random.default_rng(seed))
 
 
 def fixed_output_member(config, prob):
@@ -602,7 +602,7 @@ class TestOodExperiment:
         config = preset("desk")
         models = [ARMS[name].build(replace(config, seed=5 + i).model_config())
                   for i in range(2 if ARMS[name].predictor == "ensemble" else 1)]
-        pool, _ = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
+        pool = generate_dataset(config.scene_params(), 32, np.random.default_rng(8))
         # a batch of 32 puts each set in one chunk
         for n, batch_size, fractions in itertools.product(
                 (3, 4, 5, 29, 32), (2, 3, 8, 32),
@@ -649,6 +649,17 @@ class TestOodExperiment:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             ood_experiment([model], samples, "gauss_noise", 0.3,
                            rng=np.random.default_rng(0), batch_size=0)
+
+    def test_every_fraction_is_checked_before_any_prediction(self, setup, monkeypatch):
+        model, samples = setup
+        calls = []
+        monkeypatch.setattr(harness, "prob_maps", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(
+                "fractions must lie in [0, 1], got [0.0, 0.5, 2.0]")):
+            ood_experiment([model], samples, "gauss_noise", 0.3,
+                           rng=np.random.default_rng(0), fractions=(0.0, 0.5, 2.0),
+                           batch_size=5)
+        assert calls == []
 
 
 class TestRunComparison:

@@ -66,7 +66,7 @@ class TestGenerateSample:
         assert sample.delta_used in (0.5, 3.0)
 
     def test_three_channel_images(self):
-        sample = generate_sample(replace(DESK, channels=3), np.random.default_rng(2))
+        sample = generate_sample(replace(DESK, in_channels=3), np.random.default_rng(2))
         assert sample.image.shape == (3, 32, 32)
 
     def test_masks_are_single_components(self):
@@ -134,13 +134,13 @@ class TestGenerateSample:
             (dict(delta_low=3.0, delta_high=1.0),
              "need 0 <= 'delta_low' <= 'delta_high', got 3.0 and 1.0"),
             (dict(delta_high=8.0),
-             "'delta_high' 8.0 must be under a quarter of 'image_size' (32, 32)"),
+             "'delta_high' 8.0 must be under a quarter of 'input_size' (32, 32)"),
             (dict(ambiguity_mix=1.5), "'ambiguity_mix' must be in [0, 1], got 1.5"),
             (dict(texture_noise=-0.5), "'texture_noise' must be >= 0, got -0.5"),
             (dict(structure="donut"),
              "'structure' must be 'single_blob' or 'nested', got 'donut'"),
-            (dict(image_size=(8, 8)), "'image_size' must be at least 16x16, got (8, 8)"),
-            (dict(channels=0), "'channels' must be >= 1, got 0"),
+            (dict(input_size=(8, 8)), "'input_size' must be at least 16x16, got (8, 8)"),
+            (dict(in_channels=0), "'in_channels' must be >= 1, got 0"),
         ]
         for changes, message in bad:  # refused before any scene is drawn
             with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -343,18 +343,16 @@ class TestSameBitsAsReference:
 class TestGenerateDataset:
     def test_mix_is_binomial(self):
         params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
-        samples, manifest = generate_dataset(params, 100, np.random.default_rng(11))
+        samples = generate_dataset(params, 100, np.random.default_rng(11))
         assert len(samples) == 100
         deltas = [s.delta_used for s in samples]
         assert set(deltas) == {0.5, 3.0}
         assert 35 <= deltas.count(3.0) <= 65  # 3 sigma around 50
         assert all(s.masks.shape[1] == 4 for s in samples)
-        # the image list is storage.save_dataset's to write, from the samples
-        assert set(manifest) == {"params", "structures"}
 
     def test_disagreement_varies_across_images(self):
         params = replace(DESK, delta_low=0.5, delta_high=3.0, ambiguity_mix=0.5)
-        samples, _ = generate_dataset(params, 30, np.random.default_rng(2))
+        samples = generate_dataset(params, 30, np.random.default_rng(2))
         sv = [gt_heatmap(s.masks[0]).sum() for s in samples]
         assert np.var(sv) > 0.0
 
