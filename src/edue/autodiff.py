@@ -5,9 +5,9 @@ rank-4 ``(batch, channels, height, width)``.  Operations executed while a
 :class:`Tape` is active record a backward rule onto it; ``tape.backward``
 consumes the tape, popping the rules in exact reverse order, so each op's
 saved arrays are freed as soon as its rule has run.  Leaf gradients
-accumulate across tapes; zeroing them is the caller's duty.  A forward-only
-pass may run inside a :class:`Workspace`, whose one scratch buffer conv2d
-then reuses instead of allocating its column matrix afresh on every call.
+accumulate across tapes; zeroing them is the caller's duty.  With no tape
+recording, conv2d takes a second path for the layers where it is faster
+(see there); everything else computes the same way with or without a tape.
 
 Only the op set the segmentation network and its losses need is
 implemented.  No broadcasting: elementwise ops require identical shapes.
@@ -15,7 +15,6 @@ implemented.  No broadcasting: elementwise ops require identical shapes.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Callable, Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "Workspace",
     "ShapeError",
     "Adam",
     "set_default_dtype",
@@ -51,7 +49,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names both shapes."""
 
 
-_state = threading.local()  # this thread's active .tape and .workspace
+_state = threading.local()  # this thread's active .tape
 
 
 _DTYPE = np.float32
@@ -151,36 +149,6 @@ class Tape:
             if out.grad is not None:
                 backward_fn(out.grad)
                 out.grad = None
-
-
-class Workspace:
-    """One grow-only scratch buffer for forward-only passes.
-
-    Used as a context manager, one at a time like :class:`Tape`.  While
-    one is active and no tape is recording, conv2d builds its column
-    matrix in ``buffer``, regrowing it when it is too small or of another
-    dtype: nothing keeps the columns after the matmul, so one buffer
-    serves every layer, chunk and model of a prediction and no call pays
-    for fresh pages.  A tape's backward rule keeps its columns, so a
-    recorded pass allocates its own.  Exit drops the buffer, so the
-    memory lives no longer than the pass.
-    """
-
-    def __init__(self):
-        self.buffer = np.empty(0)
-
-    def __enter__(self) -> "Workspace":
-        assert Workspace.active() is None, "a workspace is already active"
-        _state.workspace = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        _state.workspace = None
-        self.buffer = np.empty(0)
-
-    @staticmethod
-    def active() -> "Workspace | None":
-        return getattr(_state, "workspace", None)
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -375,7 +343,8 @@ _BLOCK_BYTES = 1 << 20
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of a (B,Cin,H,W) input with a (Cout,Cin,k,k) kernel.
 
-    im2col: the input is copied once into a zero-padded channels-last
+    Under a tape, and for every stride-2 conv or one with Cout >= Cin:
+    im2col.  The input is copied once into a zero-padded channels-last
     scratch array, and each kernel tap (u, v) copies a strided window of
     it, whole runs of Cin values at a time, into the column matrix, one
     block of output rows at a time.  The columns are ordered (cin, kh, kw)
@@ -384,8 +353,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     at a time, so every input element still takes its terms tap by tap
     in (u, v) order.  Both orders are fixed: changing either reorders
     float sums, and a 5e-6 reordering moves the acceptance values.
-    With no tape recording, the column matrix is built in the active
-    :class:`Workspace`'s buffer, if any; the output never aliases it.
+
+    With no tape recording, a stride-1 conv with Cout < Cin (the decoder
+    convs and the heads) builds no column matrix: one matmul takes every
+    tap's kernel, as (kh*kw*Cout, Cin), against the zero-padded input, as
+    (Cin, B*Hp*Wp); the output starts as tap (0, 0)'s window of that
+    product, adds the other taps' shifted windows in (u, v) order, and
+    then the bias.  Each path is the faster one on its side of the rule.
+    The second sums in another order than im2col's, so training keeps
+    im2col for every layer: its weights, and so the acceptance values,
+    keep their bits, while predictions move in the low digits.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: need rank-4 input and kernel, got {x.data.shape} and {kernel.data.shape}")
@@ -404,16 +381,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
                          f"with stride {stride}, padding {padding}")
 
     dtype = x.data.dtype
-    padded = (bsz, h + 2 * padding, w + 2 * padding, cin)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if Tape.active() is None and stride == 1 and cout < cin:
+        xp = np.zeros((cin, bsz, hp, wp), dtype=dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
+        wk = kernel.data.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+        taps = (wk @ xp.reshape(cin, bsz * hp * wp)).reshape(kh, kw, cout, bsz, hp, wp)
+        out = np.empty((bsz, cout, ho, wo), dtype=taps.dtype)
+        acc = out.transpose(1, 0, 2, 3)  # a view: the sums land in NCHW order
+        acc[...] = taps[0, 0, :, :, :ho, :wo]
+        for t in range(1, kh * kw):
+            u, v = divmod(t, kw)
+            acc += taps[u, v, :, :, u:u + ho, v:v + wo]
+        acc += bias.data[:, None, None, None]
+        return _finish(out, (x, kernel, bias), None)
+
+    padded = (bsz, hp, wp, cin)
     xt = np.zeros(padded, dtype=dtype)
     xt[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
     shape6 = (bsz, ho, wo, cin, kh, kw)
-    scratch = Workspace.active() if Tape.active() is None else None
-    size = math.prod(shape6)
-    if scratch is not None and (scratch.buffer.dtype != dtype or scratch.buffer.size < size):
-        scratch.buffer = np.empty(size, dtype=dtype)
-    cols6 = (np.empty(shape6, dtype=dtype) if scratch is None
-             else scratch.buffer[:size].reshape(shape6))
+    cols6 = np.empty(shape6, dtype=dtype)
     rows = max(1, _BLOCK_BYTES // cols6[:, 0].nbytes)
     for i0 in range(0, ho, rows):
         i1 = min(i0 + rows, ho)

@@ -208,16 +208,15 @@ def prob_maps(models: Sequence[Model], images: np.ndarray, head_skip: int = 0,
     if batch_size < 1:
         raise ValueError(f"prob_maps: batch_size must be >= 1, got {batch_size}")
     chunks = []
-    # no tape records here, so the conv2d column matrices of every chunk
-    # and model share the workspace's one buffer, dropped on return
-    with ad.Workspace():
-        for start in range(0, len(images), batch_size):
-            x = Tensor(images[start:start + batch_size])
-            maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
-            if not maps:
-                raise ValueError(f"prob_maps: no maps; the model list is empty or "
-                                 f"head_skip {head_skip} skips every head")
-            chunks.append(np.stack(maps, axis=1))
+    # no tape records here, so the decoder convs and heads take conv2d's
+    # shift-and-add path and no layer keeps a wide column matrix
+    for start in range(0, len(images), batch_size):
+        x = Tensor(images[start:start + batch_size])
+        maps = [p.data[:, 0] for m in models for p in forward(m, x)[head_skip:]]
+        if not maps:
+            raise ValueError(f"prob_maps: no maps; the model list is empty or "
+                             f"head_skip {head_skip} skips every head")
+        chunks.append(np.stack(maps, axis=1))
     return np.concatenate(chunks)
 
 

@@ -3,8 +3,11 @@
 The oracles live at the top of this file and are deliberately naive:
 a six-nested-loop convolution and its gradients, and a central
 finite-difference gradient, all independent of the engine's vectorized
-paths.  Beside them sits an NCHW im2col conv2d, the arithmetic conv2d
-must reproduce bit for bit.
+paths.  Beside them sit the two arithmetics conv2d must reproduce bit for
+bit: an NCHW im2col conv2d, which every conv under a tape and every
+stride-2 or widening conv follows, and a channels-first shift-and-add
+conv2d, which a stride-1 conv with fewer output than input channels
+follows when no tape records.
 """
 
 import contextlib
@@ -118,6 +121,25 @@ def nchw_im2col_conv2d(x, w, b, g, stride, padding):
     dx = np.zeros_like(x)
     dx += dxp[:, :, padding:padding + h, padding:padding + wd]
     return np.ascontiguousarray(out), dx, dw, db
+
+
+def shift_add_conv2d(x, w, b, padding):
+    """conv2d's no-tape arithmetic for stride 1 and Cout < Cin, summed in
+    a (Cout, B, Ho, Wo) array: one matmul of every tap's kernel against
+    the padded input, then tap (0, 0)'s window plus the other taps'
+    windows in (u, v) order, and the bias last."""
+    bsz, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    wk = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw * cout, cin)
+    taps = (wk @ xp.reshape(cin, -1)).reshape(kh, kw, cout, *xp.shape[1:])
+    out = taps[0, 0, :, :, :ho, :wo].copy()
+    for u, v in itertools.product(range(kh), range(kw)):
+        if (u, v) != (0, 0):
+            out += taps[u, v, :, :, u:u + ho, v:v + wo]
+    out += b[:, None, None, None]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def engine_conv2d(x, w, b, g, stride, padding):
@@ -271,9 +293,10 @@ def test_conv2d_bit_identical_to_nchw_im2col(dtype, k, stride, padding, monkeypa
                                            block_rows=(None, 1, 2, 3))
 
 
-@pytest.mark.parametrize("build", [model_module.build_model, model_module.build_single_head_model])
-def test_conv2d_bit_identical_on_desk_forward_shapes(build, monkeypatch):
-    model = build(preset("desk").model_config())
+def forward_conv_shapes(build, preset_name, bsz):
+    """(input shape, kernel shape, stride, padding) of every conv2d call
+    in one forward pass of a freshly built preset network."""
+    model = build(preset(preset_name).model_config())
     cfg = model.config
     shapes = []
     real_conv2d = ad.conv2d
@@ -282,14 +305,104 @@ def test_conv2d_bit_identical_on_desk_forward_shapes(build, monkeypatch):
         shapes.append((x.data.shape, kernel.data.shape, stride, padding))
         return real_conv2d(x, kernel, bias, stride=stride, padding=padding)
 
-    monkeypatch.setattr(ad, "conv2d", recording_conv2d)
-    model_module.forward(model, Tensor(np.zeros((8, cfg.in_channels, *cfg.input_size))))
-    monkeypatch.undo()
+    ad.conv2d = recording_conv2d
+    try:
+        model_module.forward(model, Tensor(np.zeros((bsz, cfg.in_channels, *cfg.input_size))))
+    finally:
+        ad.conv2d = real_conv2d
+    return shapes
+
+
+def takes_shift_add(w_shape, stride):
+    """The rule conv2d applies when no tape records."""
+    return stride == 1 and w_shape[0] < w_shape[1]
+
+
+@pytest.mark.parametrize("build", [model_module.build_model, model_module.build_single_head_model])
+def test_conv2d_bit_identical_on_desk_forward_shapes(build, monkeypatch):
+    """Under a tape every desk layer follows the NCHW unrolling; with no
+    tape each follows the oracle its rule picks, and both rules occur."""
+    shapes = forward_conv_shapes(build, "desk", 8)
     assert {stride for _, _, stride, _ in shapes} == {1, 2}
     rng = np.random.default_rng(6)
     for x_shape, w_shape, stride, padding in shapes:
         _assert_conv2d_matches_nchw_im2col(rng, x_shape, w_shape, stride, padding, np.float32,
                                            monkeypatch)
+    picked = set()
+    for x_shape, w_shape, stride, padding in shapes:
+        x, w, b = (rng.standard_normal(s).astype(np.float32)
+                   for s in (x_shape, w_shape, w_shape[:1]))
+        shift_add = takes_shift_add(w_shape, stride)
+        picked.add(shift_add)
+        if shift_add:
+            expected = shift_add_conv2d(x, w, b, padding)
+        else:
+            ho, wo = ((n + 2 * padding - w_shape[2]) // stride + 1 for n in x_shape[2:])
+            g = np.zeros((x_shape[0], w_shape[0], ho, wo), np.float32)
+            expected = nchw_im2col_conv2d(x, w, b, g, stride, padding)[0]
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+        case = f"x {x_shape}, kernel {w_shape}, stride {stride}, padding {padding}"
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), case
+    assert picked == {True, False}
+
+
+def _shift_add_cases():
+    """(x shape, kernel shape, padding) of every stride-1, Cout < Cin conv
+    in a grid of small shapes and in the desk and riga-like networks: their
+    decoder convs and heads."""
+    cases = [((bsz, cin, *size), (cout, cin, k, k), padding)
+             for k, padding, bsz, (cin, cout), size in itertools.product(
+                 (1, 3, 4), (0, 1), (1, 3), ((2, 1), (3, 2), (16, 4), (16, 15)), ((7, 6), (8, 8)))]
+    for build in (model_module.build_model, model_module.build_single_head_model):
+        for preset_name, bsz in (("desk", 8), ("riga-like", 2)):
+            cases += [(x_shape, w_shape, padding)
+                      for x_shape, w_shape, stride, padding in forward_conv_shapes(build, preset_name, bsz)
+                      if takes_shift_add(w_shape, stride)]
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_without_a_tape_bit_identical_to_shift_add(dtype):
+    """With no tape, a stride-1 conv with fewer output than input channels
+    adds the same terms in the same order as the shift-and-add oracle."""
+    rng = np.random.default_rng(15)
+    cases = _shift_add_cases()
+    assert any(x_shape[2] == 256 for x_shape, _, _ in cases)
+    with dtype64() if dtype == np.float64 else contextlib.nullcontext():
+        for x_shape, w_shape, padding in cases:
+            x, w, b = (rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, w_shape[:1]))
+            got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=padding).data
+            expected = shift_add_conv2d(x, w, b, padding)
+            case = f"x {x_shape}, kernel {w_shape}, padding {padding}, {np.dtype(dtype)}"
+            assert got.dtype == expected.dtype and got.flags.c_contiguous, case
+            assert np.array_equal(got, expected), case
+
+
+def _conv2d_grid(rng, dtype):
+    """(x, kernel, bias, stride, padding) over the bit-identity test's
+    grid: four output channels, so 16 input channels at stride 1 take the
+    shift-and-add rule and every other case im2col."""
+    cases = []
+    for k, stride, padding, bsz, cin, size in itertools.product(
+            (1, 3, 4), (1, 2), (0, 1), (1, 3), (1, 3, 16), ((7, 6), (8, 8))):
+        cases.append((rng.standard_normal((bsz, cin, *size)).astype(dtype),
+                      rng.standard_normal((4, cin, k, k)).astype(dtype),
+                      rng.standard_normal(4).astype(dtype), stride, padding))
+    return cases
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_conv2d_without_a_tape_matches_naive_loops(dtype, tol):
+    """The whole grid, both rules: each output within tol of the float64
+    loops, relative to the largest output."""
+    cases = _conv2d_grid(np.random.default_rng(12), dtype)
+    assert {takes_shift_add(w.shape, s) for _, w, _, s, _ in cases} == {True, False}
+    with dtype64() if dtype == np.float64 else contextlib.nullcontext():
+        for x, w, b, s, p in cases:
+            got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data
+            ref = naive_conv2d(*(a.astype(np.float64) for a in (x, w, b)), stride=s, padding=p)
+            case = f"x {x.shape}, kernel {w.shape}, stride {s}, padding {p}"
+            assert got.dtype == dtype and rel_err(got, ref) < tol, case
 
 
 def test_conv2d_gradients_fd_32bit():
@@ -328,95 +441,18 @@ def test_conv2d_kernel_too_large():
 
 
 # ---------------------------------------------------------------------------
-# the forward-only workspace
+# the tape's one slot
 
 
-def _conv2d_grid(rng, dtype):
-    """(x, kernel, bias, stride, padding) over the bit-identity test's grid;
-    consecutive cases grow and shrink, so a reused buffer holds stale columns."""
-    cases = []
-    for k, stride, padding, bsz, cin, size in itertools.product(
-            (1, 3, 4), (1, 2), (0, 1), (1, 3), (1, 3, 16), ((7, 6), (8, 8))):
-        cases.append((rng.standard_normal((bsz, cin, *size)).astype(dtype),
-                      rng.standard_normal((4, cin, k, k)).astype(dtype),
-                      rng.standard_normal(4).astype(dtype), stride, padding))
-    return cases
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_bit_identical_in_a_workspace(dtype):
-    cases = _conv2d_grid(np.random.default_rng(12), dtype)
-    with dtype64() if dtype == np.float64 else contextlib.nullcontext():
-        def run(ws=None):
-            """Each case's output, and the workspace's buffer after it."""
-            return [(conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data,
-                     ws.buffer if ws else None) for x, w, b, s, p in cases]
-        expected = run()
-        with ad.Workspace() as ws:
-            assert ad.Workspace.active() is ws
-            got = run(ws)
-    assert ws.buffer.size == 0 and ad.Workspace.active() is None
-    held = [buf for _, buf in got]
-    assert all(buf.dtype == dtype for buf in held)
-    for (x, w, _, s, p), (a, _), (e, _) in zip(cases, got, expected):
-        case = f"x {x.shape}, kernel {w.shape}, stride {s}, padding {p}"
-        assert a.dtype == e.dtype and np.array_equal(a, e), case
-        assert not any(np.shares_memory(a, buf) for buf in held), case
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_under_a_tape_leaves_the_workspace_alone(dtype):
-    rng = np.random.default_rng(13)
-    for x, w, b, s, p in _conv2d_grid(rng, dtype)[::7]:
-        ho, wo = ((n + 2 * p - w.shape[2]) // s + 1 for n in x.shape[2:])
-        g = rng.standard_normal((x.shape[0], 4, ho, wo)).astype(dtype)
-        with dtype64() if dtype == np.float64 else contextlib.nullcontext():
-            expected = engine_conv2d(x, w, b, g, s, p)
-            with ad.Workspace() as ws:
-                got = engine_conv2d(x, w, b, g, s, p)
-                assert ws.buffer.size == 0
-        for name, a, e in zip(("out", "x.grad", "kernel.grad", "bias.grad"), got, expected):
-            assert np.array_equal(a, e), name
-
-
-def test_workspace_buffer_grows_and_is_reused():
-    """conv2d regrows the one buffer only when it is too small or of
-    another dtype; otherwise the next call reuses it."""
-    rng = np.random.default_rng(14)
-
-    def conv_args(bsz, side):
-        return (Tensor(rng.standard_normal((bsz, 2, side, side))),
-                Tensor(rng.standard_normal((3, 2, 3, 3))), Tensor(rng.standard_normal(3)))
-
-    small, big = conv_args(1, 6), conv_args(2, 8)
-    with dtype64():
-        wide = conv_args(1, 6)
-    with ad.Workspace() as ws:
-        conv2d(*small)
-        first = ws.buffer
-        conv2d(*big)
-        grown = ws.buffer
-        conv2d(*small)
-        assert ws.buffer is grown
-        conv2d(*wide)
-        regrown = ws.buffer
-    # column counts: batch * rows * cols of the output, times 2 * 3 * 3
-    assert first.dtype == grown.dtype == np.float32
-    assert (first.size, grown.size) == (1 * 4 * 4 * 18, 2 * 6 * 6 * 18)
-    assert regrown.dtype == np.float64 and regrown.size == 1 * 4 * 4 * 18
-    assert ws.buffer.size == 0
-
-
-@pytest.mark.parametrize("context", [ad.Workspace, Tape])
-def test_a_second_active_context_fails(context):
-    """One tape and one workspace at a time: entering a second of either
-    inside the first fails, and leaves the first active."""
-    with context() as first:
+def test_a_second_active_tape_fails():
+    """One tape at a time: entering a second inside the first fails, and
+    leaves the first active."""
+    with Tape() as first:
         with pytest.raises(AssertionError, match="already"):
-            with context():
+            with Tape():
                 pass
-        assert context.active() is first
-    assert context.active() is None
+        assert Tape.active() is first
+    assert Tape.active() is None
 
 
 # ---------------------------------------------------------------------------

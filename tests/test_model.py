@@ -1,6 +1,7 @@
 """Architecture tests: parameter accounting, shapes, determinism, heads."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -181,8 +182,7 @@ class TestForward:
 
 
 def per_chunk_forward_maps(models, images, head_skip, batch_size):
-    """prob_maps without a workspace: each chunk's forward passes run with
-    conv2d allocating its own columns, as they did before it existed."""
+    """prob_maps written out: each chunk's forward passes, maps stacked."""
     chunks = []
     for start in range(0, len(images), batch_size):
         x = Tensor(images[start:start + batch_size])
@@ -191,7 +191,7 @@ def per_chunk_forward_maps(models, images, head_skip, batch_size):
     return np.concatenate(chunks)
 
 
-class TestPredictionWorkspace:
+class TestPrediction:
     CASES = {
         "multi_chunk": ("multi_head", 1, 8, 4, 1),
         "uneven_last_chunk": ("multi_head", 1, 7, 3, 0),
@@ -200,54 +200,61 @@ class TestPredictionWorkspace:
         "members_one_each": ("single_head_full", 2, 3, 1, 0),
     }
 
-    def spy_workspaces(self, monkeypatch):
-        """After every conv2d call: the active workspace and its buffer."""
-        seen = []
-        real_conv2d = ad.conv2d
-
-        def spying_conv2d(*args, **kwargs):
-            out = real_conv2d(*args, **kwargs)
-            ws = ad.Workspace.active()
-            seen.append((ws, ws.buffer if ws else None))
-            return out
-        monkeypatch.setattr(ad, "conv2d", spying_conv2d)
-        return seen
-
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_maps_bit_equal_to_per_chunk_forward(self, monkeypatch, case):
+    def test_maps_bit_equal_to_per_chunk_forward(self, case):
         kind, n_models, n, batch_size, head_skip = self.CASES[case]
         models = [BUILDERS[kind](replace(DESK, seed=s)) for s in range(n_models)]
         images = np.random.default_rng(3).normal(size=(n, 1, 32, 32))
         expected = per_chunk_forward_maps(models, images, head_skip, batch_size)
-        seen = self.spy_workspaces(monkeypatch)
         got = prob_maps(models, images, head_skip=head_skip, batch_size=batch_size)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        workspaces = {id(ws) for ws, _ in seen}
-        assert len(workspaces) == 1 and seen[0][0] is not None
-        ws = seen[0][0]
-        assert ws.buffer.size == 0 and ad.Workspace.active() is None
-        held = [buf for _, buf in seen]
-        assert held and all(buf.size for buf in held)
-        assert not any(np.shares_memory(got, buf) for buf in held)
 
-    def test_forward_maps_never_alias_the_buffer(self, monkeypatch):
-        """Every head map forward returns inside a workspace owns its memory."""
-        seen = self.spy_workspaces(monkeypatch)
+    def test_maps_own_their_memory(self):
+        """Every head map forward returns, and the maps prob_maps returns,
+        own their memory: no map is a view of a conv's scratch arrays."""
         model = build_model(DESK)
-        with ad.Workspace():
-            outs = forward(model, desk_input(batch=3))
-        held = [buf for _, buf in seen]
-        assert held and all(buf.size for buf in held)
-        for p in outs:
-            assert not any(np.shares_memory(p.data, buf) for buf in held)
+        for p in forward(model, desk_input(batch=3)):
+            assert p.data.flags.owndata and p.data.flags.c_contiguous
+        maps = prob_maps([model], desk_input(batch=3).data, batch_size=2)
+        assert maps.flags.owndata and maps.flags.c_contiguous
 
-    def test_workspace_released_when_prob_maps_raises(self, monkeypatch):
-        seen = self.spy_workspaces(monkeypatch)
-        model = build_model(DESK)
+    def test_no_maps_is_refused(self):
         with pytest.raises(ValueError, match="no maps"):
-            prob_maps([model], desk_input(batch=2).data, head_skip=3, batch_size=2)
-        assert seen and all(buf.size for _, buf in seen)
-        assert seen[0][0].buffer.size == 0 and ad.Workspace.active() is None
+            prob_maps([build_model(DESK)], desk_input(batch=2).data, head_skip=3, batch_size=2)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_maps_agree_with_forward_under_a_tape(self, kind, dtype, tol):
+        """A tape sends every conv through im2col; without one the decoder
+        convs and heads sum shifted planes instead.  The maps of the two
+        paths agree to tol absolute."""
+        ad.set_default_dtype(dtype)
+        try:
+            model = BUILDERS[kind](DESK)
+            images = np.random.default_rng(4).normal(size=(4, 1, 32, 32))
+            got = prob_maps([model], images, batch_size=4)
+            with ad.Tape():
+                taped = forward(model, Tensor(images))
+        finally:
+            ad.set_default_dtype(np.float32)
+        expected = np.stack([p.data[:, 0] for p in taped], axis=1)
+        assert got.dtype == expected.dtype == dtype
+        np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+    def test_one_member_predicts_in_bounded_memory(self):
+        """prob_maps on one desk member at batch 8 peaks below 6 MiB: its
+        decoder builds no column matrix (with one, it took 8.6 MiB)."""
+        member = build_single_head_model(DESK)
+        images = desk_input(batch=8).data
+        prob_maps([member], images, batch_size=8)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            prob_maps([member], images, batch_size=8)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"prediction peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestAggregation:
